@@ -1,0 +1,1180 @@
+"""Scenario files, the built-in catalog, and the run pipeline.
+
+A scenario is a JSON document (``schema_version`` 1) that names a network,
+an initial condition, a horizon, the structural checks that must pass before
+simulating, and the certificates whose claims the run must verify.  Parsing
+is strict: unknown fields anywhere are errors, as are unknown weight
+families, check names, and certificate names.
+
+Running a scenario performs, in order: build the network, classify arcs,
+run the required checks (a failure aborts before simulation), simulate or
+integrate, then evaluate each certificate against the trajectory.  Two
+certificate kinds drive their own trajectory instead of using the base one:
+the window-violation certificate simulates from the quiet window it finds,
+and the agreement-ratio certificate integrates out to the horizon it
+computes.  Scenarios using those may set ``t0`` or ``horizon`` to "auto".
+
+Reports come in two equivalent forms, a human-readable text rendering and a
+JSON twin; both are deterministic given the scenario and seed, except for
+the wall-time field, which canonical comparisons exclude.
+"""
+
+from __future__ import annotations
+
+import dataclasses
+import json
+import math
+import time
+from dataclasses import dataclass
+from pathlib import Path
+from typing import Any
+
+import numpy as np
+
+from . import analysis, checks
+from .checks import CheckResult
+from .continuous import ContinuousTrajectory, integrate
+from .discrete import BeliefVector, Trajectory, simulate
+from .graph import Digraph, diameter, is_quasi_strongly_connected
+from .weights import (
+    Constant,
+    ExponentialDecay,
+    Mode,
+    PeriodicPulse,
+    PowerDecay,
+    Tabulated,
+    TimeVaryingNetwork,
+    Weight,
+    Zero,
+    aggregate_vanishing_weight,
+    persistence_report,
+    stochastic_network,
+)
+
+SCHEMA_VERSION = 1
+STOCHASTIC_COMPLEMENT = "stochastic-complement"
+
+_CHECK_KINDS = {
+    "stochasticity": (Mode.DISCRETE,),
+    "self-confidence": (Mode.DISCRETE,),
+    "arc-balance": (Mode.DISCRETE, Mode.CONTINUOUS),
+    "integral-arc-balance": (Mode.DISCRETE, Mode.CONTINUOUS),
+    "window-bound": (Mode.DISCRETE, Mode.CONTINUOUS),
+    "cut-balance": (Mode.DISCRETE, Mode.CONTINUOUS),
+    "qsc-persistent": (Mode.DISCRETE, Mode.CONTINUOUS),
+}
+_CHECK_PARAMS = {
+    "stochasticity": {"times"},
+    "self-confidence": {"eta", "times"},
+    "arc-balance": {"A", "times"},
+    "integral-arc-balance": {"A", "intervals"},
+    "window-bound": {"a_star", "window", "starts"},
+    "cut-balance": {"K", "times"},
+    "qsc-persistent": set(),
+}
+_CERT_KINDS = {
+    "discrete-rate": (Mode.DISCRETE,),
+    "continuous-rate": (Mode.CONTINUOUS,),
+    "discrete-floor": (Mode.DISCRETE,),
+    "continuous-floor": (Mode.CONTINUOUS,),
+    "window-violation": (Mode.DISCRETE,),
+    "agreement-ratio": (Mode.CONTINUOUS,),
+    "cut-balance-gap": (Mode.DISCRETE, Mode.CONTINUOUS),
+}
+_CERT_PARAMS = {
+    "discrete-rate": {"eta", "a_star", "T_star"},
+    "continuous-rate": {"A", "a_star", "tau0"},
+    "discrete-floor": {"low_nodes", "high_nodes"},
+    "continuous-floor": {"low_nodes", "high_nodes"},
+    "window-violation": {"epsilon", "T", "A", "scan_limit"},
+    "agreement-ratio": {"target", "A"},
+    "cut-balance-gap": {"A", "K_max"},
+}
+_DRIVING_CERTS = {"window-violation", "agreement-ratio"}
+
+
+class ScenarioError(Exception):
+    """Base for scenario loading and configuration problems (exit code 2)."""
+
+
+class ScenarioParseError(ScenarioError):
+    pass
+
+
+class ScenarioValidationError(ScenarioError):
+    pass
+
+
+@dataclass(frozen=True)
+class ZeroOneSplit:
+    """Initial condition: listed nodes start at 0, everyone else at 1."""
+
+    zero_nodes: tuple[int, ...]
+
+    def resolve(self, n: int) -> np.ndarray:
+        x = np.ones(n)
+        x[list(self.zero_nodes)] = 0.0
+        return x
+
+
+@dataclass(frozen=True)
+class CheckSpec:
+    kind: str
+    params: dict
+
+
+@dataclass(frozen=True)
+class CertSpec:
+    kind: str
+    params: dict
+
+
+@dataclass(frozen=True)
+class Scenario:
+    name: str
+    mode: Mode
+    nodes: int
+    arcs: tuple[tuple[int, int, Weight], ...]
+    self_weights: str | tuple[Weight, ...] | None
+    x0: tuple[float, ...] | ZeroOneSplit
+    t0: float | str
+    horizon: float | str
+    h_max: float | None
+    stride: int
+    seed: int
+    required_checks: tuple[CheckSpec, ...]
+    certificates: tuple[CertSpec, ...]
+    description: str = ""
+
+
+# ---------------------------------------------------------------------------
+# parsing
+
+
+def _reject_unknown(obj: dict, allowed: set[str], path: str) -> None:
+    unknown = sorted(set(obj) - allowed)
+    if unknown:
+        raise ScenarioParseError(f"unknown field(s) {unknown} at {path}")
+
+
+def _need(obj: dict, key: str, path: str) -> Any:
+    if key not in obj:
+        raise ScenarioParseError(f"missing field {key!r} at {path}")
+    return obj[key]
+
+
+def _as_int(v, path: str) -> int:
+    if isinstance(v, bool) or not isinstance(v, (int, float)) or v != int(v):
+        raise ScenarioParseError(f"{path} must be an integer, got {v!r}")
+    return int(v)
+
+
+def _as_float(v, path: str) -> float:
+    if isinstance(v, bool) or not isinstance(v, (int, float)):
+        raise ScenarioParseError(f"{path} must be a number, got {v!r}")
+    return float(v)
+
+
+def _as_str(v, path: str) -> str:
+    if not isinstance(v, str):
+        raise ScenarioParseError(f"{path} must be a string, got {v!r}")
+    return v
+
+
+def _freeze(v):
+    """Recursively turn lists into tuples so specs compare and hash stably."""
+    if isinstance(v, list):
+        return tuple(_freeze(x) for x in v)
+    return v
+
+
+_WEIGHT_FIELDS = {
+    "constant": {"c"},
+    "power-decay": {"c", "p"},
+    "exponential-decay": {"c", "rate"},
+    "periodic-pulse": {"height", "width", "period", "gap_growth"},
+    "tabulated": {"breakpoints", "values", "persistent"},
+    "zero": set(),
+}
+
+
+def parse_weight(spec, path: str) -> Weight:
+    if not isinstance(spec, dict):
+        raise ScenarioParseError(f"{path} must be a weight object")
+    family = _as_str(_need(spec, "family", path), f"{path}.family")
+    if family not in _WEIGHT_FIELDS:
+        raise ScenarioParseError(
+            f"unknown weight family {family!r} at {path}; "
+            f"supported: {sorted(_WEIGHT_FIELDS)}"
+        )
+    _reject_unknown(spec, _WEIGHT_FIELDS[family] | {"family"}, path)
+    try:
+        if family == "constant":
+            return Constant(_as_float(_need(spec, "c", path), f"{path}.c"))
+        if family == "power-decay":
+            return PowerDecay(
+                _as_float(_need(spec, "c", path), f"{path}.c"),
+                _as_float(_need(spec, "p", path), f"{path}.p"),
+            )
+        if family == "exponential-decay":
+            return ExponentialDecay(
+                _as_float(_need(spec, "c", path), f"{path}.c"),
+                _as_float(_need(spec, "rate", path), f"{path}.rate"),
+            )
+        if family == "periodic-pulse":
+            return PeriodicPulse(
+                _as_float(_need(spec, "height", path), f"{path}.height"),
+                _as_float(_need(spec, "width", path), f"{path}.width"),
+                _as_float(_need(spec, "period", path), f"{path}.period"),
+                _as_float(spec.get("gap_growth", 1.0), f"{path}.gap_growth"),
+            )
+        if family == "tabulated":
+            bps = _need(spec, "breakpoints", path)
+            vals = _need(spec, "values", path)
+            if not isinstance(bps, list) or not isinstance(vals, list):
+                raise ScenarioParseError(f"{path}: breakpoints and values must be lists")
+            persistent = spec.get("persistent")
+            if persistent is not None and not isinstance(persistent, bool):
+                raise ScenarioParseError(f"{path}.persistent must be a boolean or null")
+            return Tabulated(tuple(float(b) for b in bps), tuple(float(v) for v in vals), persistent)
+        return Zero()
+    except ValueError as e:
+        raise ScenarioParseError(f"invalid weight at {path}: {e}") from e
+
+
+def weight_to_spec(w: Weight) -> dict:
+    if isinstance(w, Constant):
+        return {"family": "constant", "c": w.c}
+    if isinstance(w, PowerDecay):
+        return {"family": "power-decay", "c": w.c, "p": w.p}
+    if isinstance(w, ExponentialDecay):
+        return {"family": "exponential-decay", "c": w.c, "rate": w.rate}
+    if isinstance(w, PeriodicPulse):
+        return {
+            "family": "periodic-pulse",
+            "height": w.height,
+            "width": w.width,
+            "period": w.period,
+            "gap_growth": w.gap_growth,
+        }
+    if isinstance(w, Tabulated):
+        return {
+            "family": "tabulated",
+            "breakpoints": list(w.breakpoints),
+            "values": list(w.values),
+            "persistent": w.persistent,
+        }
+    if isinstance(w, Zero):
+        return {"family": "zero"}
+    raise ScenarioValidationError(f"weight {type(w).__name__} has no file representation")
+
+
+_TOP_FIELDS = {
+    "schema_version", "name", "description", "mode", "nodes", "arcs",
+    "self_weights", "x0", "t0", "horizon", "h_max", "stride", "seed",
+    "required_checks", "certificates",
+}
+
+
+def parse_scenario_dict(doc: dict) -> Scenario:
+    if not isinstance(doc, dict):
+        raise ScenarioParseError("scenario document must be a JSON object")
+    _reject_unknown(doc, _TOP_FIELDS, "scenario")
+    version = _as_int(_need(doc, "schema_version", "scenario"), "schema_version")
+    if version != SCHEMA_VERSION:
+        raise ScenarioParseError(f"unsupported schema_version {version}; this build reads {SCHEMA_VERSION}")
+    name = _as_str(_need(doc, "name", "scenario"), "name")
+    if not name:
+        raise ScenarioParseError("name must be nonempty")
+    mode_str = _as_str(_need(doc, "mode", "scenario"), "mode")
+    try:
+        mode = Mode(mode_str)
+    except ValueError:
+        raise ScenarioParseError(f"mode must be 'discrete' or 'continuous', got {mode_str!r}")
+    nodes = _as_int(_need(doc, "nodes", "scenario"), "nodes")
+    if nodes < 1:
+        raise ScenarioParseError("nodes must be >= 1")
+
+    raw_arcs = _need(doc, "arcs", "scenario")
+    if not isinstance(raw_arcs, list):
+        raise ScenarioParseError("arcs must be a list")
+    arcs: list[tuple[int, int, Weight]] = []
+    seen = set()
+    for idx, a in enumerate(raw_arcs):
+        path = f"arcs[{idx}]"
+        if not isinstance(a, dict):
+            raise ScenarioParseError(f"{path} must be an object")
+        _reject_unknown(a, {"tail", "head", "weight"}, path)
+        tail = _as_int(_need(a, "tail", path), f"{path}.tail")
+        head = _as_int(_need(a, "head", path), f"{path}.head")
+        if not (0 <= tail < nodes and 0 <= head < nodes):
+            raise ScenarioParseError(f"{path}: arc ({tail}, {head}) references a node outside 0..{nodes - 1}")
+        if tail == head:
+            raise ScenarioParseError(f"{path}: self-loop ({tail}, {head}) is not allowed")
+        if (tail, head) in seen:
+            raise ScenarioParseError(f"{path}: duplicate arc ({tail}, {head})")
+        seen.add((tail, head))
+        arcs.append((tail, head, parse_weight(_need(a, "weight", path), f"{path}.weight")))
+
+    raw_self = doc.get("self_weights")
+    self_weights: str | tuple[Weight, ...] | None
+    if mode is Mode.DISCRETE:
+        if raw_self == STOCHASTIC_COMPLEMENT:
+            self_weights = STOCHASTIC_COMPLEMENT
+        elif isinstance(raw_self, list):
+            if len(raw_self) != nodes:
+                raise ScenarioParseError("self_weights list must have one entry per node")
+            self_weights = tuple(
+                parse_weight(s, f"self_weights[{i}]") for i, s in enumerate(raw_self)
+            )
+        else:
+            raise ScenarioParseError(
+                "discrete scenarios need self_weights: either "
+                f"{STOCHASTIC_COMPLEMENT!r} or a per-node list"
+            )
+    else:
+        if raw_self is not None:
+            raise ScenarioParseError("continuous scenarios take no self_weights")
+        self_weights = None
+
+    raw_x0 = _need(doc, "x0", "scenario")
+    x0: tuple[float, ...] | ZeroOneSplit
+    if isinstance(raw_x0, list):
+        if len(raw_x0) != nodes:
+            raise ScenarioParseError(f"x0 must have {nodes} entries")
+        x0 = tuple(_as_float(v, f"x0[{i}]") for i, v in enumerate(raw_x0))
+    elif isinstance(raw_x0, dict):
+        _reject_unknown(raw_x0, {"pattern", "zero_nodes"}, "x0")
+        pattern = _as_str(_need(raw_x0, "pattern", "x0"), "x0.pattern")
+        if pattern != "zero-one-split":
+            raise ScenarioParseError(f"unknown x0 pattern {pattern!r}; supported: ['zero-one-split']")
+        zn = _need(raw_x0, "zero_nodes", "x0")
+        if not isinstance(zn, list) or not zn:
+            raise ScenarioParseError("x0.zero_nodes must be a nonempty list")
+        zero_nodes = tuple(sorted(_as_int(v, "x0.zero_nodes") for v in zn))
+        if len(set(zero_nodes)) != len(zero_nodes):
+            raise ScenarioParseError("x0.zero_nodes has duplicates")
+        if any(not 0 <= i < nodes for i in zero_nodes):
+            raise ScenarioParseError("x0.zero_nodes references a node out of range")
+        if len(zero_nodes) == nodes:
+            raise ScenarioParseError("x0.zero_nodes must leave at least one node at 1")
+        x0 = ZeroOneSplit(zero_nodes)
+    else:
+        raise ScenarioParseError("x0 must be a list of values or a pattern object")
+
+    cert_kinds = []
+    raw_certs = doc.get("certificates", [])
+    if not isinstance(raw_certs, list):
+        raise ScenarioParseError("certificates must be a list")
+    for idx, c in enumerate(raw_certs):
+        path = f"certificates[{idx}]"
+        if not isinstance(c, dict):
+            raise ScenarioParseError(f"{path} must be an object")
+        kind = _as_str(_need(c, "certificate", path), f"{path}.certificate")
+        if kind not in _CERT_KINDS:
+            raise ScenarioParseError(
+                f"unknown certificate {kind!r} at {path}; supported: {sorted(_CERT_KINDS)}"
+            )
+        if mode not in _CERT_KINDS[kind]:
+            raise ScenarioParseError(f"{path}: certificate {kind!r} does not apply to {mode.value} mode")
+        _reject_unknown(c, _CERT_PARAMS[kind] | {"certificate"}, path)
+        params = {k: _freeze(v) for k, v in c.items() if k != "certificate"}
+        cert_kinds.append(CertSpec(kind, params))
+    driving = [c.kind for c in cert_kinds if c.kind in _DRIVING_CERTS]
+    if len(driving) > 1:
+        raise ScenarioParseError(
+            f"at most one trajectory-driving certificate allowed, got {driving}"
+        )
+
+    check_specs = []
+    raw_checks = doc.get("required_checks", [])
+    if not isinstance(raw_checks, list):
+        raise ScenarioParseError("required_checks must be a list")
+    for idx, c in enumerate(raw_checks):
+        path = f"required_checks[{idx}]"
+        if not isinstance(c, dict):
+            raise ScenarioParseError(f"{path} must be an object")
+        kind = _as_str(_need(c, "check", path), f"{path}.check")
+        if kind not in _CHECK_KINDS:
+            raise ScenarioParseError(
+                f"unknown check {kind!r} at {path}; supported: {sorted(_CHECK_KINDS)}"
+            )
+        if mode not in _CHECK_KINDS[kind]:
+            raise ScenarioParseError(f"{path}: check {kind!r} does not apply to {mode.value} mode")
+        _reject_unknown(c, _CHECK_PARAMS[kind] | {"check"}, path)
+        params = {k: _freeze(v) for k, v in c.items() if k != "check"}
+        check_specs.append(CheckSpec(kind, params))
+
+    t0_raw = doc.get("t0", 0)
+    if t0_raw == "auto":
+        if "window-violation" not in driving:
+            raise ScenarioParseError("t0 'auto' needs a window-violation certificate")
+        t0: float | str = "auto"
+    else:
+        t0 = _as_float(t0_raw, "t0")
+        if t0 < 0:
+            raise ScenarioParseError("t0 must be >= 0")
+        if mode is Mode.DISCRETE and t0 != int(t0):
+            raise ScenarioParseError("discrete t0 must be an integer")
+
+    horizon_raw = _need(doc, "horizon", "scenario")
+    if horizon_raw == "auto":
+        if not driving:
+            raise ScenarioParseError("horizon 'auto' needs a trajectory-driving certificate")
+        horizon: float | str = "auto"
+    else:
+        horizon = _as_float(horizon_raw, "horizon")
+        if horizon <= 0:
+            raise ScenarioParseError("horizon must be positive")
+        if mode is Mode.DISCRETE and horizon != int(horizon):
+            raise ScenarioParseError("discrete horizon must be an integer number of steps")
+
+    h_max_raw = doc.get("h_max")
+    if mode is Mode.DISCRETE:
+        if h_max_raw is not None:
+            raise ScenarioParseError("h_max applies only to continuous scenarios")
+        h_max = None
+    else:
+        h_max = None if h_max_raw is None else _as_float(h_max_raw, "h_max")
+        if h_max is not None and h_max <= 0:
+            raise ScenarioParseError("h_max must be positive when given")
+
+    stride = _as_int(doc.get("stride", 1), "stride")
+    if stride < 1:
+        raise ScenarioParseError("stride must be >= 1")
+    seed = _as_int(doc.get("seed", 0), "seed")
+    description = _as_str(doc.get("description", ""), "description")
+
+    return Scenario(
+        name=name,
+        mode=mode,
+        nodes=nodes,
+        arcs=tuple(arcs),
+        self_weights=self_weights,
+        x0=x0,
+        t0=t0,
+        horizon=horizon,
+        h_max=h_max,
+        stride=stride,
+        seed=seed,
+        required_checks=tuple(check_specs),
+        certificates=tuple(cert_kinds),
+        description=description,
+    )
+
+
+def scenario_to_dict(s: Scenario) -> dict:
+    def thaw(v):
+        if isinstance(v, tuple):
+            return [thaw(x) for x in v]
+        return v
+
+    doc: dict[str, Any] = {
+        "schema_version": SCHEMA_VERSION,
+        "name": s.name,
+        "mode": s.mode.value,
+        "nodes": s.nodes,
+        "arcs": [
+            {"tail": t, "head": h, "weight": weight_to_spec(w)} for t, h, w in s.arcs
+        ],
+        "x0": (
+            {"pattern": "zero-one-split", "zero_nodes": list(s.x0.zero_nodes)}
+            if isinstance(s.x0, ZeroOneSplit)
+            else list(s.x0)
+        ),
+        "t0": s.t0,
+        "horizon": s.horizon,
+        "stride": s.stride,
+        "seed": s.seed,
+        "required_checks": [
+            {"check": c.kind, **{k: thaw(v) for k, v in c.params.items()}}
+            for c in s.required_checks
+        ],
+        "certificates": [
+            {"certificate": c.kind, **{k: thaw(v) for k, v in c.params.items()}}
+            for c in s.certificates
+        ],
+    }
+    if s.mode is Mode.DISCRETE:
+        doc["self_weights"] = (
+            STOCHASTIC_COMPLEMENT
+            if s.self_weights == STOCHASTIC_COMPLEMENT
+            else [weight_to_spec(w) for w in s.self_weights]
+        )
+    if s.h_max is not None:
+        doc["h_max"] = s.h_max
+    if s.description:
+        doc["description"] = s.description
+    return doc
+
+
+def load_scenario(path: str | Path) -> Scenario:
+    try:
+        text = Path(path).read_text()
+    except OSError as e:
+        raise ScenarioParseError(f"cannot read scenario file {path}: {e}") from e
+    try:
+        doc = json.loads(text)
+    except json.JSONDecodeError as e:
+        raise ScenarioParseError(f"scenario file {path} is not valid JSON: {e}") from e
+    return parse_scenario_dict(doc)
+
+
+def save_scenario(s: Scenario, path: str | Path) -> None:
+    Path(path).write_text(json.dumps(scenario_to_dict(s), indent=2, sort_keys=True) + "\n")
+
+
+# ---------------------------------------------------------------------------
+# building and running
+
+
+def build_network(s: Scenario) -> TimeVaryingNetwork:
+    graph = Digraph(s.nodes, frozenset((t, h) for t, h, _ in s.arcs))
+    aw = {(t, h): w for t, h, w in s.arcs}
+    try:
+        if s.mode is Mode.CONTINUOUS:
+            return TimeVaryingNetwork(graph, aw, None, Mode.CONTINUOUS)
+        if s.self_weights == STOCHASTIC_COMPLEMENT:
+            return stochastic_network(graph, aw)
+        return TimeVaryingNetwork(
+            graph, aw, dict(enumerate(s.self_weights)), Mode.DISCRETE
+        )
+    except ValueError as e:
+        raise ScenarioValidationError(f"cannot build network: {e}") from e
+
+
+def resolve_x0(s: Scenario) -> np.ndarray:
+    if isinstance(s.x0, ZeroOneSplit):
+        return s.x0.resolve(s.nodes)
+    return np.asarray(s.x0, dtype=float)
+
+
+@dataclass(frozen=True)
+class CheckRecord:
+    name: str
+    passed: bool
+    vacuous: bool
+    detail: str
+
+
+@dataclass(frozen=True)
+class CertRecord:
+    kind: str
+    passed: bool
+    vacuous: bool
+    margin: float | None
+    detail: str
+    values: dict
+
+
+@dataclass(frozen=True)
+class RunReport:
+    scenario_name: str
+    mode: str
+    seed: int
+    nodes: int
+    arc_count: int
+    persistent_count: int
+    vanishing_count: int
+    qsc_persistent: bool
+    persistent_diameter: int
+    checks: tuple[CheckRecord, ...]
+    certificates: tuple[CertRecord, ...]
+    aborted: bool
+    passed: bool
+    t_start: float | None
+    t_end: float | None
+    trajectory_rows: int
+    trajectory_file: str | None
+    wall_time_s: float
+
+    def to_dict(self, include_timing: bool = True) -> dict:
+        doc = {
+            "scenario_name": self.scenario_name,
+            "mode": self.mode,
+            "seed": self.seed,
+            "nodes": self.nodes,
+            "arc_count": self.arc_count,
+            "persistent_count": self.persistent_count,
+            "vanishing_count": self.vanishing_count,
+            "qsc_persistent": self.qsc_persistent,
+            "persistent_diameter": self.persistent_diameter,
+            "checks": [dataclasses.asdict(c) for c in self.checks],
+            "certificates": [dataclasses.asdict(c) for c in self.certificates],
+            "aborted": self.aborted,
+            "passed": self.passed,
+            "t_start": self.t_start,
+            "t_end": self.t_end,
+            "trajectory_rows": self.trajectory_rows,
+            "trajectory_file": self.trajectory_file,
+        }
+        if include_timing:
+            doc["wall_time_s"] = self.wall_time_s
+        return doc
+
+    def render_text(self, include_timing: bool = True) -> str:
+        lines = [
+            f"scenario: {self.scenario_name}",
+            f"mode: {self.mode}",
+            f"seed: {self.seed}",
+            f"nodes: {self.nodes}",
+            f"arcs: {self.arc_count} (persistent {self.persistent_count}, "
+            f"vanishing {self.vanishing_count})",
+            f"persistent graph: qsc={'yes' if self.qsc_persistent else 'no'} "
+            f"diameter={self.persistent_diameter}",
+        ]
+        for c in self.checks:
+            status = "VACUOUS-PASS" if c.vacuous and c.passed else ("PASS" if c.passed else "FAIL")
+            lines.append(f"check {c.name}: {status} ({c.detail})")
+        for c in self.certificates:
+            status = "VACUOUS-PASS" if c.vacuous and c.passed else ("PASS" if c.passed else "FAIL")
+            lines.append(f"certificate {c.kind}: {status} ({c.detail})")
+        if self.aborted:
+            lines.append("run aborted: a required check failed before simulation")
+        if self.trajectory_rows:
+            where = f" file={self.trajectory_file}" if self.trajectory_file else ""
+            lines.append(
+                f"trajectory: rows={self.trajectory_rows} "
+                f"t=[{self.t_start!r}, {self.t_end!r}]{where}"
+            )
+        lines.append(f"result: {'PASS' if self.passed else 'FAIL'}")
+        if include_timing:
+            lines.append(f"wall_time_s: {self.wall_time_s:.3f}")
+        return "\n".join(lines) + "\n"
+
+    @staticmethod
+    def from_dict(doc: dict) -> "RunReport":
+        try:
+            return RunReport(
+                scenario_name=doc["scenario_name"],
+                mode=doc["mode"],
+                seed=doc["seed"],
+                nodes=doc["nodes"],
+                arc_count=doc["arc_count"],
+                persistent_count=doc["persistent_count"],
+                vanishing_count=doc["vanishing_count"],
+                qsc_persistent=doc["qsc_persistent"],
+                persistent_diameter=doc["persistent_diameter"],
+                checks=tuple(CheckRecord(**c) for c in doc["checks"]),
+                certificates=tuple(CertRecord(**c) for c in doc["certificates"]),
+                aborted=doc["aborted"],
+                passed=doc["passed"],
+                t_start=doc["t_start"],
+                t_end=doc["t_end"],
+                trajectory_rows=doc["trajectory_rows"],
+                trajectory_file=doc["trajectory_file"],
+                wall_time_s=doc.get("wall_time_s", 0.0),
+            )
+        except (KeyError, TypeError) as e:
+            raise ScenarioParseError(f"not a run report: {e}") from e
+
+
+def _check_record(r: CheckResult) -> CheckRecord:
+    return CheckRecord(name=r.name, passed=r.passed, vacuous=r.vacuous, detail=r.detail)
+
+
+def _run_check(
+    spec: CheckSpec, net: TimeVaryingNetwork, seed: int
+) -> CheckResult:
+    p = spec.params
+    times = list(p["times"]) if "times" in p else None
+    if spec.kind == "stochasticity":
+        return checks.check_stochasticity(net, times)
+    if spec.kind == "self-confidence":
+        return checks.check_self_confidence(net, p["eta"], times)
+    if spec.kind == "arc-balance":
+        return checks.check_arc_balance(net, p["A"], times)
+    if spec.kind == "integral-arc-balance":
+        intervals = [tuple(iv) for iv in p["intervals"]]
+        return checks.check_integral_arc_balance(net, p["A"], intervals)
+    if spec.kind == "window-bound":
+        starts = list(p["starts"]) if "starts" in p else None
+        return checks.check_window_bound(net, p["a_star"], p["window"], starts)
+    if spec.kind == "cut-balance":
+        return checks.check_cut_balance(net, p["K"], times, seed=seed)
+    if spec.kind == "qsc-persistent":
+        rep = persistence_report(net)
+        ok = is_quasi_strongly_connected(rep.persistent_graph)
+        return CheckResult(
+            name="qsc-persistent",
+            passed=ok,
+            detail=(
+                f"persistent graph {'is' if ok else 'is NOT'} quasi-strongly connected "
+                f"({len(rep.persistent_arcs)} persistent arcs)"
+            ),
+        )
+    raise ScenarioValidationError(f"unhandled check {spec.kind!r}")
+
+
+FLOOR_TOLERANCE = 1e-9
+
+
+def _eval_certificate(
+    spec: CertSpec,
+    s: Scenario,
+    net: TimeVaryingNetwork,
+    traj: Trajectory | ContinuousTrajectory | None,
+):
+    """Returns (CertRecord, trajectory or None for the driving kinds)."""
+    p = spec.params
+    rep = persistence_report(net)
+    d0 = diameter(rep.persistent_graph)
+    qsc = is_quasi_strongly_connected(rep.persistent_graph)
+
+    if spec.kind == "discrete-rate":
+        if not qsc:
+            return CertRecord(spec.kind, False, False, None,
+                              "persistent graph not quasi-strongly connected", {}), None
+        cert = analysis.discrete_rate_bound(p["eta"], p["a_star"], int(p["T_star"]), d0)
+        rr = analysis.verify_contraction(traj, cert, tol=1e-12)
+        values = {"epsilon": cert.epsilon, "T0": cert.T0, "d0": d0,
+                  "windows": rr.windows, "worst_margin": rr.worst_margin}
+        detail = (f"epsilon={cert.epsilon!r} T0={cert.T0!r} windows={rr.windows} "
+                  f"worst margin={rr.worst_margin:.6e} at t={rr.witness_time!r}")
+        return CertRecord(spec.kind, rr.passed, rr.vacuous, rr.worst_margin, detail, values), None
+
+    if spec.kind == "continuous-rate":
+        if not qsc:
+            return CertRecord(spec.kind, False, False, None,
+                              "persistent graph not quasi-strongly connected", {}), None
+        theta_int = aggregate_vanishing_weight(net).tail_integral(0.0)
+        cert = analysis.continuous_rate_bound(
+            p["A"], net.n, theta_int, p["a_star"], p["tau0"], d0
+        )
+        rr = analysis.verify_contraction(traj, cert, tol=1e-8)
+        values = {"epsilon": cert.epsilon, "T0": cert.T0, "d0": d0, "m0": cert.m0,
+                  "omega0": cert.omega0, "windows": rr.windows,
+                  "worst_margin": rr.worst_margin}
+        detail = (f"epsilon={cert.epsilon!r} T0={cert.T0!r} windows={rr.windows} "
+                  f"worst margin={rr.worst_margin:.6e} at t={rr.witness_time!r}")
+        return CertRecord(spec.kind, rr.passed, rr.vacuous, rr.worst_margin, detail, values), None
+
+    if spec.kind in ("discrete-floor", "continuous-floor"):
+        theta = aggregate_vanishing_weight(net)
+        try:
+            if spec.kind == "discrete-floor":
+                cert = analysis.discrete_disagreement_floor(theta, t0=int(s.t0))
+            else:
+                cert = analysis.continuous_disagreement_floor(theta, t0=float(s.t0))
+        except (analysis.NotSummableError, analysis.FloorUnavailableError) as e:
+            return CertRecord(spec.kind, False, False, None, f"no floor: {e}", {}), None
+        if cert.required_t0 > float(s.t0):
+            return CertRecord(
+                spec.kind, False, False, None,
+                f"floor requires starting at t0 >= {cert.required_t0!r}, scenario starts at {s.t0!r}",
+                {"required_t0": cert.required_t0},
+            ), None
+        low, high = list(p["low_nodes"]), list(p["high_nodes"])
+        _, _, gap = analysis.block_extremes(traj, low, high)
+        spreads = traj.spreads()
+        worst = float(min(np.min(gap), np.min(spreads)))
+        margin = worst - cert.floor
+        passed = margin >= -FLOOR_TOLERANCE
+        values = {"floor": cert.floor, "required_t0": cert.required_t0,
+                  "tail_mass": cert.tail_mass, "worst_level": worst}
+        if cert.tail_product is not None:
+            values["survival_product"] = cert.tail_product
+        detail = (f"floor={cert.floor!r} worst spread/gap={worst!r} "
+                  f"margin={margin:.6e} tail mass={cert.tail_mass!r}")
+        return CertRecord(spec.kind, passed, False, margin, detail, values), None
+
+    if spec.kind == "window-violation":
+        found = analysis.find_window_violation(
+            net, p["epsilon"], int(p["T"]), p["A"], int(p["scan_limit"])
+        )
+        if found is None:
+            return CertRecord(
+                spec.kind, False, False, None,
+                f"no quiet window of {p['T']} steps within scan limit {p['scan_limit']}", {},
+            ), None
+        t_star, threshold = found
+        x0 = resolve_x0(s)
+        wtraj = simulate(net, BeliefVector(x0, t_star), int(p["T"]))
+        spreads = wtraj.spreads()
+        if spreads[0] <= 0.0:
+            return CertRecord(spec.kind, False, False, None,
+                              "initial spread is zero; nothing to preserve", {}), wtraj
+        ratio = float(spreads[-1] / spreads[0])
+        margin = float(spreads[-1] - p["epsilon"] * spreads[0])
+        passed = margin > 0.0  # spread must stay strictly above the target factor
+        values = {"t_star": t_star, "threshold": threshold, "ratio": ratio,
+                  "epsilon": p["epsilon"], "T": int(p["T"]), "margin": margin}
+        detail = (f"quiet window at t*={t_star} (threshold {threshold!r}); "
+                  f"spread ratio over window={ratio!r} > epsilon={p['epsilon']!r}: "
+                  f"margin={margin:.6e}")
+        return CertRecord(spec.kind, passed, False, margin, detail, values), wtraj
+
+    if spec.kind == "agreement-ratio":
+        try:
+            hz = analysis.agreement_time_bound(net, p["A"], p["target"], t0=float(s.t0))
+        except analysis.CertificateDomainError as e:
+            return CertRecord(spec.kind, False, False, None, f"no horizon: {e}", {}), None
+        atraj = integrate(net, resolve_x0(s), float(s.t0), hz.t_end, h_max=s.h_max)
+        spreads = atraj.spreads()
+        if spreads[0] <= 0.0:
+            return CertRecord(spec.kind, False, False, None,
+                              "initial spread is zero; ratio undefined", {}), atraj
+        ratio = float(spreads[-1] / spreads[0])
+        margin = ratio - p["target"]
+        passed = ratio < p["target"]
+        values = {"t_end": hz.t_end, "epochs": hz.epochs,
+                  "per_epoch_factor": hz.per_epoch_factor, "m0": hz.m0,
+                  "omega0": hz.omega0, "ratio": ratio, "target": p["target"]}
+        detail = (f"t_end={hz.t_end!r} ({hz.epochs} epochs of factor "
+                  f"{hz.per_epoch_factor!r}); spread ratio={ratio:.6e} "
+                  f"target={p['target']!r}")
+        return CertRecord(spec.kind, passed, False, margin, detail, values), atraj
+
+    if spec.kind == "cut-balance-gap":
+        balance = checks.check_arc_balance(net, p["A"])
+        ladder = []
+        K = 1.0
+        while K < p["K_max"]:
+            ladder.append(K)
+            K *= 10.0
+        ladder.append(float(p["K_max"]))
+        cut_results = [checks.check_cut_balance(net, K, seed=s.seed) for K in ladder]
+        all_fail = all(not r.passed for r in cut_results)
+        passed = balance.passed and all_fail
+        values = {"A": p["A"], "K_ladder": ladder,
+                  "arc_balance_passed": balance.passed,
+                  "cut_balance_failed_all": all_fail}
+        detail = (f"arc balance (A={p['A']!r}): {'pass' if balance.passed else 'FAIL'}; "
+                  f"cut balance fails for all K in {ladder!r}: "
+                  f"{'yes' if all_fail else 'NO'}; worst cut witness: {cut_results[-1].detail}")
+        return CertRecord(spec.kind, passed, False, None, detail, values), None
+
+    raise ScenarioValidationError(f"unhandled certificate {spec.kind!r}")
+
+
+def run_scenario(
+    s: Scenario, *, seed: int | None = None
+) -> tuple[RunReport, Trajectory | ContinuousTrajectory | None]:
+    """Full pipeline; returns the report and the trajectory (None if aborted)."""
+    started = time.perf_counter()
+    seed = s.seed if seed is None else int(seed)
+    net = build_network(s)
+    rep = persistence_report(net)
+    qsc = is_quasi_strongly_connected(rep.persistent_graph)
+    d0 = diameter(rep.persistent_graph)
+
+    check_records: list[CheckRecord] = []
+    all_ok = True
+    for spec in s.required_checks:
+        try:
+            result = _run_check(spec, net, seed)
+        except ValueError as e:
+            raise ScenarioValidationError(f"check {spec.kind!r} misconfigured: {e}") from e
+        check_records.append(_check_record(result))
+        all_ok = all_ok and result.passed
+
+    def report(certs, traj, aborted, passed):
+        rows = 0 if traj is None else len(traj)
+        return RunReport(
+            scenario_name=s.name,
+            mode=s.mode.value,
+            seed=seed,
+            nodes=s.nodes,
+            arc_count=len(s.arcs),
+            persistent_count=len(rep.persistent_arcs),
+            vanishing_count=len(rep.vanishing_arcs),
+            qsc_persistent=qsc,
+            persistent_diameter=d0,
+            checks=tuple(check_records),
+            certificates=tuple(certs),
+            aborted=aborted,
+            passed=passed,
+            t_start=None if traj is None else float(traj.times[0]),
+            t_end=None if traj is None else float(traj.times[-1]),
+            trajectory_rows=rows,
+            trajectory_file=None,
+            wall_time_s=time.perf_counter() - started,
+        )
+
+    if not all_ok:
+        return report([], None, aborted=True, passed=False), None
+
+    driving = [c for c in s.certificates if c.kind in _DRIVING_CERTS]
+    traj: Trajectory | ContinuousTrajectory | None = None
+    if not driving:
+        x0 = resolve_x0(s)
+        try:
+            if s.mode is Mode.DISCRETE:
+                traj = simulate(net, BeliefVector(x0, int(s.t0)), int(s.horizon))
+            else:
+                traj = integrate(
+                    net, x0, float(s.t0), float(s.t0) + float(s.horizon), h_max=s.h_max
+                )
+        except (ValueError, RuntimeError) as e:
+            raise ScenarioValidationError(f"simulation failed: {e}") from e
+
+    cert_records: list[CertRecord] = []
+    for spec in s.certificates:
+        record, produced = _eval_certificate(spec, s, net, traj)
+        cert_records.append(record)
+        if produced is not None:
+            traj = produced
+    passed = all(c.passed for c in cert_records)
+    return report(cert_records, traj, aborted=False, passed=passed), traj
+
+
+# ---------------------------------------------------------------------------
+# trajectory files
+
+
+def write_trajectory_csv(
+    traj: Trajectory | ContinuousTrajectory, path: str | Path, stride: int = 1
+) -> int:
+    """Write ``t, x_0..x_{n-1}, psi, Psi, H`` rows at 17 significant digits.
+
+    Returns the number of data rows written.  ``psi``/``Psi``/``H`` are the
+    per-row minimum, maximum, and spread; 17 digits round-trip doubles
+    exactly, so reloading reproduces the metrics bit for bit.
+    """
+    if stride < 1:
+        raise ValueError("stride must be >= 1")
+    n = traj.states.shape[1]
+    keep = np.arange(0, len(traj), stride)
+    header = "t," + ",".join(f"x_{i}" for i in range(n)) + ",psi,Psi,H"
+    minima, maxima, spreads = traj.minima(), traj.maxima(), traj.spreads()
+    lines = [header]
+    for k in keep:
+        cells = [f"{float(traj.times[k]):.17g}"]
+        cells += [f"{v:.17g}" for v in traj.states[k]]
+        cells += [f"{minima[k]:.17g}", f"{maxima[k]:.17g}", f"{spreads[k]:.17g}"]
+        lines.append(",".join(cells))
+    Path(path).write_text("\n".join(lines) + "\n")
+    return len(keep)
+
+
+def read_trajectory_csv(path: str | Path):
+    """Inverse of ``write_trajectory_csv``: (times, states, psi, Psi, H)."""
+    lines = Path(path).read_text().strip().split("\n")
+    header = lines[0].split(",")
+    if header[0] != "t" or header[-3:] != ["psi", "Psi", "H"]:
+        raise ValueError(f"{path} is not a trajectory file")
+    n = len(header) - 4
+    data = np.asarray([[float(c) for c in line.split(",")] for line in lines[1:]])
+    return data[:, 0], data[:, 1 : 1 + n], data[:, 1 + n], data[:, 2 + n], data[:, 3 + n]
+
+
+def run_and_write(
+    s: Scenario,
+    out_dir: str | Path,
+    *,
+    stride: int | None = None,
+    seed: int | None = None,
+) -> tuple[RunReport, dict[str, Path]]:
+    """Run a scenario and write CSV plus both report forms into ``out_dir``."""
+    out = Path(out_dir)
+    out.mkdir(parents=True, exist_ok=True)
+    report, traj = run_scenario(s, seed=seed)
+    paths: dict[str, Path] = {}
+    if traj is not None:
+        csv_path = out / f"{s.name}.csv"
+        rows = write_trajectory_csv(traj, csv_path, stride or s.stride)
+        report = dataclasses.replace(
+            report, trajectory_file=csv_path.name, trajectory_rows=rows
+        )
+        paths["trajectory"] = csv_path
+    text_path = out / f"{s.name}.report.txt"
+    json_path = out / f"{s.name}.report.json"
+    text_path.write_text(report.render_text())
+    json_path.write_text(json.dumps(report.to_dict(), indent=2, sort_keys=True) + "\n")
+    paths["report_text"] = text_path
+    paths["report_json"] = json_path
+    return report, paths
+
+
+# ---------------------------------------------------------------------------
+# built-in catalog
+
+
+def _catalog_dicts() -> list[dict]:
+    ln2 = math.log(2.0)
+    return [
+        {
+            "schema_version": 1,
+            "name": "discrete-star-contraction",
+            "description": "In-star with constant weights; certified per-step contraction.",
+            "mode": "discrete",
+            "nodes": 5,
+            "arcs": [
+                {"tail": 0, "head": k, "weight": {"family": "constant", "c": 0.2}}
+                for k in range(1, 5)
+            ],
+            "self_weights": STOCHASTIC_COMPLEMENT,
+            "x0": [0.5, 0.0, 1.0, 0.25, 0.75],
+            "t0": 0,
+            "horizon": 10000,
+            "required_checks": [
+                {"check": "stochasticity"},
+                {"check": "self-confidence", "eta": 0.2},
+                {"check": "qsc-persistent"},
+                {"check": "window-bound", "a_star": 0.2, "window": 1},
+            ],
+            "certificates": [
+                {"certificate": "discrete-rate", "eta": 0.2, "a_star": 0.2, "T_star": 1}
+            ],
+        },
+        {
+            "schema_version": 1,
+            "name": "discrete-window-violation",
+            "description": (
+                "Two nodes coupled by pulse trains with geometrically growing "
+                "gaps; a quiet window defeats any uniform contraction factor."
+            ),
+            "mode": "discrete",
+            "nodes": 2,
+            "arcs": [
+                {"tail": 0, "head": 1, "weight": {
+                    "family": "periodic-pulse", "height": 0.5, "width": 1.0,
+                    "period": 2.0, "gap_growth": 1.5}},
+                {"tail": 1, "head": 0, "weight": {
+                    "family": "periodic-pulse", "height": 0.5, "width": 1.0,
+                    "period": 2.0, "gap_growth": 1.5}},
+            ],
+            "self_weights": STOCHASTIC_COMPLEMENT,
+            "x0": {"pattern": "zero-one-split", "zero_nodes": [0]},
+            "t0": "auto",
+            "horizon": "auto",
+            "required_checks": [
+                {"check": "stochasticity"},
+                {"check": "arc-balance", "A": 2.0},
+            ],
+            "certificates": [
+                {"certificate": "window-violation", "epsilon": 0.5, "T": 100,
+                 "A": 2.0, "scan_limit": 600}
+            ],
+        },
+        {
+            "schema_version": 1,
+            "name": "discrete-split-blocks-floor",
+            "description": (
+                "Two strongly connected blocks tied only by summable cross "
+                "weights; the spread keeps a certified floor forever."
+            ),
+            "mode": "discrete",
+            "nodes": 4,
+            "arcs": [
+                {"tail": 0, "head": 1, "weight": {"family": "constant", "c": 0.3}},
+                {"tail": 1, "head": 0, "weight": {"family": "constant", "c": 0.3}},
+                {"tail": 2, "head": 3, "weight": {"family": "constant", "c": 0.3}},
+                {"tail": 3, "head": 2, "weight": {"family": "constant", "c": 0.3}},
+                {"tail": 0, "head": 2, "weight": {
+                    "family": "exponential-decay", "c": 0.01, "rate": 0.5}},
+                {"tail": 2, "head": 0, "weight": {
+                    "family": "exponential-decay", "c": 0.01, "rate": 0.5}},
+            ],
+            "self_weights": STOCHASTIC_COMPLEMENT,
+            "x0": {"pattern": "zero-one-split", "zero_nodes": [0, 1]},
+            "t0": 0,
+            "horizon": 10000,
+            "required_checks": [{"check": "stochasticity"}],
+            "certificates": [
+                {"certificate": "discrete-floor", "low_nodes": [0, 1], "high_nodes": [2, 3]}
+            ],
+        },
+        {
+            "schema_version": 1,
+            "name": "continuous-split-blocks-floor",
+            "description": "Continuous twin of the split-blocks floor scenario.",
+            "mode": "continuous",
+            "nodes": 4,
+            "arcs": [
+                {"tail": 0, "head": 1, "weight": {"family": "constant", "c": 0.3}},
+                {"tail": 1, "head": 0, "weight": {"family": "constant", "c": 0.3}},
+                {"tail": 2, "head": 3, "weight": {"family": "constant", "c": 0.3}},
+                {"tail": 3, "head": 2, "weight": {"family": "constant", "c": 0.3}},
+                {"tail": 0, "head": 2, "weight": {
+                    "family": "exponential-decay", "c": 0.01, "rate": 0.5}},
+                {"tail": 2, "head": 0, "weight": {
+                    "family": "exponential-decay", "c": 0.01, "rate": 0.5}},
+            ],
+            "x0": {"pattern": "zero-one-split", "zero_nodes": [0, 1]},
+            "t0": 0,
+            "horizon": 100,
+            "h_max": 0.02,
+            "required_checks": [{"check": "arc-balance", "A": 2.0}],
+            "certificates": [
+                {"certificate": "continuous-floor", "low_nodes": [0, 1], "high_nodes": [2, 3]}
+            ],
+        },
+        {
+            "schema_version": 1,
+            "name": "continuous-powerlaw-agreement",
+            "description": (
+                "Star with 1/(1+t) weights: no uniform window floor exists, "
+                "yet accumulated mass certifies an explicit agreement horizon."
+            ),
+            "mode": "continuous",
+            "nodes": 3,
+            "arcs": [
+                {"tail": 0, "head": 1, "weight": {"family": "power-decay", "c": 1.0, "p": 1.0}},
+                {"tail": 0, "head": 2, "weight": {"family": "power-decay", "c": 1.0, "p": 1.0}},
+            ],
+            "x0": [0.5, 0.0, 1.0],
+            "t0": 0,
+            "horizon": "auto",
+            "required_checks": [
+                {"check": "qsc-persistent"},
+                {"check": "arc-balance", "A": 1.0},
+            ],
+            "certificates": [
+                {"certificate": "agreement-ratio", "target": 0.01, "A": 1.0}
+            ],
+        },
+        {
+            "schema_version": 1,
+            "name": "continuous-star-contraction",
+            "description": "Unit-weight star; certified contraction over spans of ln 2.",
+            "mode": "continuous",
+            "nodes": 3,
+            "arcs": [
+                {"tail": 0, "head": 1, "weight": {"family": "constant", "c": 1.0}},
+                {"tail": 0, "head": 2, "weight": {"family": "constant", "c": 1.0}},
+            ],
+            "x0": [0.5, 0.0, 1.0],
+            "t0": 0,
+            "horizon": 50,
+            "h_max": 0.01,
+            "required_checks": [
+                {"check": "qsc-persistent"},
+                {"check": "arc-balance", "A": 1.0},
+                {"check": "window-bound", "a_star": ln2, "window": ln2},
+            ],
+            "certificates": [
+                {"certificate": "continuous-rate", "A": 1.0, "a_star": ln2, "tau0": ln2}
+            ],
+        },
+        {
+            "schema_version": 1,
+            "name": "continuous-out-star-cut-imbalance",
+            "description": (
+                "Out-star: arc weights are mutually balanced but every leaf "
+                "subset has inflow and no outflow, so no cut balance factor works."
+            ),
+            "mode": "continuous",
+            "nodes": 4,
+            "arcs": [
+                {"tail": 0, "head": k, "weight": {"family": "constant", "c": 0.2}}
+                for k in range(1, 4)
+            ],
+            "x0": [0.9, 0.1, 0.5, 0.3],
+            "t0": 0,
+            "horizon": 20,
+            "h_max": 0.01,
+            "required_checks": [
+                {"check": "qsc-persistent"},
+                {"check": "arc-balance", "A": 2.0},
+            ],
+            "certificates": [
+                {"certificate": "cut-balance-gap", "A": 2.0, "K_max": 1000000.0}
+            ],
+        },
+    ]
+
+
+def catalog() -> list[Scenario]:
+    """The built-in scenarios, parsed through the same strict schema as files."""
+    return [parse_scenario_dict(d) for d in _catalog_dicts()]

@@ -1,0 +1,849 @@
+"""Time-dependent arc weights and the networks built from them.
+
+Each weight family evaluates to a nonnegative value for t >= 0 and knows, in
+closed form where one exists:
+
+* ``window_sum(start, length)``   -- sum over the integer times
+  start, start+1, ..., start+length-1 (discrete window mass),
+* ``window_integral(a, b)``       -- integral over [a, b] (continuous mass),
+* ``tail_sum`` / ``tail_integral`` -- total mass from a time onward
+  (``inf`` when the family is persistent),
+* its own discontinuity points, so integrators can align steps to them,
+* an analytic infimum of the window mass over all window placements,
+  where the family admits one.
+
+Persistence is an analytic per-family rule: a weight is persistent when its
+total mass diverges (the tail sum, or tail integral, is infinite from every
+starting time), and vanishing when the total mass is finite.  The test suite
+cross-checks these rules against direct numerical accumulation out to large
+horizons.
+
+``TimeVaryingNetwork`` pairs a static digraph with one weight function per
+arc.  Discrete networks also carry one self-weight per node; the usual way to
+build those is ``stochastic_network``, which assigns each node the complement
+``1 - (incoming weight)`` so that rows sum to one identically.
+"""
+
+from __future__ import annotations
+
+import abc
+import enum
+import math
+from dataclasses import dataclass, field
+from typing import Iterable, Mapping, Sequence
+
+import numpy as np
+from scipy.special import digamma, zeta
+
+from .graph import Arc, Digraph, subgraph_with_arcs
+
+__all__ = [
+    "Mode",
+    "Persistence",
+    "Weight",
+    "Constant",
+    "PowerDecay",
+    "ExponentialDecay",
+    "PeriodicPulse",
+    "Tabulated",
+    "Zero",
+    "StochasticComplement",
+    "WeightSum",
+    "UndeclaredPersistenceError",
+    "classify_arc",
+    "TimeVaryingNetwork",
+    "PersistenceReport",
+    "persistence_report",
+    "inflow",
+    "persistent_inflow",
+    "total_vanishing_weight",
+    "aggregate_vanishing_weight",
+    "row_total",
+    "stochastic_network",
+]
+
+
+class Mode(enum.Enum):
+    DISCRETE = "discrete"
+    CONTINUOUS = "continuous"
+
+
+class Persistence(enum.Enum):
+    PERSISTENT = "persistent"
+    VANISHING = "vanishing"
+
+
+class UndeclaredPersistenceError(ValueError):
+    """Raised when a tabulated weight is classified without a declared class."""
+
+
+def _check_window(a: float, b: float) -> None:
+    if not (0.0 <= a <= b):
+        raise ValueError(f"window [{a}, {b}] must satisfy 0 <= a <= b")
+
+
+def _as_times(t) -> np.ndarray:
+    arr = np.asarray(t, dtype=float)
+    if np.any(arr < 0):
+        raise ValueError("weights are defined for t >= 0")
+    return arr
+
+
+def _scalar_or_array(t, values):
+    values = np.asarray(values, dtype=float)
+    return float(values) if np.ndim(t) == 0 else values
+
+
+class Weight(abc.ABC):
+    """Nonnegative weight of one arc as a function of time t >= 0."""
+
+    @abc.abstractmethod
+    def eval(self, t):
+        """Value at time ``t`` (scalar or ndarray, right-continuous)."""
+
+    def eval_left(self, t):
+        """Left limit at ``t``; differs from ``eval`` only at jump points."""
+        return self.eval(t)
+
+    def __call__(self, t):
+        return self.eval(t)
+
+    def window_sum(self, start: int, length: int) -> float:
+        """Sum of values at the ``length`` integer times starting at ``start``."""
+        if length < 0:
+            raise ValueError("window length must be >= 0")
+        if length == 0:
+            return 0.0
+        return float(np.sum(self.eval(np.arange(start, start + length, dtype=float))))
+
+    @abc.abstractmethod
+    def window_integral(self, a: float, b: float) -> float:
+        """Integral of the weight over ``[a, b]``."""
+
+    @abc.abstractmethod
+    def is_persistent(self, mode: Mode) -> bool:
+        """Whether the total mass diverges under the given mode."""
+
+    def tail_sum(self, start: int) -> float:
+        """Upper bound (exact where possible) on the sum over t >= start."""
+        raise NotImplementedError
+
+    def tail_integral(self, start: float) -> float:
+        """Upper bound (exact where possible) on the integral over [start, inf)."""
+        raise NotImplementedError
+
+    def breakpoints_between(self, a: float, b: float) -> np.ndarray:
+        """Discontinuity points in the half-open interval ``(a, b]``."""
+        return np.empty(0)
+
+    def window_sum_infimum(self, length: int) -> float | None:
+        """Infimum over start >= 0 of ``window_sum``, or None if unknown."""
+        return None
+
+    def window_integral_infimum(self, tau: float) -> float | None:
+        """Infimum over t >= 0 of the integral over [t, t+tau], or None."""
+        return None
+
+
+@dataclass(frozen=True)
+class Constant(Weight):
+    c: float
+
+    def __post_init__(self):
+        if self.c < 0:
+            raise ValueError("constant weight must be nonnegative")
+
+    def eval(self, t):
+        return _scalar_or_array(t, np.full(_as_times(t).shape, float(self.c)))
+
+    def window_sum(self, start, length):
+        if length < 0:
+            raise ValueError("window length must be >= 0")
+        return self.c * length
+
+    def window_integral(self, a, b):
+        _check_window(a, b)
+        return self.c * (b - a)
+
+    def is_persistent(self, mode):
+        return self.c > 0
+
+    def tail_sum(self, start):
+        return math.inf if self.c > 0 else 0.0
+
+    def tail_integral(self, start):
+        return math.inf if self.c > 0 else 0.0
+
+    def window_sum_infimum(self, length):
+        return self.c * length
+
+    def window_integral_infimum(self, tau):
+        return self.c * tau
+
+
+@dataclass(frozen=True)
+class PowerDecay(Weight):
+    """``c / (1 + t)**p``; persistent exactly when p <= 1 (and c > 0)."""
+
+    c: float
+    p: float
+
+    def __post_init__(self):
+        if self.c < 0:
+            raise ValueError("scale must be nonnegative")
+        if self.p < 0:
+            raise ValueError("exponent must be nonnegative")
+
+    def eval(self, t):
+        return _scalar_or_array(t, self.c * np.power(1.0 + _as_times(t), -self.p))
+
+    def window_sum(self, start, length):
+        if length < 0:
+            raise ValueError("window length must be >= 0")
+        if length == 0 or self.c == 0.0:
+            return 0.0
+        if self.p == 1.0:
+            return self.c * float(digamma(start + length + 1) - digamma(start + 1))
+        if self.p > 1.0:
+            return self.c * float(zeta(self.p, start + 1) - zeta(self.p, start + length + 1))
+        return super().window_sum(start, length)
+
+    def window_integral(self, a, b):
+        _check_window(a, b)
+        if self.p == 1.0:
+            return self.c * math.log((1.0 + b) / (1.0 + a))
+        q = 1.0 - self.p
+        return self.c / q * ((1.0 + b) ** q - (1.0 + a) ** q)
+
+    def is_persistent(self, mode):
+        return self.c > 0 and self.p <= 1.0
+
+    def tail_sum(self, start):
+        if self.c == 0.0:
+            return 0.0
+        if self.p <= 1.0:
+            return math.inf
+        return self.c * float(zeta(self.p, start + 1))
+
+    def tail_integral(self, start):
+        if self.c == 0.0:
+            return 0.0
+        if self.p <= 1.0:
+            return math.inf
+        return self.c * (1.0 + start) ** (1.0 - self.p) / (self.p - 1.0)
+
+    def window_sum_infimum(self, length):
+        # strictly decreasing when p > 0, so the infimum over starts is the
+        # limit at infinity
+        if self.c == 0.0 or self.p > 0.0:
+            return 0.0
+        return self.c * length
+
+    def window_integral_infimum(self, tau):
+        if self.c == 0.0 or self.p > 0.0:
+            return 0.0
+        return self.c * tau
+
+
+@dataclass(frozen=True)
+class ExponentialDecay(Weight):
+    """``c * exp(-rate * t)``; vanishing for any rate > 0."""
+
+    c: float
+    rate: float
+
+    def __post_init__(self):
+        if self.c < 0:
+            raise ValueError("scale must be nonnegative")
+        if self.rate < 0:
+            raise ValueError("rate must be nonnegative")
+
+    def eval(self, t):
+        return _scalar_or_array(t, self.c * np.exp(-self.rate * _as_times(t)))
+
+    def window_sum(self, start, length):
+        if length < 0:
+            raise ValueError("window length must be >= 0")
+        if length == 0 or self.c == 0.0:
+            return 0.0
+        if self.rate == 0.0:
+            return self.c * length
+        r = self.rate
+        return self.c * math.exp(-r * start) * math.expm1(-r * length) / math.expm1(-r)
+
+    def window_integral(self, a, b):
+        _check_window(a, b)
+        if self.rate == 0.0:
+            return self.c * (b - a)
+        return self.c / self.rate * (math.exp(-self.rate * a) - math.exp(-self.rate * b))
+
+    def is_persistent(self, mode):
+        return self.c > 0 and self.rate == 0.0
+
+    def tail_sum(self, start):
+        if self.c == 0.0:
+            return 0.0
+        if self.rate == 0.0:
+            return math.inf
+        return self.c * math.exp(-self.rate * start) / -math.expm1(-self.rate)
+
+    def tail_integral(self, start):
+        if self.c == 0.0:
+            return 0.0
+        if self.rate == 0.0:
+            return math.inf
+        return self.c / self.rate * math.exp(-self.rate * start)
+
+    def window_sum_infimum(self, length):
+        if self.rate > 0.0 or self.c == 0.0:
+            return 0.0
+        return self.c * length
+
+    def window_integral_infimum(self, tau):
+        if self.rate > 0.0 or self.c == 0.0:
+            return 0.0
+        return self.c * tau
+
+
+@dataclass(frozen=True)
+class PeriodicPulse(Weight):
+    """On/off pulse train.
+
+    Pulse k occupies ``[s_k, s_k + width)`` at the given height, with
+    ``s_0 = 0`` and ``s_{k+1} = s_k + width + period * gap_growth**k``: the
+    k-th gap is ``period * gap_growth**k``.  With ``gap_growth == 1`` this is
+    a plain periodic pulse.  Growing gaps never change the per-pulse mass, so
+    the total mass still diverges and the family is classified persistent for
+    any ``gap_growth >= 1``; what growing gaps do destroy is every uniform
+    window lower bound, since eventually whole windows fall inside a gap.
+
+    For discrete use, keep ``width >= 1`` so each pulse covers at least one
+    integer sampling time.
+    """
+
+    height: float
+    width: float
+    period: float
+    gap_growth: float = 1.0
+
+    def __post_init__(self):
+        if self.height < 0:
+            raise ValueError("height must be nonnegative")
+        if self.width <= 0:
+            raise ValueError("width must be positive")
+        if self.period <= 0:
+            raise ValueError("period must be positive")
+        if self.gap_growth < 1.0:
+            raise ValueError("gap growth factor must be >= 1")
+
+    @property
+    def _cycle(self) -> float:
+        return self.width + self.period
+
+    def _starts_upto(self, tmax: float) -> np.ndarray:
+        """Pulse start times s_k with s_k <= tmax (always includes s_0 = 0).
+
+        Only meaningful for the growing-gap case, where the count grows
+        logarithmically in ``tmax``; the periodic case uses arithmetic on
+        pulse indices instead of enumeration.
+        """
+        if tmax < 0:
+            return np.empty(0)
+        if self.gap_growth == 1.0:
+            count = int(math.floor(tmax / self._cycle)) + 1
+            return np.arange(count, dtype=float) * self._cycle
+        starts = [0.0]
+        gap = self.period
+        while math.isfinite(tmax):
+            nxt = starts[-1] + self.width + gap
+            if nxt > tmax:
+                break
+            starts.append(nxt)
+            gap *= self.gap_growth
+        return np.asarray(starts)
+
+    def _starts_between(self, a: float, b: float) -> np.ndarray:
+        """Starts of pulses that could intersect [a, b); window-local."""
+        if b <= 0:
+            return np.empty(0)
+        if self.gap_growth == 1.0:
+            k_lo = max(0, int(math.floor((a - self.width) / self._cycle)))
+            k_hi = int(math.floor(b / self._cycle))
+            return np.arange(k_lo, k_hi + 1, dtype=float) * self._cycle
+        starts = self._starts_upto(b)
+        return starts[starts + self.width > a]
+
+    def _on_time_before(self, t: float) -> float:
+        """Total on-duration in [0, t); closed form in the periodic case."""
+        if t <= 0:
+            return 0.0
+        if self.gap_growth == 1.0:
+            full, frac = divmod(t, self._cycle)
+            return full * self.width + min(frac, self.width)
+        starts = self._starts_upto(t)
+        return float(np.sum(np.minimum(t - starts, self.width)))
+
+    def eval(self, t):
+        arr = _as_times(t)
+        if self.gap_growth == 1.0:
+            inside = np.mod(arr, self._cycle) < self.width
+        else:
+            starts = self._starts_upto(float(np.max(arr)) if arr.size else 0.0)
+            idx = np.searchsorted(starts, arr, side="right") - 1
+            inside = (arr - starts[np.clip(idx, 0, None)]) < self.width
+        return _scalar_or_array(t, np.where(inside, self.height, 0.0))
+
+    def eval_left(self, t):
+        arr = np.asarray(t, dtype=float)
+        if self.gap_growth == 1.0:
+            frac = np.mod(arr, self._cycle)
+            inside = (frac > 0) & (frac <= self.width)
+        else:
+            starts = self._starts_upto(float(np.max(arr)) if arr.size else 0.0)
+            idx = np.clip(np.searchsorted(starts, arr, side="left") - 1, 0, None)
+            delta = arr - starts[idx]
+            inside = (delta > 0) & (delta <= self.width)
+        inside = inside | (arr == 0.0)  # left limit at 0 defaults to the value there
+        return _scalar_or_array(t, np.where(inside, self.height, 0.0))
+
+    def _overlaps(self, a: float, b: float) -> tuple[np.ndarray, np.ndarray]:
+        """Clipped [lo, hi) intersections of each pulse with [a, b)."""
+        starts = self._starts_between(a, b)
+        lo = np.maximum(starts, a)
+        hi = np.minimum(starts + self.width, b)
+        keep = hi > lo
+        return lo[keep], hi[keep]
+
+    def window_sum(self, start, length):
+        if length < 0:
+            raise ValueError("window length must be >= 0")
+        if length == 0 or self.height == 0.0:
+            return 0.0
+        lo, hi = self._overlaps(float(start), float(start + length))
+        counts = np.ceil(hi) - np.ceil(lo)
+        return self.height * float(np.sum(np.maximum(counts, 0.0)))
+
+    def window_integral(self, a, b):
+        _check_window(a, b)
+        if self.height == 0.0:
+            return 0.0
+        return self.height * (self._on_time_before(b) - self._on_time_before(a))
+
+    def is_persistent(self, mode):
+        return self.height > 0
+
+    def tail_sum(self, start):
+        return math.inf if self.height > 0 else 0.0
+
+    def tail_integral(self, start):
+        return math.inf if self.height > 0 else 0.0
+
+    def breakpoints_between(self, a, b):
+        starts = self._starts_between(a, b)
+        edges = np.concatenate([starts, starts + self.width])
+        edges = edges[(edges > a) & (edges <= b)]
+        return np.unique(edges)
+
+    def window_sum_infimum(self, length):
+        if self.height == 0.0:
+            return 0.0
+        if self.gap_growth > 1.0:
+            return 0.0  # gaps grow without bound, eventually swallowing any window
+        cycle = self._cycle
+        if cycle != int(cycle):
+            return None  # integer sampling never repeats exactly; rely on samples
+        return min(self.window_sum(s, length) for s in range(int(cycle)))
+
+    def window_integral_infimum(self, tau):
+        if self.height == 0.0:
+            return 0.0
+        if self.gap_growth > 1.0:
+            return 0.0
+        cycle = self._cycle
+        # The window integral is piecewise linear in the start time with kinks
+        # only where an endpoint crosses a pulse edge, and it is periodic with
+        # the cycle, so the exact minimum is attained at a kink.
+        cands = {0.0, cycle}
+        reps = int(math.ceil((tau + cycle) / cycle)) + 1
+        for j in range(reps + 1):
+            for e in (j * cycle, j * cycle + self.width):
+                for c in (e, e - tau):
+                    if 0.0 <= c <= cycle:
+                        cands.add(c)
+        return min(self.window_integral(c, c + tau) for c in sorted(cands))
+
+
+@dataclass(frozen=True)
+class Tabulated(Weight):
+    """Piecewise-constant, right-continuous weight given by explicit segments.
+
+    ``values[i]`` holds on ``[breakpoints[i], breakpoints[i+1])`` and the last
+    value holds from the last breakpoint on.  The first breakpoint must be 0.
+    Because a finite table says nothing about divergence by itself, the
+    persistence class must be declared; classifying an undeclared table raises
+    ``UndeclaredPersistenceError``.
+    """
+
+    breakpoints: tuple[float, ...]
+    values: tuple[float, ...]
+    persistent: bool | None = None
+
+    def __post_init__(self):
+        bps = tuple(float(b) for b in self.breakpoints)
+        vals = tuple(float(v) for v in self.values)
+        if len(bps) != len(vals) or not bps:
+            raise ValueError("breakpoints and values must be nonempty and equally long")
+        if bps[0] != 0.0:
+            raise ValueError("first breakpoint must be 0")
+        if any(b1 >= b2 for b1, b2 in zip(bps, bps[1:])):
+            raise ValueError("breakpoints must be strictly increasing")
+        if any(v < 0 for v in vals):
+            raise ValueError("values must be nonnegative")
+        object.__setattr__(self, "breakpoints", bps)
+        object.__setattr__(self, "values", vals)
+
+    def _bp_array(self) -> np.ndarray:
+        return np.asarray(self.breakpoints)
+
+    def eval(self, t):
+        arr = _as_times(t)
+        idx = np.searchsorted(self._bp_array(), arr, side="right") - 1
+        return _scalar_or_array(t, np.asarray(self.values)[idx])
+
+    def eval_left(self, t):
+        arr = np.asarray(t, dtype=float)
+        idx = np.clip(np.searchsorted(self._bp_array(), arr, side="left") - 1, 0, None)
+        return _scalar_or_array(t, np.asarray(self.values)[idx])
+
+    def _segments(self, a: float, b: float):
+        """(lo, hi, value) pieces covering [a, b)."""
+        bps = list(self.breakpoints) + [math.inf]
+        for i, v in enumerate(self.values):
+            lo, hi = max(bps[i], a), min(bps[i + 1], b)
+            if hi > lo:
+                yield lo, hi, v
+
+    def window_sum(self, start, length):
+        if length < 0:
+            raise ValueError("window length must be >= 0")
+        total = 0.0
+        for lo, hi, v in self._segments(float(start), float(start + length)):
+            if v:
+                total += v * max(0.0, math.ceil(hi) - math.ceil(lo))
+        return total
+
+    def window_integral(self, a, b):
+        _check_window(a, b)
+        return sum(v * (hi - lo) for lo, hi, v in self._segments(a, b))
+
+    def is_persistent(self, mode):
+        if self.persistent is None:
+            raise UndeclaredPersistenceError(
+                "tabulated weight has no declared persistence class"
+            )
+        return self.persistent
+
+    def tail_sum(self, start):
+        if self.values[-1] > 0:
+            return math.inf
+        return self.window_sum(start, max(0, int(math.ceil(self.breakpoints[-1])) - start))
+
+    def tail_integral(self, start):
+        if self.values[-1] > 0:
+            return math.inf
+        lo = min(float(start), self.breakpoints[-1])
+        return self.window_integral(lo, self.breakpoints[-1]) if lo < self.breakpoints[-1] else 0.0
+
+    def breakpoints_between(self, a, b):
+        bps = self._bp_array()
+        return bps[(bps > a) & (bps <= b)]
+
+    def window_sum_infimum(self, length):
+        last = self.breakpoints[-1]
+        if last > 1e5:
+            return None
+        tail = self.values[-1] * length
+        local = min(
+            self.window_sum(s, length) for s in range(int(math.ceil(last)) + 1)
+        )
+        return min(local, tail)
+
+    def window_integral_infimum(self, tau):
+        last = self.breakpoints[-1]
+        cands = set()
+        for b in self.breakpoints:
+            for c in (b, b - tau):
+                if 0.0 <= c <= last:
+                    cands.add(c)
+        cands.add(0.0)
+        cands.add(last)
+        local = min(self.window_integral(c, c + tau) for c in sorted(cands))
+        return min(local, self.values[-1] * tau)
+
+
+@dataclass(frozen=True)
+class Zero(Weight):
+    """Identically zero (an absent arc kept for structural bookkeeping)."""
+
+    def eval(self, t):
+        return _scalar_or_array(t, np.zeros(_as_times(t).shape))
+
+    def window_sum(self, start, length):
+        return 0.0
+
+    def window_integral(self, a, b):
+        _check_window(a, b)
+        return 0.0
+
+    def is_persistent(self, mode):
+        return False
+
+    def tail_sum(self, start):
+        return 0.0
+
+    def tail_integral(self, start):
+        return 0.0
+
+    def window_sum_infimum(self, length):
+        return 0.0
+
+    def window_integral_infimum(self, tau):
+        return 0.0
+
+
+@dataclass(frozen=True)
+class StochasticComplement(Weight):
+    """Self-weight ``1 - sum(parts)``, keeping a row sum of exactly one.
+
+    Only meaningful while the summed in-weights stay at or below 1; values
+    below ``-1e-9`` raise, smaller negative rounding residue clamps to 0.
+    Never classified (self-influence is not an arc).
+    """
+
+    parts: tuple[Weight, ...]
+
+    def _complement(self, evals):
+        total = np.sum(np.asarray(evals, dtype=float), axis=0) if self.parts else 0.0
+        vals = 1.0 - np.asarray(total, dtype=float)
+        if np.any(vals < -1e-9):
+            raise ValueError("incoming weight exceeds 1; row cannot stay stochastic")
+        return np.maximum(vals, 0.0)
+
+    def eval(self, t):
+        base = np.zeros(np.shape(t))
+        return _scalar_or_array(t, self._complement([w.eval(t) + base for w in self.parts]))
+
+    def eval_left(self, t):
+        base = np.zeros(np.shape(t))
+        return _scalar_or_array(t, self._complement([w.eval_left(t) + base for w in self.parts]))
+
+    def window_sum(self, start, length):
+        return float(length) - sum(w.window_sum(start, length) for w in self.parts)
+
+    def window_integral(self, a, b):
+        _check_window(a, b)
+        return (b - a) - sum(w.window_integral(a, b) for w in self.parts)
+
+    def is_persistent(self, mode):
+        raise TypeError("self-weights are not classified")
+
+    def breakpoints_between(self, a, b):
+        if not self.parts:
+            return np.empty(0)
+        return np.unique(np.concatenate([w.breakpoints_between(a, b) for w in self.parts]))
+
+
+@dataclass(frozen=True)
+class WeightSum(Weight):
+    """Pointwise sum of weights (used to aggregate the vanishing arcs)."""
+
+    parts: tuple[Weight, ...]
+
+    def eval(self, t):
+        base = np.zeros(np.shape(t))
+        total = base
+        for w in self.parts:
+            total = total + w.eval(t)
+        return _scalar_or_array(t, total)
+
+    def eval_left(self, t):
+        base = np.zeros(np.shape(t))
+        total = base
+        for w in self.parts:
+            total = total + w.eval_left(t)
+        return _scalar_or_array(t, total)
+
+    def window_sum(self, start, length):
+        return sum(w.window_sum(start, length) for w in self.parts)
+
+    def window_integral(self, a, b):
+        _check_window(a, b)
+        return sum(w.window_integral(a, b) for w in self.parts)
+
+    def is_persistent(self, mode):
+        return any(w.is_persistent(mode) for w in self.parts)
+
+    def tail_sum(self, start):
+        return sum(w.tail_sum(start) for w in self.parts)
+
+    def tail_integral(self, start):
+        return sum(w.tail_integral(start) for w in self.parts)
+
+    def breakpoints_between(self, a, b):
+        if not self.parts:
+            return np.empty(0)
+        return np.unique(np.concatenate([w.breakpoints_between(a, b) for w in self.parts]))
+
+
+def classify_arc(w: Weight, mode: Mode) -> Persistence:
+    """Persistent (divergent total mass) or vanishing (finite total mass)."""
+    return Persistence.PERSISTENT if w.is_persistent(mode) else Persistence.VANISHING
+
+
+@dataclass(frozen=True)
+class PersistenceReport:
+    persistent_arcs: frozenset[Arc]
+    vanishing_arcs: frozenset[Arc]
+    persistent_graph: Digraph
+
+
+@dataclass(frozen=True, eq=False)
+class TimeVaryingNetwork:
+    """A digraph whose arc weights vary with time.
+
+    ``arc_weights`` must cover exactly the graph's arcs.  Discrete networks
+    carry a self-weight per node (the diagonal of the update rule);
+    continuous networks must not, since the flow only reads arc weights.
+    """
+
+    graph: Digraph
+    arc_weights: Mapping[Arc, Weight]
+    self_weights: Mapping[int, Weight] | None
+    mode: Mode
+    _in_by_node: tuple = field(init=False, repr=False, compare=False, default=())
+    _arcs_sorted: tuple = field(init=False, repr=False, compare=False, default=())
+
+    def __post_init__(self):
+        aw = {(int(t), int(h)): w for (t, h), w in dict(self.arc_weights).items()}
+        if set(aw) != set(self.graph.arcs):
+            extra = sorted(set(aw) - set(self.graph.arcs))
+            missing = sorted(set(self.graph.arcs) - set(aw))
+            raise ValueError(
+                f"arc weights must cover the graph exactly; extra={extra} missing={missing}"
+            )
+        if self.mode is Mode.DISCRETE:
+            if self.self_weights is None:
+                raise ValueError("discrete networks need a self-weight per node")
+            sw = {int(i): w for i, w in dict(self.self_weights).items()}
+            if set(sw) != set(range(self.graph.n)):
+                raise ValueError("self-weights must cover every node exactly once")
+            object.__setattr__(self, "self_weights", sw)
+        else:
+            if self.self_weights is not None:
+                raise ValueError("continuous networks take no self-weights")
+        object.__setattr__(self, "arc_weights", aw)
+        arcs_sorted = tuple(sorted(aw))
+        object.__setattr__(self, "_arcs_sorted", arcs_sorted)
+        in_by_node: list[list[tuple[int, Weight]]] = [[] for _ in range(self.graph.n)]
+        for tail, head in arcs_sorted:
+            in_by_node[head].append((tail, aw[(tail, head)]))
+        object.__setattr__(self, "_in_by_node", tuple(tuple(x) for x in in_by_node))
+
+    @property
+    def n(self) -> int:
+        return self.graph.n
+
+    def arcs(self) -> tuple[Arc, ...]:
+        return self._arcs_sorted
+
+    def in_arcs(self, node: int) -> tuple[tuple[int, Weight], ...]:
+        return self._in_by_node[node]
+
+    def weight(self, arc: Arc) -> Weight:
+        return self.arc_weights[arc]
+
+
+def persistence_report(net: TimeVaryingNetwork) -> PersistenceReport:
+    """Classify every arc and assemble the subgraph of persistent arcs."""
+    cached = getattr(net, "_persistence_cache", None)
+    if cached is not None:
+        return cached
+    persistent, vanishing = set(), set()
+    for arc in net.arcs():
+        if classify_arc(net.weight(arc), net.mode) is Persistence.PERSISTENT:
+            persistent.add(arc)
+        else:
+            vanishing.add(arc)
+    report = PersistenceReport(
+        persistent_arcs=frozenset(persistent),
+        vanishing_arcs=frozenset(vanishing),
+        persistent_graph=subgraph_with_arcs(net.graph, persistent),
+    )
+    object.__setattr__(net, "_persistence_cache", report)
+    return report
+
+
+def inflow(net: TimeVaryingNetwork, t: float, m: int) -> float:
+    """Total non-self weight entering node ``m`` at time ``t``."""
+    return float(sum(w.eval(t) for _, w in net.in_arcs(m)))
+
+
+def persistent_inflow(net: TimeVaryingNetwork, t: float, m: int) -> float:
+    """Like ``inflow`` but restricted to persistent arcs."""
+    keep = persistence_report(net).persistent_arcs
+    return float(
+        sum(w.eval(t) for tail, w in net.in_arcs(m) if (tail, m) in keep)
+    )
+
+
+def total_vanishing_weight(net: TimeVaryingNetwork, t: float) -> float:
+    """Sum of all vanishing arc weights at time ``t`` (whole network)."""
+    rep = persistence_report(net)
+    return float(sum(net.weight(a).eval(t) for a in sorted(rep.vanishing_arcs)))
+
+
+def aggregate_vanishing_weight(net: TimeVaryingNetwork) -> Weight:
+    """The vanishing arcs' total as a single weight function."""
+    rep = persistence_report(net)
+    parts = tuple(net.weight(a) for a in sorted(rep.vanishing_arcs))
+    return WeightSum(parts) if parts else Zero()
+
+
+def row_total(net: TimeVaryingNetwork, t: float, i: int) -> float:
+    """Self-weight plus incoming weight of node ``i`` (discrete rows)."""
+    if net.mode is not Mode.DISCRETE:
+        raise ValueError("row totals are a discrete-mode concept")
+    return float(net.self_weights[i].eval(t)) + inflow(net, t, i)
+
+
+def stochastic_network(
+    graph: Digraph,
+    arc_weights: Mapping[Arc, Weight],
+    check_times: Sequence[float] | None = None,
+) -> TimeVaryingNetwork:
+    """Discrete network with each self-weight set to one minus the inflow.
+
+    Rows then sum to one identically.  Raises if the incoming weight of any
+    node exceeds 1 at any of the sampled times (default: 0..127 plus a coarse
+    geometric sweep out to 1e6).
+    """
+    aw = {(int(t), int(h)): w for (t, h), w in dict(arc_weights).items()}
+    in_parts: list[list[Weight]] = [[] for _ in range(graph.n)]
+    for (tail, head), w in sorted(aw.items()):
+        in_parts[head].append(w)
+    if check_times is None:
+        check_times = [float(t) for t in range(128)] + [
+            float(2**k) for k in range(7, 21)
+        ]
+    times = np.asarray(sorted(set(check_times)), dtype=float)
+    for i, parts in enumerate(in_parts):
+        if parts:
+            total = np.sum([w.eval(times) for w in parts], axis=0)
+            if np.any(total > 1.0 + 1e-12):
+                t_bad = float(times[int(np.argmax(total > 1.0 + 1e-12))])
+                raise ValueError(
+                    f"incoming weight of node {i} exceeds 1 at t={t_bad}; "
+                    "scale the arc weights down before building a stochastic network"
+                )
+    self_weights = {i: StochasticComplement(tuple(parts)) for i, parts in enumerate(in_parts)}
+    return TimeVaryingNetwork(graph, aw, self_weights, Mode.DISCRETE)
