@@ -292,56 +292,3 @@ def check_cut_balance(
             f"(subset, t, in, out) = {where}; {scope}"
         ),
     )
-
-
-@dataclass(frozen=True)
-class AssumptionParams:
-    """The named constants the structural checks take, bundled.
-
-    Leave a field ``None`` to skip the checks that need it.  The balance
-    factor accepts ``A == 1`` (exactly equal weights); the classic statement
-    uses a strict inequality but nothing in the checks requires it.
-    """
-
-    eta: float | None = None
-    A: float | None = None
-    a_star: float | None = None
-    T_star: int | None = None
-    tau0: float | None = None
-
-    def __post_init__(self):
-        if self.eta is not None and not (0.0 < self.eta < 1.0):
-            raise ValueError("eta must lie in (0, 1)")
-        if self.A is not None and self.A < 1.0:
-            raise ValueError("balance factor A must be >= 1")
-        if self.a_star is not None and self.a_star <= 0.0:
-            raise ValueError("a_star must be positive")
-        if self.T_star is not None and (
-            not isinstance(self.T_star, int) or self.T_star < 1
-        ):
-            raise ValueError("T_star must be a positive integer")
-        if self.tau0 is not None and self.tau0 <= 0.0:
-            raise ValueError("tau0 must be positive")
-
-
-def run_assumption_checks(
-    net: TimeVaryingNetwork, params: AssumptionParams
-) -> list[CheckResult]:
-    """Run every check the given parameter bundle makes applicable.
-
-    Discrete networks always get the stochasticity check; self-confidence
-    needs ``eta``, arc balance needs ``A``, and the window bound needs
-    ``a_star`` together with ``T_star`` (discrete) or ``tau0`` (continuous).
-    """
-    results = []
-    if net.mode is Mode.DISCRETE:
-        results.append(check_stochasticity(net))
-        if params.eta is not None:
-            results.append(check_self_confidence(net, params.eta))
-    if params.A is not None:
-        results.append(check_arc_balance(net, params.A))
-    if params.a_star is not None:
-        window = params.T_star if net.mode is Mode.DISCRETE else params.tau0
-        if window is not None:
-            results.append(check_window_bound(net, params.a_star, window))
-    return results

@@ -16,26 +16,27 @@ scenario files, contradictory flags).
 from __future__ import annotations
 
 import argparse
-import json
 import sys
-from pathlib import Path
 
 from .continuous import StepSizeUnderflow
 from .discrete import RowSumViolation
 from .scenarios import (
+    CERTIFICATES,
+    CHECKS,
     STOCHASTIC_COMPLEMENT,
     RunReport,
     Scenario,
     ScenarioError,
     ScenarioParseError,
-    build_network,
     catalog,
-    load_scenario,
     parse_scenario_dict,
+    read_json,
     run_and_write,
+    run_check,
+    run_context,
     scenario_to_dict,
 )
-from .weights import Mode, persistence_report
+from .weights import Mode
 
 
 def _apply_mode_override(doc: dict, target: str) -> dict:
@@ -52,15 +53,14 @@ def _apply_mode_override(doc: dict, target: str) -> dict:
     if current == target:
         return doc
     problems = []
-    for c in doc.get("required_checks", []):
-        if isinstance(c, dict) and c.get("check") in ("stochasticity", "self-confidence"):
-            problems.append(f"check {c.get('check')!r} is discrete-only")
-    for c in doc.get("certificates", []):
-        kind = c.get("certificate") if isinstance(c, dict) else None
-        if kind in ("discrete-rate", "discrete-floor", "window-violation") and target == "continuous":
-            problems.append(f"certificate {kind!r} is discrete-only")
-        if kind in ("continuous-rate", "continuous-floor", "agreement-ratio") and target == "discrete":
-            problems.append(f"certificate {kind!r} is continuous-only")
+    for field, key, table in (("required_checks", "check", CHECKS),
+                              ("certificates", "certificate", CERTIFICATES)):
+        entries = doc.get(field)
+        for c in entries if isinstance(entries, list) else []:
+            kind = c.get(key) if isinstance(c, dict) else None
+            known = table.get(kind) if isinstance(kind, str) else None
+            if known is not None and Mode(target) not in known.modes:
+                problems.append(f"{key} {kind!r} is {known.modes[0].value}-only")
     if target == "continuous":
         sw = doc.pop("self_weights", None)
         if isinstance(sw, list):
@@ -70,7 +70,7 @@ def _apply_mode_override(doc: dict, target: str) -> dict:
             problems.append("h_max is continuous-only")
         for field in ("t0", "horizon"):
             v = doc.get(field)
-            if isinstance(v, (int, float)) and v != int(v):
+            if isinstance(v, float) and not v.is_integer():
                 problems.append(f"{field}={v!r} is not an integer step count")
         doc.setdefault("self_weights", STOCHASTIC_COMPLEMENT)
     if problems:
@@ -84,24 +84,16 @@ def _apply_mode_override(doc: dict, target: str) -> dict:
 
 def _load_scenario(args: argparse.Namespace) -> Scenario:
     if getattr(args, "catalog_name", None):
-        matches = [s for s in catalog() if s.name == args.catalog_name]
-        if not matches:
-            names = [s.name for s in catalog()]
+        by_name = {s.name: s for s in catalog()}
+        if args.catalog_name not in by_name:
             raise ScenarioParseError(
-                f"no catalog scenario named {args.catalog_name!r}; available: {names}"
+                f"no catalog scenario named {args.catalog_name!r}; available: {list(by_name)}"
             )
-        scenario = matches[0]
-        doc = scenario_to_dict(scenario)
+        doc = scenario_to_dict(by_name[args.catalog_name])
     else:
-        path = Path(args.scenario)
-        try:
-            doc = json.loads(path.read_text())
-        except OSError as e:
-            raise ScenarioParseError(f"cannot read scenario file {path}: {e}") from e
-        except json.JSONDecodeError as e:
-            raise ScenarioParseError(f"scenario file {path} is not valid JSON: {e}") from e
+        doc = read_json(args.scenario)
     override = getattr(args, "mode_override", None)
-    if override:
+    if override and isinstance(doc, dict):
         doc = _apply_mode_override(doc, override)
     return parse_scenario_dict(doc)
 
@@ -123,33 +115,27 @@ def _add_scenario_args(p: argparse.ArgumentParser) -> None:
 
 def _cmd_classify(args: argparse.Namespace) -> int:
     s = _load_scenario(args)
-    net = build_network(s)
-    rep = persistence_report(net)
+    ctx = run_context(s)
+    persistent = ctx.persistence.persistent_arcs
     print(f"scenario: {s.name} ({s.mode.value}, {s.nodes} nodes, {len(s.arcs)} arcs)")
     for tail, head, w in sorted(s.arcs, key=lambda a: (a[0], a[1])):
-        kind = "persistent" if (tail, head) in rep.persistent_arcs else "vanishing"
+        kind = "persistent" if (tail, head) in persistent else "vanishing"
         print(f"  arc {tail} -> {head}: {type(w).__name__}  {kind}")
-    from .graph import diameter, is_quasi_strongly_connected
-
-    qsc = is_quasi_strongly_connected(rep.persistent_graph)
     print(
-        f"persistent subgraph: {len(rep.persistent_arcs)} arcs, "
-        f"qsc={'yes' if qsc else 'no'}, diameter={diameter(rep.persistent_graph)}"
+        f"persistent subgraph: {len(persistent)} arcs, "
+        f"qsc={'yes' if ctx.qsc else 'no'}, diameter={ctx.d0}"
     )
     return 0
 
 
 def _cmd_check(args: argparse.Namespace) -> int:
-    from .scenarios import _run_check  # shared with run_scenario on purpose
-
     s = _load_scenario(args)
-    net = build_network(s)
-    seed = s.seed if args.seed is None else args.seed
+    ctx = run_context(s, args.seed)
     all_ok = True
     if not s.required_checks:
         print("scenario declares no required checks")
     for spec in s.required_checks:
-        result = _run_check(spec, net, seed)
+        result = run_check(spec, ctx)
         status = "VACUOUS-PASS" if result.vacuous and result.passed else (
             "PASS" if result.passed else "FAIL"
         )
@@ -185,14 +171,7 @@ def _cmd_catalog(args: argparse.Namespace) -> int:
 
 
 def _cmd_report(args: argparse.Namespace) -> int:
-    path = Path(args.report)
-    try:
-        doc = json.loads(path.read_text())
-    except OSError as e:
-        raise ScenarioParseError(f"cannot read report file {path}: {e}") from e
-    except json.JSONDecodeError as e:
-        raise ScenarioParseError(f"report file {path} is not valid JSON: {e}") from e
-    report = RunReport.from_dict(doc)
+    report = RunReport.from_dict(read_json(args.report, "report"))
     sys.stdout.write(report.render_text())
     return 0 if report.passed else 1
 

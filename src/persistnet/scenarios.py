@@ -4,7 +4,11 @@ A scenario is a JSON document (``schema_version`` 1) that names a network,
 an initial condition, a horizon, the structural checks that must pass before
 simulating, and the certificates whose claims the run must verify.  Parsing
 is strict: unknown fields anywhere are errors, as are unknown weight
-families, check names, and certificate names.
+families, check names, certificate names, and non-finite numbers.
+
+``CHECKS`` and ``CERTIFICATES`` are the one place a check or certificate
+kind is defined (its modes, parameters and runner); the parser, the run
+pipeline, ``persistnet check`` and ``--mode-override`` all read them.
 
 Running a scenario performs, in order: build the network, classify arcs,
 run the required checks (a failure aborts before simulation), simulate or
@@ -24,10 +28,11 @@ from __future__ import annotations
 import dataclasses
 import json
 import math
+import sys
 import time
 from dataclasses import dataclass
 from pathlib import Path
-from typing import Any
+from typing import Any, Callable
 
 import numpy as np
 
@@ -41,6 +46,7 @@ from .weights import (
     ExponentialDecay,
     Mode,
     PeriodicPulse,
+    PersistenceReport,
     PowerDecay,
     Tabulated,
     TimeVaryingNetwork,
@@ -53,44 +59,6 @@ from .weights import (
 
 SCHEMA_VERSION = 1
 STOCHASTIC_COMPLEMENT = "stochastic-complement"
-
-_CHECK_KINDS = {
-    "stochasticity": (Mode.DISCRETE,),
-    "self-confidence": (Mode.DISCRETE,),
-    "arc-balance": (Mode.DISCRETE, Mode.CONTINUOUS),
-    "integral-arc-balance": (Mode.DISCRETE, Mode.CONTINUOUS),
-    "window-bound": (Mode.DISCRETE, Mode.CONTINUOUS),
-    "cut-balance": (Mode.DISCRETE, Mode.CONTINUOUS),
-    "qsc-persistent": (Mode.DISCRETE, Mode.CONTINUOUS),
-}
-_CHECK_PARAMS = {
-    "stochasticity": {"times"},
-    "self-confidence": {"eta", "times"},
-    "arc-balance": {"A", "times"},
-    "integral-arc-balance": {"A", "intervals"},
-    "window-bound": {"a_star", "window", "starts"},
-    "cut-balance": {"K", "times"},
-    "qsc-persistent": set(),
-}
-_CERT_KINDS = {
-    "discrete-rate": (Mode.DISCRETE,),
-    "continuous-rate": (Mode.CONTINUOUS,),
-    "discrete-floor": (Mode.DISCRETE,),
-    "continuous-floor": (Mode.CONTINUOUS,),
-    "window-violation": (Mode.DISCRETE,),
-    "agreement-ratio": (Mode.CONTINUOUS,),
-    "cut-balance-gap": (Mode.DISCRETE, Mode.CONTINUOUS),
-}
-_CERT_PARAMS = {
-    "discrete-rate": {"eta", "a_star", "T_star"},
-    "continuous-rate": {"A", "a_star", "tau0"},
-    "discrete-floor": {"low_nodes", "high_nodes"},
-    "continuous-floor": {"low_nodes", "high_nodes"},
-    "window-violation": {"epsilon", "T", "A", "scan_limit"},
-    "agreement-ratio": {"target", "A"},
-    "cut-balance-gap": {"A", "K_max"},
-}
-_DRIVING_CERTS = {"window-violation", "agreement-ratio"}
 
 
 class ScenarioError(Exception):
@@ -164,14 +132,15 @@ def _need(obj: dict, key: str, path: str) -> Any:
 
 
 def _as_int(v, path: str) -> int:
-    if isinstance(v, bool) or not isinstance(v, (int, float)) or v != int(v):
+    if isinstance(v, bool) or not (isinstance(v, int) or isinstance(v, float) and v.is_integer()):
         raise ScenarioParseError(f"{path} must be an integer, got {v!r}")
     return int(v)
 
 
 def _as_float(v, path: str) -> float:
-    if isinstance(v, bool) or not isinstance(v, (int, float)):
-        raise ScenarioParseError(f"{path} must be a number, got {v!r}")
+    # exact comparison: refuses NaN, infinities and integers too large for a float
+    if isinstance(v, bool) or not isinstance(v, (int, float)) or not abs(v) <= sys.float_info.max:
+        raise ScenarioParseError(f"{path} must be a finite number, got {v!r}")
     return float(v)
 
 
@@ -186,6 +155,41 @@ def _freeze(v):
     if isinstance(v, list):
         return tuple(_freeze(x) for x in v)
     return v
+
+
+def _bounded(ok, what: str, as_type=_as_float):
+    def read(v, path: str) -> None:
+        if not ok(as_type(v, path)):
+            raise ScenarioParseError(f"{path} must be {what}, got {v!r}")
+    return read
+
+
+def _list_of(read_item, size: int | None = None):
+    def read(v, path: str) -> None:
+        if not isinstance(v, list) or size not in (None, len(v)):
+            what = "a list" if size is None else f"a list of {size}"
+            raise ScenarioParseError(f"{path} must be {what}, got {v!r}")
+        for i, item in enumerate(v):
+            read_item(item, f"{path}[{i}]")
+    return read
+
+
+_FACTOR = _bounded(lambda x: x >= 1.0, ">= 1")
+_POSITIVE = _bounded(lambda x: x > 0.0, "positive")
+_FRACTION = _bounded(lambda x: 0.0 < x < 1.0, "in (0, 1)")
+_STEPS = _bounded(lambda x: x >= 1, "an integer >= 1", _as_int)
+_NUMBERS = _list_of(_as_float)
+# One reader per parameter name: a name means the same thing in every kind.
+_PARAMS = {
+    "eta": _bounded(lambda x: 0.0 < x <= 1.0, "in (0, 1]"),
+    "A": _FACTOR, "K": _FACTOR, "K_max": _FACTOR,
+    "a_star": _POSITIVE, "tau0": _POSITIVE, "window": _POSITIVE,
+    "epsilon": _FRACTION, "target": _FRACTION,
+    "T_star": _STEPS, "T": _STEPS, "scan_limit": _bounded(lambda x: x >= 0, "an integer >= 0", _as_int),
+    "times": _NUMBERS, "starts": _NUMBERS,
+    "intervals": _list_of(_list_of(_as_float, 2)),
+    "low_nodes": _list_of(_as_int), "high_nodes": _list_of(_as_int),
+}
 
 
 _WEIGHT_FIELDS = {
@@ -229,14 +233,12 @@ def parse_weight(spec, path: str) -> Weight:
                 _as_float(spec.get("gap_growth", 1.0), f"{path}.gap_growth"),
             )
         if family == "tabulated":
-            bps = _need(spec, "breakpoints", path)
-            vals = _need(spec, "values", path)
-            if not isinstance(bps, list) or not isinstance(vals, list):
-                raise ScenarioParseError(f"{path}: breakpoints and values must be lists")
+            for key in ("breakpoints", "values"):
+                _NUMBERS(_need(spec, key, path), f"{path}.{key}")
             persistent = spec.get("persistent")
             if persistent is not None and not isinstance(persistent, bool):
                 raise ScenarioParseError(f"{path}.persistent must be a boolean or null")
-            return Tabulated(tuple(float(b) for b in bps), tuple(float(v) for v in vals), persistent)
+            return Tabulated(tuple(spec["breakpoints"]), tuple(spec["values"]), persistent)
         return Zero()
     except ValueError as e:
         raise ScenarioParseError(f"invalid weight at {path}: {e}") from e
@@ -267,6 +269,36 @@ def weight_to_spec(w: Weight) -> dict:
     if isinstance(w, Zero):
         return {"family": "zero"}
     raise ScenarioValidationError(f"weight {type(w).__name__} has no file representation")
+
+
+def _parse_specs(doc: dict, field: str, key: str, table: dict, spec_type, mode: Mode) -> tuple:
+    """Parse the entries under ``field``, each checked against its kind in ``table``.
+
+    In order: kind known, mode allowed, no unknown fields, required fields
+    present, types and ranges right.  Values keep their JSON type (lists become tuples).
+    """
+    raw = doc.get(field, [])
+    if not isinstance(raw, list):
+        raise ScenarioParseError(f"{field} must be a list")
+    specs = []
+    for idx, entry in enumerate(raw):
+        path = f"{field}[{idx}]"
+        if not isinstance(entry, dict):
+            raise ScenarioParseError(f"{path} must be an object")
+        kind = _as_str(_need(entry, key, path), f"{path}.{key}")
+        if kind not in table:
+            raise ScenarioParseError(f"unknown {key} {kind!r} at {path}; supported: {sorted(table)}")
+        known = table[kind]
+        if mode not in known.modes:
+            raise ScenarioParseError(f"{path}: {key} {kind!r} does not apply to {mode.value} mode")
+        _reject_unknown(entry, {key, *known.required, *known.optional}, path)
+        for name in known.required:
+            _need(entry, name, path)
+        params = {name: v for name, v in entry.items() if name != key}
+        for name, v in params.items():
+            _PARAMS[name](v, f"{path}.{name}")
+        specs.append(spec_type(kind, {name: _freeze(v) for name, v in params.items()}))
+    return tuple(specs)
 
 
 _TOP_FIELDS = {
@@ -362,48 +394,13 @@ def parse_scenario_dict(doc: dict) -> Scenario:
     else:
         raise ScenarioParseError("x0 must be a list of values or a pattern object")
 
-    cert_kinds = []
-    raw_certs = doc.get("certificates", [])
-    if not isinstance(raw_certs, list):
-        raise ScenarioParseError("certificates must be a list")
-    for idx, c in enumerate(raw_certs):
-        path = f"certificates[{idx}]"
-        if not isinstance(c, dict):
-            raise ScenarioParseError(f"{path} must be an object")
-        kind = _as_str(_need(c, "certificate", path), f"{path}.certificate")
-        if kind not in _CERT_KINDS:
-            raise ScenarioParseError(
-                f"unknown certificate {kind!r} at {path}; supported: {sorted(_CERT_KINDS)}"
-            )
-        if mode not in _CERT_KINDS[kind]:
-            raise ScenarioParseError(f"{path}: certificate {kind!r} does not apply to {mode.value} mode")
-        _reject_unknown(c, _CERT_PARAMS[kind] | {"certificate"}, path)
-        params = {k: _freeze(v) for k, v in c.items() if k != "certificate"}
-        cert_kinds.append(CertSpec(kind, params))
-    driving = [c.kind for c in cert_kinds if c.kind in _DRIVING_CERTS]
+    cert_specs = _parse_specs(doc, "certificates", "certificate", CERTIFICATES, CertSpec, mode)
+    driving = [c.kind for c in cert_specs if CERTIFICATES[c.kind].drives]
     if len(driving) > 1:
         raise ScenarioParseError(
             f"at most one trajectory-driving certificate allowed, got {driving}"
         )
-
-    check_specs = []
-    raw_checks = doc.get("required_checks", [])
-    if not isinstance(raw_checks, list):
-        raise ScenarioParseError("required_checks must be a list")
-    for idx, c in enumerate(raw_checks):
-        path = f"required_checks[{idx}]"
-        if not isinstance(c, dict):
-            raise ScenarioParseError(f"{path} must be an object")
-        kind = _as_str(_need(c, "check", path), f"{path}.check")
-        if kind not in _CHECK_KINDS:
-            raise ScenarioParseError(
-                f"unknown check {kind!r} at {path}; supported: {sorted(_CHECK_KINDS)}"
-            )
-        if mode not in _CHECK_KINDS[kind]:
-            raise ScenarioParseError(f"{path}: check {kind!r} does not apply to {mode.value} mode")
-        _reject_unknown(c, _CHECK_PARAMS[kind] | {"check"}, path)
-        params = {k: _freeze(v) for k, v in c.items() if k != "check"}
-        check_specs.append(CheckSpec(kind, params))
+    check_specs = _parse_specs(doc, "required_checks", "check", CHECKS, CheckSpec, mode)
 
     t0_raw = doc.get("t0", 0)
     if t0_raw == "auto":
@@ -457,8 +454,8 @@ def parse_scenario_dict(doc: dict) -> Scenario:
         h_max=h_max,
         stride=stride,
         seed=seed,
-        required_checks=tuple(check_specs),
-        certificates=tuple(cert_kinds),
+        required_checks=check_specs,
+        certificates=cert_specs,
         description=description,
     )
 
@@ -508,16 +505,20 @@ def scenario_to_dict(s: Scenario) -> dict:
     return doc
 
 
-def load_scenario(path: str | Path) -> Scenario:
+def read_json(path: str | Path, what: str = "scenario") -> Any:
+    """The JSON document in a scenario (or report) file."""
     try:
         text = Path(path).read_text()
-    except OSError as e:
-        raise ScenarioParseError(f"cannot read scenario file {path}: {e}") from e
+    except (OSError, UnicodeDecodeError) as e:
+        raise ScenarioParseError(f"cannot read {what} file {path}: {e}") from e
     try:
-        doc = json.loads(text)
+        return json.loads(text)
     except json.JSONDecodeError as e:
-        raise ScenarioParseError(f"scenario file {path} is not valid JSON: {e}") from e
-    return parse_scenario_dict(doc)
+        raise ScenarioParseError(f"{what} file {path} is not valid JSON: {e}") from e
+
+
+def load_scenario(path: str | Path) -> Scenario:
+    return parse_scenario_dict(read_json(path))
 
 
 def save_scenario(s: Scenario, path: str | Path) -> None:
@@ -673,178 +674,215 @@ def _check_record(r: CheckResult) -> CheckRecord:
     return CheckRecord(name=r.name, passed=r.passed, vacuous=r.vacuous, detail=r.detail)
 
 
-def _run_check(
-    spec: CheckSpec, net: TimeVaryingNetwork, seed: int
-) -> CheckResult:
-    p = spec.params
-    times = list(p["times"]) if "times" in p else None
-    if spec.kind == "stochasticity":
-        return checks.check_stochasticity(net, times)
-    if spec.kind == "self-confidence":
-        return checks.check_self_confidence(net, p["eta"], times)
-    if spec.kind == "arc-balance":
-        return checks.check_arc_balance(net, p["A"], times)
-    if spec.kind == "integral-arc-balance":
-        intervals = [tuple(iv) for iv in p["intervals"]]
-        return checks.check_integral_arc_balance(net, p["A"], intervals)
-    if spec.kind == "window-bound":
-        starts = list(p["starts"]) if "starts" in p else None
-        return checks.check_window_bound(net, p["a_star"], p["window"], starts)
-    if spec.kind == "cut-balance":
-        return checks.check_cut_balance(net, p["K"], times, seed=seed)
-    if spec.kind == "qsc-persistent":
+@dataclass(frozen=True)
+class RunContext:
+    """What every check and certificate runner reads, computed once per run."""
+
+    scenario: Scenario
+    net: TimeVaryingNetwork
+    persistence: PersistenceReport
+    qsc: bool
+    d0: int
+    seed: int
+
+
+def run_context(s: Scenario, seed: int | None = None) -> RunContext:
+    """Build the network and its persistent graph; ``seed`` overrides the scenario's."""
+    net = build_network(s)
+    try:
         rep = persistence_report(net)
-        ok = is_quasi_strongly_connected(rep.persistent_graph)
-        return CheckResult(
-            name="qsc-persistent",
-            passed=ok,
-            detail=(
-                f"persistent graph {'is' if ok else 'is NOT'} quasi-strongly connected "
-                f"({len(rep.persistent_arcs)} persistent arcs)"
-            ),
-        )
-    raise ScenarioValidationError(f"unhandled check {spec.kind!r}")
+    except ValueError as e:
+        raise ScenarioValidationError(f"cannot classify arcs: {e}") from e
+    return RunContext(
+        s, net, rep, is_quasi_strongly_connected(rep.persistent_graph),
+        diameter(rep.persistent_graph), s.seed if seed is None else int(seed),
+    )
+
+
+@dataclass(frozen=True)
+class Kind:
+    """One check or certificate kind: the modes it applies to, its parameters, its runner.
+
+    Check runners take ``(params, context)``; certificate runners take
+    ``(kind, params, context, trajectory)`` and return their record and the
+    trajectory they drove (for the kinds that ``drives``) or None.
+    """
+
+    modes: tuple[Mode, ...]
+    required: tuple[str, ...]
+    optional: tuple[str, ...]
+    run: Callable
+    drives: bool = False
+
+
+def _qsc_persistent(p: dict, ctx: RunContext) -> CheckResult:
+    verdict = "is" if ctx.qsc else "is NOT"
+    arcs = len(ctx.persistence.persistent_arcs)
+    detail = f"persistent graph {verdict} quasi-strongly connected ({arcs} persistent arcs)"
+    return CheckResult(name="qsc-persistent", passed=ctx.qsc, detail=detail)
+
+
+_DISCRETE, _CONTINUOUS = (Mode.DISCRETE,), (Mode.CONTINUOUS,)
+_BOTH = (Mode.DISCRETE, Mode.CONTINUOUS)
+CHECKS = {
+    "stochasticity": Kind(_DISCRETE, (), ("times",), lambda p, ctx: checks.check_stochasticity(
+        ctx.net, p.get("times"))),
+    "self-confidence": Kind(_DISCRETE, ("eta",), ("times",), lambda p, ctx: checks.check_self_confidence(
+        ctx.net, p["eta"], p.get("times"))),
+    "arc-balance": Kind(_BOTH, ("A",), ("times",), lambda p, ctx: checks.check_arc_balance(
+        ctx.net, p["A"], p.get("times"))),
+    "integral-arc-balance": Kind(_BOTH, ("A", "intervals"), (), lambda p, ctx: checks.check_integral_arc_balance(
+        ctx.net, p["A"], p["intervals"])),
+    "window-bound": Kind(_BOTH, ("a_star", "window"), ("starts",), lambda p, ctx: checks.check_window_bound(
+        ctx.net, p["a_star"], p["window"], p.get("starts"))),
+    "cut-balance": Kind(_BOTH, ("K",), ("times",), lambda p, ctx: checks.check_cut_balance(
+        ctx.net, p["K"], p.get("times"), seed=ctx.seed)),
+    "qsc-persistent": Kind(_BOTH, (), (), _qsc_persistent),
+}
 
 
 FLOOR_TOLERANCE = 1e-9
 
 
-def _eval_certificate(
-    spec: CertSpec,
-    s: Scenario,
-    net: TimeVaryingNetwork,
-    traj: Trajectory | ContinuousTrajectory | None,
-):
-    """Returns (CertRecord, trajectory or None for the driving kinds)."""
-    p = spec.params
-    rep = persistence_report(net)
-    d0 = diameter(rep.persistent_graph)
-    qsc = is_quasi_strongly_connected(rep.persistent_graph)
+def _failed(kind: str, detail: str, values: dict | None = None, traj=None):
+    return CertRecord(kind, False, False, None, detail, values or {}), traj
 
-    if spec.kind == "discrete-rate":
-        if not qsc:
-            return CertRecord(spec.kind, False, False, None,
-                              "persistent graph not quasi-strongly connected", {}), None
-        cert = analysis.discrete_rate_bound(p["eta"], p["a_star"], int(p["T_star"]), d0)
-        rr = analysis.verify_contraction(traj, cert, tol=1e-12)
-        values = {"epsilon": cert.epsilon, "T0": cert.T0, "d0": d0,
-                  "windows": rr.windows, "worst_margin": rr.worst_margin}
-        detail = (f"epsilon={cert.epsilon!r} T0={cert.T0!r} windows={rr.windows} "
-                  f"worst margin={rr.worst_margin:.6e} at t={rr.witness_time!r}")
-        return CertRecord(spec.kind, rr.passed, rr.vacuous, rr.worst_margin, detail, values), None
 
-    if spec.kind == "continuous-rate":
-        if not qsc:
-            return CertRecord(spec.kind, False, False, None,
-                              "persistent graph not quasi-strongly connected", {}), None
-        theta_int = aggregate_vanishing_weight(net).tail_integral(0.0)
+def _rate(kind: str, p: dict, ctx: RunContext, traj):
+    if not ctx.qsc:
+        return _failed(kind, "persistent graph not quasi-strongly connected")
+    if ctx.scenario.mode is Mode.DISCRETE:
+        cert = analysis.discrete_rate_bound(p["eta"], p["a_star"], int(p["T_star"]), ctx.d0)
+        tol = 1e-12
+    else:
+        theta_int = aggregate_vanishing_weight(ctx.net).tail_integral(0.0)
         cert = analysis.continuous_rate_bound(
-            p["A"], net.n, theta_int, p["a_star"], p["tau0"], d0
+            p["A"], ctx.net.n, theta_int, p["a_star"], p["tau0"], ctx.d0
         )
-        rr = analysis.verify_contraction(traj, cert, tol=1e-8)
-        values = {"epsilon": cert.epsilon, "T0": cert.T0, "d0": d0, "m0": cert.m0,
-                  "omega0": cert.omega0, "windows": rr.windows,
-                  "worst_margin": rr.worst_margin}
-        detail = (f"epsilon={cert.epsilon!r} T0={cert.T0!r} windows={rr.windows} "
-                  f"worst margin={rr.worst_margin:.6e} at t={rr.witness_time!r}")
-        return CertRecord(spec.kind, rr.passed, rr.vacuous, rr.worst_margin, detail, values), None
+        tol = 1e-8
+    rr = analysis.verify_contraction(traj, cert, tol=tol)
+    values = {"epsilon": cert.epsilon, "T0": cert.T0, "d0": ctx.d0,
+              "windows": rr.windows, "worst_margin": rr.worst_margin}
+    if cert.mode is Mode.CONTINUOUS:
+        values.update(m0=cert.m0, omega0=cert.omega0)
+    detail = (f"epsilon={cert.epsilon!r} T0={cert.T0!r} windows={rr.windows} "
+              f"worst margin={rr.worst_margin:.6e} at t={rr.witness_time!r}")
+    return CertRecord(kind, rr.passed, rr.vacuous, rr.worst_margin, detail, values), None
 
-    if spec.kind in ("discrete-floor", "continuous-floor"):
-        theta = aggregate_vanishing_weight(net)
-        try:
-            if spec.kind == "discrete-floor":
-                cert = analysis.discrete_disagreement_floor(theta, t0=int(s.t0))
-            else:
-                cert = analysis.continuous_disagreement_floor(theta, t0=float(s.t0))
-        except (analysis.NotSummableError, analysis.FloorUnavailableError) as e:
-            return CertRecord(spec.kind, False, False, None, f"no floor: {e}", {}), None
-        if cert.required_t0 > float(s.t0):
-            return CertRecord(
-                spec.kind, False, False, None,
-                f"floor requires starting at t0 >= {cert.required_t0!r}, scenario starts at {s.t0!r}",
-                {"required_t0": cert.required_t0},
-            ), None
-        low, high = list(p["low_nodes"]), list(p["high_nodes"])
-        _, _, gap = analysis.block_extremes(traj, low, high)
-        spreads = traj.spreads()
-        worst = float(min(np.min(gap), np.min(spreads)))
-        margin = worst - cert.floor
-        passed = margin >= -FLOOR_TOLERANCE
-        values = {"floor": cert.floor, "required_t0": cert.required_t0,
-                  "tail_mass": cert.tail_mass, "worst_level": worst}
-        if cert.tail_product is not None:
-            values["survival_product"] = cert.tail_product
-        detail = (f"floor={cert.floor!r} worst spread/gap={worst!r} "
-                  f"margin={margin:.6e} tail mass={cert.tail_mass!r}")
-        return CertRecord(spec.kind, passed, False, margin, detail, values), None
 
-    if spec.kind == "window-violation":
-        found = analysis.find_window_violation(
-            net, p["epsilon"], int(p["T"]), p["A"], int(p["scan_limit"])
-        )
-        if found is None:
-            return CertRecord(
-                spec.kind, False, False, None,
-                f"no quiet window of {p['T']} steps within scan limit {p['scan_limit']}", {},
-            ), None
-        t_star, threshold = found
-        x0 = resolve_x0(s)
-        wtraj = simulate(net, BeliefVector(x0, t_star), int(p["T"]))
-        spreads = wtraj.spreads()
-        if spreads[0] <= 0.0:
-            return CertRecord(spec.kind, False, False, None,
-                              "initial spread is zero; nothing to preserve", {}), wtraj
-        ratio = float(spreads[-1] / spreads[0])
-        margin = float(spreads[-1] - p["epsilon"] * spreads[0])
-        passed = margin > 0.0  # spread must stay strictly above the target factor
-        values = {"t_star": t_star, "threshold": threshold, "ratio": ratio,
-                  "epsilon": p["epsilon"], "T": int(p["T"]), "margin": margin}
-        detail = (f"quiet window at t*={t_star} (threshold {threshold!r}); "
-                  f"spread ratio over window={ratio!r} > epsilon={p['epsilon']!r}: "
-                  f"margin={margin:.6e}")
-        return CertRecord(spec.kind, passed, False, margin, detail, values), wtraj
+def _floor(kind: str, p: dict, ctx: RunContext, traj):
+    s = ctx.scenario
+    theta = aggregate_vanishing_weight(ctx.net)
+    try:
+        if s.mode is Mode.DISCRETE:
+            cert = analysis.discrete_disagreement_floor(theta, t0=int(s.t0))
+        else:
+            cert = analysis.continuous_disagreement_floor(theta, t0=float(s.t0))
+    except (analysis.NotSummableError, analysis.FloorUnavailableError) as e:
+        return _failed(kind, f"no floor: {e}")
+    if cert.required_t0 > float(s.t0):
+        detail = f"floor requires starting at t0 >= {cert.required_t0!r}, scenario starts at {s.t0!r}"
+        return _failed(kind, detail, {"required_t0": cert.required_t0})
+    _, _, gap = analysis.block_extremes(traj, p["low_nodes"], p["high_nodes"])
+    worst = float(min(np.min(gap), np.min(traj.spreads())))
+    margin = worst - cert.floor
+    passed = margin >= -FLOOR_TOLERANCE
+    values = {"floor": cert.floor, "required_t0": cert.required_t0,
+              "tail_mass": cert.tail_mass, "worst_level": worst}
+    if cert.tail_product is not None:
+        values["survival_product"] = cert.tail_product
+    detail = (f"floor={cert.floor!r} worst spread/gap={worst!r} "
+              f"margin={margin:.6e} tail mass={cert.tail_mass!r}")
+    return CertRecord(kind, passed, False, margin, detail, values), None
 
-    if spec.kind == "agreement-ratio":
-        try:
-            hz = analysis.agreement_time_bound(net, p["A"], p["target"], t0=float(s.t0))
-        except analysis.CertificateDomainError as e:
-            return CertRecord(spec.kind, False, False, None, f"no horizon: {e}", {}), None
-        atraj = integrate(net, resolve_x0(s), float(s.t0), hz.t_end, h_max=s.h_max)
-        spreads = atraj.spreads()
-        if spreads[0] <= 0.0:
-            return CertRecord(spec.kind, False, False, None,
-                              "initial spread is zero; ratio undefined", {}), atraj
-        ratio = float(spreads[-1] / spreads[0])
-        margin = ratio - p["target"]
-        passed = ratio < p["target"]
-        values = {"t_end": hz.t_end, "epochs": hz.epochs,
-                  "per_epoch_factor": hz.per_epoch_factor, "m0": hz.m0,
-                  "omega0": hz.omega0, "ratio": ratio, "target": p["target"]}
-        detail = (f"t_end={hz.t_end!r} ({hz.epochs} epochs of factor "
-                  f"{hz.per_epoch_factor!r}); spread ratio={ratio:.6e} "
-                  f"target={p['target']!r}")
-        return CertRecord(spec.kind, passed, False, margin, detail, values), atraj
 
-    if spec.kind == "cut-balance-gap":
-        balance = checks.check_arc_balance(net, p["A"])
-        ladder = []
-        K = 1.0
-        while K < p["K_max"]:
-            ladder.append(K)
-            K *= 10.0
-        ladder.append(float(p["K_max"]))
-        cut_results = [checks.check_cut_balance(net, K, seed=s.seed) for K in ladder]
-        all_fail = all(not r.passed for r in cut_results)
-        passed = balance.passed and all_fail
-        values = {"A": p["A"], "K_ladder": ladder,
-                  "arc_balance_passed": balance.passed,
-                  "cut_balance_failed_all": all_fail}
-        detail = (f"arc balance (A={p['A']!r}): {'pass' if balance.passed else 'FAIL'}; "
-                  f"cut balance fails for all K in {ladder!r}: "
-                  f"{'yes' if all_fail else 'NO'}; worst cut witness: {cut_results[-1].detail}")
-        return CertRecord(spec.kind, passed, False, None, detail, values), None
+def _window_violation(kind: str, p: dict, ctx: RunContext, traj):
+    found = analysis.find_window_violation(
+        ctx.net, p["epsilon"], int(p["T"]), p["A"], int(p["scan_limit"])
+    )
+    if found is None:
+        return _failed(kind, f"no quiet window of {p['T']} steps within scan limit {p['scan_limit']}")
+    t_star, threshold = found
+    wtraj = simulate(ctx.net, BeliefVector(resolve_x0(ctx.scenario), t_star), int(p["T"]))
+    spreads = wtraj.spreads()
+    if spreads[0] <= 0.0:
+        return _failed(kind, "initial spread is zero; nothing to preserve", traj=wtraj)
+    ratio = float(spreads[-1] / spreads[0])
+    margin = float(spreads[-1] - p["epsilon"] * spreads[0])
+    passed = margin > 0.0  # spread must stay strictly above the target factor
+    values = {"t_star": t_star, "threshold": threshold, "ratio": ratio,
+              "epsilon": p["epsilon"], "T": int(p["T"]), "margin": margin}
+    detail = (f"quiet window at t*={t_star} (threshold {threshold!r}); "
+              f"spread ratio over window={ratio!r} > epsilon={p['epsilon']!r}: "
+              f"margin={margin:.6e}")
+    return CertRecord(kind, passed, False, margin, detail, values), wtraj
 
-    raise ScenarioValidationError(f"unhandled certificate {spec.kind!r}")
+
+def _agreement_ratio(kind: str, p: dict, ctx: RunContext, traj):
+    s = ctx.scenario
+    try:
+        hz = analysis.agreement_time_bound(ctx.net, p["A"], p["target"], t0=float(s.t0))
+    except analysis.CertificateDomainError as e:
+        return _failed(kind, f"no horizon: {e}")
+    atraj = integrate(ctx.net, resolve_x0(s), float(s.t0), hz.t_end, h_max=s.h_max)
+    spreads = atraj.spreads()
+    if spreads[0] <= 0.0:
+        return _failed(kind, "initial spread is zero; ratio undefined", traj=atraj)
+    ratio = float(spreads[-1] / spreads[0])
+    margin = ratio - p["target"]
+    passed = ratio < p["target"]
+    values = {"t_end": hz.t_end, "epochs": hz.epochs,
+              "per_epoch_factor": hz.per_epoch_factor, "m0": hz.m0,
+              "omega0": hz.omega0, "ratio": ratio, "target": p["target"]}
+    detail = (f"t_end={hz.t_end!r} ({hz.epochs} epochs of factor "
+              f"{hz.per_epoch_factor!r}); spread ratio={ratio:.6e} "
+              f"target={p['target']!r}")
+    return CertRecord(kind, passed, False, margin, detail, values), atraj
+
+
+def _cut_balance_gap(kind: str, p: dict, ctx: RunContext, traj):
+    balance = checks.check_arc_balance(ctx.net, p["A"])
+    ladder = []
+    K = 1.0
+    while K < p["K_max"]:
+        ladder.append(K)
+        K *= 10.0
+    ladder.append(float(p["K_max"]))
+    cut_results = [checks.check_cut_balance(ctx.net, K, seed=ctx.seed) for K in ladder]
+    all_fail = all(not r.passed for r in cut_results)
+    passed = balance.passed and all_fail
+    values = {"A": p["A"], "K_ladder": ladder,
+              "arc_balance_passed": balance.passed,
+              "cut_balance_failed_all": all_fail}
+    detail = (f"arc balance (A={p['A']!r}): {'pass' if balance.passed else 'FAIL'}; "
+              f"cut balance fails for all K in {ladder!r}: "
+              f"{'yes' if all_fail else 'NO'}; worst cut witness: {cut_results[-1].detail}")
+    return CertRecord(kind, passed, False, None, detail, values), None
+
+
+CERTIFICATES = {
+    "discrete-rate": Kind(_DISCRETE, ("eta", "a_star", "T_star"), (), _rate),
+    "continuous-rate": Kind(_CONTINUOUS, ("A", "a_star", "tau0"), (), _rate),
+    "discrete-floor": Kind(_DISCRETE, ("low_nodes", "high_nodes"), (), _floor),
+    "continuous-floor": Kind(_CONTINUOUS, ("low_nodes", "high_nodes"), (), _floor),
+    "window-violation": Kind(
+        _DISCRETE, ("epsilon", "T", "A", "scan_limit"), (), _window_violation, drives=True
+    ),
+    "agreement-ratio": Kind(_CONTINUOUS, ("target", "A"), (), _agreement_ratio, drives=True),
+    "cut-balance-gap": Kind(_BOTH, ("A", "K_max"), (), _cut_balance_gap),
+}
+
+
+def _guarded(word: str, table: dict, spec, *args):
+    """Call the kind's runner; a ValueError means its parameters do not fit this network."""
+    try:
+        return table[spec.kind].run(*args)
+    except ValueError as e:
+        raise ScenarioValidationError(f"{word} {spec.kind!r} misconfigured: {e}") from e
+
+
+def run_check(spec: CheckSpec, ctx: RunContext) -> CheckResult:
+    return _guarded("check", CHECKS, spec, spec.params, ctx)
 
 
 def run_scenario(
@@ -852,65 +890,50 @@ def run_scenario(
 ) -> tuple[RunReport, Trajectory | ContinuousTrajectory | None]:
     """Full pipeline; returns the report and the trajectory (None if aborted)."""
     started = time.perf_counter()
-    seed = s.seed if seed is None else int(seed)
-    net = build_network(s)
-    rep = persistence_report(net)
-    qsc = is_quasi_strongly_connected(rep.persistent_graph)
-    d0 = diameter(rep.persistent_graph)
-
-    check_records: list[CheckRecord] = []
-    all_ok = True
-    for spec in s.required_checks:
-        try:
-            result = _run_check(spec, net, seed)
-        except ValueError as e:
-            raise ScenarioValidationError(f"check {spec.kind!r} misconfigured: {e}") from e
-        check_records.append(_check_record(result))
-        all_ok = all_ok and result.passed
+    ctx = run_context(s, seed)
+    check_records = [_check_record(run_check(spec, ctx)) for spec in s.required_checks]
 
     def report(certs, traj, aborted, passed):
-        rows = 0 if traj is None else len(traj)
         return RunReport(
             scenario_name=s.name,
             mode=s.mode.value,
-            seed=seed,
+            seed=ctx.seed,
             nodes=s.nodes,
             arc_count=len(s.arcs),
-            persistent_count=len(rep.persistent_arcs),
-            vanishing_count=len(rep.vanishing_arcs),
-            qsc_persistent=qsc,
-            persistent_diameter=d0,
+            persistent_count=len(ctx.persistence.persistent_arcs),
+            vanishing_count=len(ctx.persistence.vanishing_arcs),
+            qsc_persistent=ctx.qsc,
+            persistent_diameter=ctx.d0,
             checks=tuple(check_records),
             certificates=tuple(certs),
             aborted=aborted,
             passed=passed,
             t_start=None if traj is None else float(traj.times[0]),
             t_end=None if traj is None else float(traj.times[-1]),
-            trajectory_rows=rows,
+            trajectory_rows=0 if traj is None else len(traj),
             trajectory_file=None,
             wall_time_s=time.perf_counter() - started,
         )
 
-    if not all_ok:
+    if not all(c.passed for c in check_records):
         return report([], None, aborted=True, passed=False), None
 
-    driving = [c for c in s.certificates if c.kind in _DRIVING_CERTS]
     traj: Trajectory | ContinuousTrajectory | None = None
-    if not driving:
+    if not any(CERTIFICATES[c.kind].drives for c in s.certificates):
         x0 = resolve_x0(s)
         try:
             if s.mode is Mode.DISCRETE:
-                traj = simulate(net, BeliefVector(x0, int(s.t0)), int(s.horizon))
+                traj = simulate(ctx.net, BeliefVector(x0, int(s.t0)), int(s.horizon))
             else:
                 traj = integrate(
-                    net, x0, float(s.t0), float(s.t0) + float(s.horizon), h_max=s.h_max
+                    ctx.net, x0, float(s.t0), float(s.t0) + float(s.horizon), h_max=s.h_max
                 )
         except (ValueError, RuntimeError) as e:
             raise ScenarioValidationError(f"simulation failed: {e}") from e
 
     cert_records: list[CertRecord] = []
     for spec in s.certificates:
-        record, produced = _eval_certificate(spec, s, net, traj)
+        record, produced = _guarded("certificate", CERTIFICATES, spec, spec.kind, spec.params, ctx, traj)
         cert_records.append(record)
         if produced is not None:
             traj = produced

@@ -5,7 +5,6 @@ import math
 import pytest
 
 from persistnet import (
-    AssumptionParams,
     Constant,
     Digraph,
     ExponentialDecay,
@@ -20,7 +19,6 @@ from persistnet import (
     check_self_confidence,
     check_stochasticity,
     check_window_bound,
-    run_assumption_checks,
     stochastic_network,
 )
 
@@ -219,35 +217,3 @@ class TestCutBalance:
         r2 = check_cut_balance(net, K=1.0, seed=7)
         assert r1 == r2
         assert "sampled subsets" in r1.detail
-
-
-class TestAssumptionParams:
-    def test_validation(self):
-        AssumptionParams(eta=0.5, A=1.0, a_star=0.1, T_star=3, tau0=1.0)
-        with pytest.raises(ValueError):
-            AssumptionParams(eta=1.0)
-        with pytest.raises(ValueError):
-            AssumptionParams(A=0.5)
-        with pytest.raises(ValueError):
-            AssumptionParams(a_star=0.0)
-        with pytest.raises(ValueError):
-            AssumptionParams(T_star=0)
-        with pytest.raises(ValueError):
-            AssumptionParams(tau0=-1.0)
-
-    def test_discrete_rollup(self):
-        results = run_assumption_checks(
-            star_net(Constant(0.2)),
-            AssumptionParams(eta=0.2, A=1.0, a_star=0.2, T_star=1),
-        )
-        names = [r.name for r in results]
-        assert names == ["stochasticity", "self-confidence", "arc-balance", "window-bound"]
-        assert all(r.passed for r in results)
-
-    def test_continuous_rollup_skips_discrete_checks(self):
-        net = continuous_pair(Constant(1.0), Constant(1.0))
-        ln2 = math.log(2.0)
-        results = run_assumption_checks(net, AssumptionParams(A=1.0, a_star=ln2, tau0=ln2))
-        names = [r.name for r in results]
-        assert names == ["arc-balance", "window-bound"]
-        assert all(r.passed for r in results)

@@ -6,6 +6,26 @@ import pytest
 
 from persistnet import catalog, save_scenario
 from persistnet.cli import main
+from persistnet.scenarios import CERTIFICATES, CHECKS
+
+
+def scenario_doc(mode="discrete", **over):
+    doc = {
+        "schema_version": 1,
+        "name": "doc",
+        "mode": mode,
+        "nodes": 2,
+        "arcs": [
+            {"tail": 0, "head": 1, "weight": {"family": "constant", "c": 0.25}},
+            {"tail": 1, "head": 0, "weight": {"family": "constant", "c": 0.25}},
+        ],
+        "x0": [0.0, 1.0],
+        "horizon": 5,
+    }
+    if mode == "discrete":
+        doc["self_weights"] = "stochastic-complement"
+    doc.update(over)
+    return doc
 
 
 @pytest.fixture
@@ -99,6 +119,24 @@ class TestRun:
         rows = (out_dir / "cli-pair.csv").read_text().strip().split("\n")
         assert len(rows) == 1 + 3  # header plus samples 0, 10, 20
 
+    def test_seed_reaches_sampled_certificate(self, tmp_path, capsys):
+        # 13 nodes is past the exhaustive cut limit, so cut subsets are sampled
+        doc = scenario_doc(
+            "continuous",
+            nodes=13,
+            arcs=[{"tail": 0, "head": k, "weight": {"family": "constant", "c": 0.2}}
+                  for k in range(1, 13)],
+            x0=[float(k % 2) for k in range(13)],
+            horizon=0.5,
+            certificates=[{"certificate": "cut-balance-gap", "A": 2.0, "K_max": 10.0}],
+        )
+        path = tmp_path / "star13.json"
+        path.write_text(json.dumps(doc))
+        assert main(["run", str(path), "--out-dir", str(tmp_path), "--seed", "5"]) == 0
+        out = capsys.readouterr().out
+        assert "seed: 5" in out
+        assert "sampled subsets (seed 5)" in out
+
     def test_catalog_run_by_name(self, tmp_path):
         code = main(
             ["run", "--catalog", "continuous-out-star-cut-imbalance",
@@ -168,6 +206,80 @@ class TestModeOverride:
 
     def test_same_mode_override_is_a_no_op(self, pair_file):
         assert main(["classify", str(pair_file), "--mode-override", "discrete"]) == 0
+
+    @pytest.mark.parametrize(
+        "field,key,kind",
+        [("required_checks", "check", k) for k, c in CHECKS.items() if len(c.modes) == 1]
+        + [("certificates", "certificate", k) for k, c in CERTIFICATES.items() if len(c.modes) == 1],
+    )
+    def test_single_mode_kinds_refuse_the_other_mode(self, tmp_path, capsys, field, key, kind):
+        table = CHECKS if key == "check" else CERTIFICATES
+        (mode,) = table[kind].modes
+        path = tmp_path / "tied.json"
+        path.write_text(json.dumps(scenario_doc(mode.value, **{field: [{key: kind}]})))
+        other = "continuous" if mode.value == "discrete" else "discrete"
+        assert main(["classify", str(path), "--mode-override", other]) == 2
+        err = capsys.readouterr().err
+        assert "contradicts" in err
+        assert f"{key} {kind!r} is {mode.value}-only" in err
+
+
+MALFORMED = {
+    "discrete-rate without a_star": (
+        scenario_doc(certificates=[{"certificate": "discrete-rate", "eta": 0.5, "T_star": 1}]),
+        "a_star",
+    ),
+    "self-confidence without eta": (
+        scenario_doc(required_checks=[{"check": "self-confidence"}]), "eta"
+    ),
+    "eta not a number": (
+        scenario_doc(required_checks=[{"check": "self-confidence", "eta": "x"}]), "eta"
+    ),
+    "times not a list": (
+        scenario_doc(required_checks=[{"check": "stochasticity", "times": "abc"}]), "times"
+    ),
+    "low_nodes not a list": (
+        scenario_doc(certificates=[
+            {"certificate": "discrete-floor", "low_nodes": 0, "high_nodes": [1]}
+        ]),
+        "low_nodes",
+    ),
+    "tabulated without persistent": (
+        scenario_doc(arcs=[{"tail": 0, "head": 1, "weight": {
+            "family": "tabulated", "breakpoints": [0.0], "values": [0.2]}}]),
+        "tabulated",
+    ),
+    "eta out of range on discrete-rate": (
+        scenario_doc(certificates=[
+            {"certificate": "discrete-rate", "eta": 2, "a_star": 0.2, "T_star": 1}
+        ]),
+        "eta",
+    ),
+    "epsilon out of range on window-violation": (
+        scenario_doc(certificates=[
+            {"certificate": "window-violation", "epsilon": 2, "T": 10, "A": 2.0, "scan_limit": 50}
+        ]),
+        "epsilon",
+    ),
+    "eta out of range on self-confidence": (
+        scenario_doc(required_checks=[{"check": "self-confidence", "eta": 2}]), "eta"
+    ),
+}
+
+
+class TestMalformedScenarios:
+    @pytest.mark.parametrize("command", ["run", "check", "classify"])
+    @pytest.mark.parametrize("case", sorted(MALFORMED))
+    def test_exits_two_naming_the_field(self, tmp_path, capsys, case, command):
+        doc, needle = MALFORMED[case]
+        path = tmp_path / "bad.json"
+        path.write_text(json.dumps(doc))
+        extra = ["--out-dir", str(tmp_path / "out")] if command == "run" else []
+        assert main([command, str(path)] + extra) == 2
+        err = capsys.readouterr().err
+        assert "error:" in err
+        assert needle in err
+        assert "Traceback" not in err
 
 
 class TestArgumentErrors:

@@ -157,6 +157,21 @@ class TestParseValidation:
                 ),
                 "at most one",
             ),
+            (base_doc(horizon=float("inf")), "horizon"),
+            (base_doc(x0=[0.0, float("nan")]), r"x0\[1\]"),
+            (
+                base_doc(arcs=[{"tail": 0, "head": 1, "weight": {"family": "constant", "c": float("nan")}}]),
+                r"arcs\[0\]\.weight\.c",
+            ),
+            (
+                base_doc(arcs=[{"tail": 0, "head": 1, "weight": {
+                    "family": "tabulated", "breakpoints": [0.0], "values": [float("inf")],
+                    "persistent": True}}]),
+                r"weight\.values\[0\]",
+            ),
+            (base_doc(required_checks=[{"check": "self-confidence", "eta": float("nan")}]), "eta"),
+            (base_doc(required_checks=[{"check": "stochasticity", "times": [0.0, float("inf")]}]), r"times\[1\]"),
+            (base_doc(x0=[0.0, 10**400]), r"x0\[1\]"),
         ],
     )
     def test_rejected_documents(self, doc, needle):
