@@ -27,7 +27,6 @@ from scipy.optimize import brentq
 
 from .continuous import ContinuousTrajectory
 from .discrete import Trajectory
-from .graph import diameter, is_quasi_strongly_connected
 from .weights import (
     Mode,
     TimeVaryingNetwork,
@@ -676,9 +675,9 @@ def agreement_time_bound(
     if A < 1.0:
         raise CertificateDomainError("need A >= 1")
     rep = persistence_report(net)
-    if not is_quasi_strongly_connected(rep.persistent_graph):
+    if not rep.qsc:
         raise CertificateDomainError("persistent graph must be quasi-strongly connected")
-    d0 = diameter(rep.persistent_graph)
+    d0 = rep.d0
     n = net.n
     if n < 2 or d0 < 1:
         raise CertificateDomainError("need at least two nodes with persistent arcs")

@@ -15,7 +15,7 @@ from typing import Sequence
 
 import numpy as np
 
-from .weights import Mode, TimeVaryingNetwork, persistence_report, row_total
+from .weights import Mode, TimeVaryingNetwork, persistence_report
 
 ROW_SUM_TOLERANCE = 1e-12
 
@@ -38,6 +38,17 @@ def _default_times(mode: Mode) -> list[float]:
     return [float(t) for t in ts]
 
 
+def _row_extreme(net: TimeVaryingNetwork, times: list[float], of, pick, empty: float):
+    """Extreme of ``of(self-weights, inflows)`` and its first (node, t), time-major."""
+    if not times:
+        return empty, ()
+    ts = np.asarray(times, dtype=float)
+    inflow = net.head_sums(net.bank.values(ts))
+    values = of(net.self_values(ts, inflow), inflow)
+    k, i = np.unravel_index(int(pick(values)), values.shape)
+    return float(values[k, i]), (int(i), times[k])
+
+
 def check_stochasticity(
     net: TimeVaryingNetwork, times: Sequence[float] | None = None
 ) -> CheckResult:
@@ -45,12 +56,7 @@ def check_stochasticity(
     if net.mode is not Mode.DISCRETE:
         raise ValueError("stochasticity only applies to discrete networks")
     times = _default_times(net.mode) if times is None else list(times)
-    worst, where = -1.0, ()
-    for t in times:
-        for i in range(net.n):
-            residual = abs(row_total(net, t, i) - 1.0)
-            if residual > worst:
-                worst, where = residual, (i, t)
+    worst, where = _row_extreme(net, times, lambda s, f: np.abs(s + f - 1.0), np.argmax, -1.0)
     return CheckResult(
         name="stochasticity",
         passed=worst <= ROW_SUM_TOLERANCE,
@@ -69,12 +75,7 @@ def check_self_confidence(
     if not (0 < eta <= 1):
         raise ValueError("eta must lie in (0, 1]")
     times = _default_times(net.mode) if times is None else list(times)
-    worst, where = math.inf, ()
-    for t in times:
-        for i in range(net.n):
-            v = float(net.self_weights[i].eval(t))
-            if v < worst:
-                worst, where = v, (i, t)
+    worst, where = _row_extreme(net, times, lambda s, f: s, np.argmin, math.inf)
     return CheckResult(
         name="self-confidence",
         passed=worst >= eta,
@@ -95,6 +96,13 @@ def _balance_over_values(values: np.ndarray, A: float) -> tuple[bool, float]:
     return mx / mn <= A, mx / mn
 
 
+def _arc_values(net: TimeVaryingNetwork, arcs: list, times: list[float]) -> np.ndarray:
+    """Weights of ``arcs`` (a sorted subset of ``net.arcs()``) at each time, ``(k, len(arcs))``."""
+    keys = net.tails * net.n + net.heads  # increasing, since arcs() is sorted
+    cols = np.searchsorted(keys, [tail * net.n + head for tail, head in arcs])
+    return net.bank.values(np.asarray(times, dtype=float))[:, cols]
+
+
 def check_arc_balance(
     net: TimeVaryingNetwork, A: float, times: Sequence[float] | None = None
 ) -> CheckResult:
@@ -109,8 +117,7 @@ def check_arc_balance(
         return CheckResult("arc-balance", True, vacuous=True, detail="no persistent arcs")
     times = _default_times(net.mode) if times is None else list(times)
     worst, where = 0.0, ()
-    for t in times:
-        values = np.asarray([net.weight(a).eval(t) for a in arcs])
+    for t, values in zip(times, _arc_values(net, arcs, times)):
         ok, ratio = _balance_over_values(values, A)
         if not ok or ratio > worst:
             hi = arcs[int(np.argmax(values))]
@@ -267,8 +274,7 @@ def check_cut_balance(
     outof_s = member[:, tails] & ~member[:, heads]  # arcs crossing out of S
 
     worst, where = 1.0, ()
-    for t in times:
-        w = np.asarray([net.weight(a).eval(t) for a in arcs], dtype=float)
+    for t, w in zip(times, _arc_values(net, arcs, times)):
         inflow_s = into_s @ w
         outflow_s = outof_s @ w
         with np.errstate(divide="ignore", invalid="ignore"):

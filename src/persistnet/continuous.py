@@ -103,23 +103,12 @@ def derivative(net: TimeVaryingNetwork, x: np.ndarray, t: float) -> np.ndarray:
     """Right-hand side of the flow at time ``t``."""
     if net.mode is not Mode.CONTINUOUS:
         raise ValueError("derivative() needs a continuous-mode network")
-    x = np.asarray(x, dtype=float)
-    dx = np.zeros_like(x)
-    for arc in net.arcs():
-        tail, head = arc
-        w = float(net.weight(arc).eval(t))
-        dx[head] += w * (x[tail] - x[head])
-    return dx
+    return _flow(net, np.asarray(x, dtype=float), net.bank.values(t))
 
 
-def _stage(weights, tails, heads, n, x, values):
-    """Derivative and per-node inflow from precomputed weight values."""
-    dx = np.zeros(n)
-    xi = np.zeros(n)
-    if len(values):
-        np.add.at(dx, heads, values * (x[tails] - x[heads]))
-        np.add.at(xi, heads, values)
-    return dx, xi
+def _flow(net: TimeVaryingNetwork, x: np.ndarray, w: np.ndarray) -> np.ndarray:
+    """Right-hand side from arc weight values ``w`` in ``net.arcs()`` order."""
+    return np.bincount(net.heads, w * (x[net.tails] - x[net.heads]), minlength=net.n)
 
 
 def integrate(
@@ -147,11 +136,7 @@ def integrate(
     if h_max is not None and h_max <= 0:
         raise ValueError("h_max must be positive when given")
 
-    arcs = net.arcs()
-    tails = np.asarray([a[0] for a in arcs], dtype=int)
-    heads = np.asarray([a[1] for a in arcs], dtype=int)
-    wfs = [net.weight(a) for a in arcs]
-
+    wfs = [net.weight(a) for a in net.arcs()]
     bps = (
         np.unique(np.concatenate([w.breakpoints_between(t0, t_end) for w in wfs]))
         if wfs
@@ -166,9 +151,9 @@ def integrate(
 
     t = t0
     while t < t_end:
-        w1 = np.asarray([wf.eval(t) for wf in wfs], dtype=float)
-        dx1, xi1 = _stage(wfs, tails, heads, net.n, x, w1)
-        max_xi = float(xi1.max()) if xi1.size else 0.0
+        w1 = net.bank.values(t)
+        dx1 = _flow(net, x, w1)
+        max_xi = float(net.head_sums(w1).max())
 
         h = math.inf if h_max is None else h_max
         if max_xi > 0.0:
@@ -189,9 +174,9 @@ def integrate(
         if (h < MIN_STEP and not snapped) or t_next <= t:
             raise StepSizeUnderflow(t, h)  # also guards h vanishing in the ulp of a huge t
 
-        w2 = np.asarray([wf.eval_left(t_next) for wf in wfs], dtype=float)
+        w2 = net.bank.values_left(t_next)
         x_star = x + h * dx1
-        dx2, _ = _stage(wfs, tails, heads, net.n, x_star, w2)
+        dx2 = _flow(net, x_star, w2)
         x = x + 0.5 * h * (dx1 + dx2)
 
         times.append(t_next)

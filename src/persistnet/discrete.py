@@ -21,7 +21,8 @@ import numpy as np
 from .checks import ROW_SUM_TOLERANCE
 from .weights import Mode, TimeVaryingNetwork
 
-_BLOCK = 4096  # steps of weight values precomputed at a time
+_BLOCK = 4096  # steps of weight values precomputed at a time, at most
+_BLOCK_VALUES = 1 << 18  # and at most this many values (steps times arcs or nodes)
 
 
 class RowSumViolation(RuntimeError):
@@ -111,19 +112,12 @@ class Trajectory:
         return self.maxima() - self.minima()
 
 
-def _arc_arrays(net: TimeVaryingNetwork):
-    arcs = net.arcs()
-    tails = np.asarray([a[0] for a in arcs], dtype=int)
-    heads = np.asarray([a[1] for a in arcs], dtype=int)
-    weights = [net.weight(a) for a in arcs]
-    return tails, heads, weights
-
-
 def simulate(net: TimeVaryingNetwork, x0: BeliefVector, horizon: int) -> Trajectory:
     """Run ``horizon`` steps from ``x0``; returns all ``horizon + 1`` states.
 
-    Weight values are precomputed in vectorized blocks, and every row sum in
-    a block is validated before any step of that block is applied.
+    Weight values are evaluated in blocks of steps through the network's
+    weight bank, and every row sum in a block is validated before any step
+    of that block is applied.
     """
     if net.mode is not Mode.DISCRETE:
         raise ValueError("simulate() needs a discrete-mode network")
@@ -131,38 +125,30 @@ def simulate(net: TimeVaryingNetwork, x0: BeliefVector, horizon: int) -> Traject
         raise ValueError(f"state has {x0.n} entries, network has {net.n} nodes")
     if horizon < 0:
         raise ValueError("horizon must be >= 0")
-    tails, heads, weights = _arc_arrays(net)
-    selfw = [net.self_weights[i] for i in range(net.n)]
+    tails, heads = net.tails, net.heads
+    block = max(1, min(_BLOCK, _BLOCK_VALUES // max(len(heads), net.n)))
     t0 = int(x0.time)
 
     states = np.empty((horizon + 1, net.n))
     states[0] = x0.values
-    x = x0.values.copy()
     done = 0
     while done < horizon:
-        count = min(_BLOCK, horizon - done)
+        count = min(block, horizon - done)
         ts = np.arange(t0 + done, t0 + done + count, dtype=float)
-        self_block = np.vstack([w.eval(ts) + np.zeros(count) for w in selfw])
-        if weights:
-            arc_block = np.vstack([w.eval(ts) + np.zeros(count) for w in weights])
-            if np.any(arc_block < 0) or np.any(self_block < 0):
-                raise ValueError("negative weight encountered")
-            rows = self_block.copy()
-            np.add.at(rows, heads, arc_block)
-        else:
-            arc_block = np.empty((0, count))
-            rows = self_block
+        arc_block = net.bank.values(ts)  # (count, m)
+        inflow = net.head_sums(arc_block)
+        self_block = net.self_values(ts, inflow)  # (count, n)
+        if np.any(arc_block < 0) or np.any(self_block < 0):
+            raise ValueError("negative weight encountered")
+        rows = self_block + inflow
         bad = np.abs(rows - 1.0) > ROW_SUM_TOLERANCE
         if np.any(bad):
-            node_idx, step_idx = np.nonzero(bad)
-            first = int(np.argmin(step_idx))
-            i, k = int(node_idx[first]), int(step_idx[first])
-            raise RowSumViolation(i, t0 + done + k, float(rows[i, k]))
+            k, i = (int(v) for v in np.argwhere(bad)[0])
+            raise RowSumViolation(i, t0 + done + k, float(rows[k, i]))
         for k in range(count):
-            influx = arc_block[:, k] * x[tails]
-            x = self_block[:, k] * x
-            np.add.at(x, heads, influx)
-            states[done + k + 1] = x
+            x, nxt = states[done + k], states[done + k + 1]
+            np.multiply(self_block[k], x, out=nxt)
+            np.add.at(nxt, heads, arc_block[k] * x[tails])
         done += count
     times = np.arange(t0, t0 + horizon + 1)
     return Trajectory(times, states)

@@ -9,13 +9,18 @@ Every node is considered reachable from itself (via the empty path).  The
 diameter here is the longest shortest path over ordered pairs that are
 actually connected; unreachable pairs are ignored, and a graph with no arcs
 has diameter 0.
+
+Reachability, connectivity and distances run in C through ``scipy.sparse.csgraph``.
 """
 
 from __future__ import annotations
 
-from collections import deque
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from typing import Iterable
+
+import numpy as np
+from scipy.sparse import csr_matrix
+from scipy.sparse.csgraph import connected_components, shortest_path
 
 Arc = tuple[int, int]
 
@@ -26,9 +31,6 @@ class Digraph:
 
     n: int
     arcs: frozenset[Arc] = frozenset()
-    _out: tuple[tuple[int, ...], ...] = field(
-        init=False, repr=False, compare=False, default=()
-    )
 
     def __post_init__(self) -> None:
         if not isinstance(self.n, int) or self.n < 1:
@@ -40,14 +42,10 @@ class Digraph:
             if tail == head:
                 raise ValueError(f"self-loop {(tail, head)} is not allowed")
         object.__setattr__(self, "arcs", arcs)
-        out: list[list[int]] = [[] for _ in range(self.n)]
-        for tail, head in arcs:
-            out[tail].append(head)
-        object.__setattr__(self, "_out", tuple(tuple(sorted(hs)) for hs in out))
 
     def successors(self, i: int) -> tuple[int, ...]:
         _require_node(self, i)
-        return self._out[i]
+        return tuple(sorted(head for tail, head in self.arcs if tail == i))
 
 
 def _require_node(g: Digraph, i: int) -> None:
@@ -55,48 +53,48 @@ def _require_node(g: Digraph, i: int) -> None:
         raise ValueError(f"node {i} outside 0..{g.n - 1}")
 
 
-def reachable_set(g: Digraph, i: int) -> frozenset[int]:
-    """All nodes reachable from ``i`` along arc direction, including ``i``."""
-    _require_node(g, i)
-    seen = {i}
-    queue = deque([i])
-    while queue:
-        u = queue.popleft()
-        for v in g._out[u]:
-            if v not in seen:
-                seen.add(v)
-                queue.append(v)
-    return frozenset(seen)
-
-
-def centers(g: Digraph) -> frozenset[int]:
-    """Nodes that reach every other node."""
-    full = g.n
-    return frozenset(i for i in range(g.n) if len(reachable_set(g, i)) == full)
-
-
-def is_quasi_strongly_connected(g: Digraph) -> bool:
-    """True when at least one node reaches all nodes."""
-    return len(centers(g)) > 0
-
-
-def is_strongly_connected(g: Digraph) -> bool:
-    """True when every node reaches every node."""
-    return len(centers(g)) == g.n
+def _adjacency(g: Digraph) -> csr_matrix:
+    tails, heads = np.asarray(sorted(g.arcs), dtype=np.int32).reshape(-1, 2).T
+    return csr_matrix((np.ones(len(tails)), (tails, heads)), shape=(g.n, g.n))
 
 
 def shortest_path_lengths(g: Digraph, i: int) -> dict[int, int]:
     """BFS hop counts from ``i`` to each reachable node."""
     _require_node(g, i)
-    dist = {i: 0}
-    queue = deque([i])
-    while queue:
-        u = queue.popleft()
-        for v in g._out[u]:
-            if v not in dist:
-                dist[v] = dist[u] + 1
-                queue.append(v)
-    return dist
+    dist = shortest_path(_adjacency(g), directed=True, unweighted=True, indices=i)
+    return {int(j): int(dist[j]) for j in np.flatnonzero(np.isfinite(dist))}
+
+
+def reachable_set(g: Digraph, i: int) -> frozenset[int]:
+    """All nodes reachable from ``i`` along arc direction, including ``i``."""
+    return frozenset(shortest_path_lengths(g, i))
+
+
+def centers(g: Digraph) -> frozenset[int]:
+    """Nodes that reach every other node."""
+    return frozenset(i for i in range(g.n) if len(reachable_set(g, i)) == g.n)
+
+
+def is_quasi_strongly_connected(g: Digraph) -> bool:
+    """True when at least one node reaches all nodes.
+
+    Equivalently, the condensation (one node per strongly connected
+    component) has exactly one source: a component no arc enters from
+    another component (Tarjan 1972).
+    """
+    adj = _adjacency(g)
+    count, label = connected_components(adj, directed=True, connection="strong")
+    tails, heads = adj.nonzero()
+    entered = np.unique(label[heads][label[tails] != label[heads]])
+    return count - len(entered) == 1
+
+
+def is_strongly_connected(g: Digraph) -> bool:
+    """True when every node reaches every node."""
+    return connected_components(_adjacency(g), directed=True, connection="strong")[0] == 1
+
+
+_BFS_SOURCES = 256  # sources per breadth-first batch: memory O(batch * n)
 
 
 def diameter(g: Digraph) -> int:
@@ -105,13 +103,12 @@ def diameter(g: Digraph) -> int:
     Unreachable pairs do not contribute.  An arcless graph therefore has
     diameter 0.
     """
+    adj = _adjacency(g)
     best = 0
-    for i in range(g.n):
-        dist = shortest_path_lengths(g, i)
-        if dist:
-            local = max(dist.values())
-            if local > best:
-                best = local
+    for start in range(0, g.n, _BFS_SOURCES):
+        sources = np.arange(start, min(start + _BFS_SOURCES, g.n))
+        dist = shortest_path(adj, directed=True, unweighted=True, indices=sources)
+        best = max(best, int(dist[np.isfinite(dist)].max()))
     return best
 
 

@@ -40,7 +40,7 @@ from . import analysis, checks
 from .checks import CheckResult
 from .continuous import ContinuousTrajectory, integrate
 from .discrete import BeliefVector, Trajectory, simulate
-from .graph import Digraph, diameter, is_quasi_strongly_connected
+from .graph import Digraph
 from .weights import (
     Constant,
     ExponentialDecay,
@@ -693,10 +693,7 @@ def run_context(s: Scenario, seed: int | None = None) -> RunContext:
         rep = persistence_report(net)
     except ValueError as e:
         raise ScenarioValidationError(f"cannot classify arcs: {e}") from e
-    return RunContext(
-        s, net, rep, is_quasi_strongly_connected(rep.persistent_graph),
-        diameter(rep.persistent_graph), s.seed if seed is None else int(seed),
-    )
+    return RunContext(s, net, rep, rep.qsc, rep.d0, s.seed if seed is None else int(seed))
 
 
 @dataclass(frozen=True)
@@ -931,12 +928,14 @@ def run_scenario(
         except (ValueError, RuntimeError) as e:
             raise ScenarioValidationError(f"simulation failed: {e}") from e
 
-    cert_records: list[CertRecord] = []
-    for spec in s.certificates:
-        record, produced = _guarded("certificate", CERTIFICATES, spec, spec.kind, spec.params, ctx, traj)
-        cert_records.append(record)
+    # A trajectory-driving certificate runs first, so the others read its run;
+    # the report keeps file order.
+    records = {}
+    for k, spec in sorted(enumerate(s.certificates), key=lambda ks: not CERTIFICATES[ks[1].kind].drives):
+        records[k], produced = _guarded("certificate", CERTIFICATES, spec, spec.kind, spec.params, ctx, traj)
         if produced is not None:
             traj = produced
+    cert_records = [records[k] for k in range(len(s.certificates))]
     passed = all(c.passed for c in cert_records)
     return report(cert_records, traj, aborted=False, passed=passed), traj
 

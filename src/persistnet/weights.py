@@ -18,9 +18,14 @@ starting time), and vanishing when the total mass is finite.  The test suite
 cross-checks these rules against direct numerical accumulation out to large
 horizons.
 
+The ``Weight`` classes are the scalar oracle.  The hot paths (the stepper,
+the integrator, the sampled checks) evaluate every arc at once through a
+``WeightBank``, which returns the same values bit for bit.
+
 ``TimeVaryingNetwork`` pairs a static digraph with one weight function per
-arc.  Discrete networks also carry one self-weight per node; the usual way to
-build those is ``stochastic_network``, which assigns each node the complement
+arc, and holds the bank of its arc weights.  Discrete networks also carry
+one self-weight per node; the usual way to build those is
+``stochastic_network``, which assigns each node the complement
 ``1 - (incoming weight)`` so that rows sum to one identically.
 """
 
@@ -28,6 +33,7 @@ from __future__ import annotations
 
 import abc
 import enum
+import functools
 import math
 from dataclasses import dataclass, field
 from typing import Iterable, Mapping, Sequence
@@ -35,7 +41,13 @@ from typing import Iterable, Mapping, Sequence
 import numpy as np
 from scipy.special import digamma, zeta
 
-from .graph import Arc, Digraph, subgraph_with_arcs
+from .graph import (
+    Arc,
+    Digraph,
+    diameter,
+    is_quasi_strongly_connected,
+    subgraph_with_arcs,
+)
 
 __all__ = [
     "Mode",
@@ -49,6 +61,7 @@ __all__ = [
     "Zero",
     "StochasticComplement",
     "WeightSum",
+    "WeightBank",
     "UndeclaredPersistenceError",
     "classify_arc",
     "TimeVaryingNetwork",
@@ -58,7 +71,6 @@ __all__ = [
     "persistent_inflow",
     "total_vanishing_weight",
     "aggregate_vanishing_weight",
-    "row_total",
     "stochastic_network",
 ]
 
@@ -623,11 +635,7 @@ class StochasticComplement(Weight):
     parts: tuple[Weight, ...]
 
     def _complement(self, evals):
-        total = np.sum(np.asarray(evals, dtype=float), axis=0) if self.parts else 0.0
-        vals = 1.0 - np.asarray(total, dtype=float)
-        if np.any(vals < -1e-9):
-            raise ValueError("incoming weight exceeds 1; row cannot stay stochastic")
-        return np.maximum(vals, 0.0)
+        return _one_minus(np.sum(np.asarray(evals, dtype=float), axis=0) if self.parts else 0.0)
 
     def eval(self, t):
         base = np.zeros(np.shape(t))
@@ -695,6 +703,126 @@ class WeightSum(Weight):
         return np.unique(np.concatenate([w.breakpoints_between(a, b) for w in self.parts]))
 
 
+def _one_minus(total):
+    """Complement of a summed inflow; residue below 0 clamps, a real excess raises."""
+    vals = 1.0 - np.asarray(total, dtype=float)
+    if np.any(vals < -1e-9):
+        raise ValueError("incoming weight exceeds 1; row cannot stay stochastic")
+    return np.maximum(vals, 0.0)
+
+
+# Each builder takes the weights of one family and returns f(col, left): their
+# values at the times in the (k, 1) column ``col``, broadcastable to (k, g),
+# computed with the same numpy operations as the family's own eval/eval_left.
+
+
+def _params(ws, *names):
+    return [np.asarray([getattr(w, f, 0.0) for w in ws], dtype=float) for f in names]
+
+
+def _constants(ws):
+    (c,) = _params(ws, "c")  # Zero has no c: 0.0
+    return lambda col, left: c
+
+
+def _powers(ws):
+    # One exponent per group, passed as a scalar as eval passes it: numpy's
+    # power takes fast paths for some scalar exponents (-1, 0.5, 2).
+    (c,), neg_p = _params(ws, "c"), -ws[0].p
+    return lambda col, left: c * np.power(1.0 + col, neg_p)
+
+
+def _exponentials(ws):
+    c, rate = _params(ws, "c", "rate")
+    return lambda col, left: c * np.exp(-rate * col)
+
+
+def _pulses(ws):
+    height, width, period = _params(ws, "height", "width", "period")
+    cycle = width + period
+
+    def f(col, left):
+        frac = np.mod(col, cycle)
+        inside = ((frac > 0) & (frac <= width)) | (col == 0.0) if left else frac < width
+        return np.where(inside, height, 0.0)
+    return f
+
+
+def _tables(ws):
+    """Row g of the table holds each weight on [grid[g], grid[g+1])."""
+    grid = np.unique(np.concatenate([w.breakpoints for w in ws]))
+    table = np.column_stack([np.asarray(w.values)[np.searchsorted(w.breakpoints, grid, "right") - 1]
+                             for w in ws])
+
+    def f(col, left):
+        if left:
+            return table[np.clip(np.searchsorted(grid, col[:, 0], "left") - 1, 0, None)]
+        return table[np.searchsorted(grid, col[:, 0], "right") - 1]
+    return f
+
+
+def _each(ws):
+    def f(col, left):
+        ts = col[:, 0]
+        return np.column_stack([np.broadcast_to(w.eval_left(ts) if left else w.eval(ts), ts.shape)
+                                for w in ws])
+    return f
+
+
+_BANKED = {Constant: _constants, Zero: _constants, PowerDecay: _powers,
+           ExponentialDecay: _exponentials, PeriodicPulse: _pulses, Tabulated: _tables}
+_TABLE_CHUNK = 64  # tabulated weights per merged grid, so tables stay linear in their count
+
+
+class WeightBank:
+    """Many weights evaluated together, at one time or at a block of times.
+
+    Weights are grouped by family with their parameters held as arrays, so
+    one evaluation costs a few numpy calls per family.  Tabulated weights are
+    read from a value table over their merged breakpoints; other kinds
+    (growing-gap pulses, sums, complements) go through their own methods.
+
+    ``values(t)`` has shape ``(m,)`` for a scalar ``t`` and ``(k, m)`` for
+    ``k`` times, one row per time, with columns in the order the weights were
+    given; ``values_left`` gives left limits.  Both equal the weights' own
+    ``eval``/``eval_left`` bit for bit.
+    """
+
+    def __init__(self, weights: Sequence[Weight]):
+        by_family: dict[tuple, list[int]] = {}
+        for j, w in enumerate(weights):
+            family = type(w) if type(w) in _BANKED else Weight
+            if family is PeriodicPulse and w.gap_growth != 1.0:
+                family = Weight
+            by_family.setdefault((family, w.p if family is PowerDecay else None), []).append(j)
+        self._groups = []  # (first column, end column, evaluator) in group order
+        grouped: list[int] = []
+        for (family, _), idx in by_family.items():
+            step = _TABLE_CHUNK if family is Tabulated else len(idx)
+            for part in (idx[s : s + step] for s in range(0, len(idx), step)):
+                f = _BANKED.get(family, _each)([weights[j] for j in part])
+                self._groups.append((len(grouped), len(grouped) + len(part), f))
+                grouped += part
+        # Groups fill contiguous column ranges; one take restores the given order.
+        self._order = np.argsort(np.asarray(grouped, dtype=np.intp))
+
+    def values(self, t, left: bool = False) -> np.ndarray:
+        """Every weight at ``t`` (a scalar or a 1-d array of times)."""
+        ts = np.asarray(t, dtype=float)
+        if np.any(ts < 0):
+            raise ValueError("weights are defined for t >= 0")
+        col = ts.reshape(-1, 1)
+        grouped = np.empty((len(col), len(self._order)))
+        for lo, hi, f in self._groups:
+            grouped[:, lo:hi] = f(col, left)
+        out = grouped.take(self._order, axis=1)
+        return out[0] if ts.ndim == 0 else out
+
+    def values_left(self, t) -> np.ndarray:
+        """Every weight's left limit at ``t``, shaped as ``values``."""
+        return self.values(t, left=True)
+
+
 def classify_arc(w: Weight, mode: Mode) -> Persistence:
     """Persistent (divergent total mass) or vanishing (finite total mass)."""
     return Persistence.PERSISTENT if w.is_persistent(mode) else Persistence.VANISHING
@@ -706,6 +834,16 @@ class PersistenceReport:
     vanishing_arcs: frozenset[Arc]
     persistent_graph: Digraph
 
+    @functools.cached_property
+    def qsc(self) -> bool:
+        """Whether the persistent graph is quasi-strongly connected."""
+        return is_quasi_strongly_connected(self.persistent_graph)
+
+    @functools.cached_property
+    def d0(self) -> int:
+        """Diameter of the persistent graph (longest shortest path)."""
+        return diameter(self.persistent_graph)
+
 
 @dataclass(frozen=True, eq=False)
 class TimeVaryingNetwork:
@@ -714,6 +852,8 @@ class TimeVaryingNetwork:
     ``arc_weights`` must cover exactly the graph's arcs.  Discrete networks
     carry a self-weight per node (the diagonal of the update rule);
     continuous networks must not, since the flow only reads arc weights.
+    ``tails`` and ``heads`` index the arcs in ``arcs()`` order, the order of
+    the columns of ``bank.values``.
     """
 
     graph: Digraph
@@ -722,6 +862,8 @@ class TimeVaryingNetwork:
     mode: Mode
     _in_by_node: tuple = field(init=False, repr=False, compare=False, default=())
     _arcs_sorted: tuple = field(init=False, repr=False, compare=False, default=())
+    tails: np.ndarray = field(init=False, repr=False, compare=False, default=None)
+    heads: np.ndarray = field(init=False, repr=False, compare=False, default=None)
 
     def __post_init__(self):
         aw = {(int(t), int(h)): w for (t, h), w in dict(self.arc_weights).items()}
@@ -748,6 +890,9 @@ class TimeVaryingNetwork:
         for tail, head in arcs_sorted:
             in_by_node[head].append((tail, aw[(tail, head)]))
         object.__setattr__(self, "_in_by_node", tuple(tuple(x) for x in in_by_node))
+        ends = np.asarray(arcs_sorted, dtype=np.intp).reshape(-1, 2).T.copy()
+        object.__setattr__(self, "tails", ends[0])
+        object.__setattr__(self, "heads", ends[1])
 
     @property
     def n(self) -> int:
@@ -761,6 +906,49 @@ class TimeVaryingNetwork:
 
     def weight(self, arc: Arc) -> Weight:
         return self.arc_weights[arc]
+
+    @functools.cached_property
+    def bank(self) -> WeightBank:
+        """The arc weights in ``arcs()`` order, evaluated together."""
+        return WeightBank([self.arc_weights[a] for a in self._arcs_sorted])
+
+    def head_sums(self, arc_values) -> np.ndarray:
+        """Total arc value entering each node: ``(m,) -> (n,)``, ``(k, m) -> (k, n)``,
+        summed over the in-arcs in ``arcs()`` order, ``_SUM_ROWS`` rows per bincount."""
+        vals = np.asarray(arc_values, dtype=float)
+        if vals.ndim == 1:
+            return np.bincount(self.heads, vals, minlength=self.n)
+        k, m = vals.shape
+        out = np.empty((k, self.n))
+        index = (self.heads + self.n * np.arange(min(k, _SUM_ROWS))[:, None]).ravel()
+        for s in range(0, k, _SUM_ROWS):
+            c = min(_SUM_ROWS, k - s)
+            sums = np.bincount(index[: c * m], vals[s : s + c].ravel(), minlength=c * self.n)
+            out[s : s + c] = sums.reshape(c, self.n)
+        return out
+
+    def self_values(self, t, inflow) -> np.ndarray:
+        """Self-weights at ``t`` (discrete networks), shaped like ``inflow``.
+
+        ``inflow`` is ``head_sums`` of the arc values at the same times.  A
+        network whose self-weights are the stochastic complements of its
+        in-arcs gets ``1 - inflow``, without evaluating the arcs again.
+        """
+        if self._complement_rows:
+            return _one_minus(inflow)
+        return self._self_bank.values(t)
+
+    @functools.cached_property
+    def _complement_rows(self) -> bool:
+        return all(type(w) is StochasticComplement and w.parts == tuple(q for _, q in self.in_arcs(i))
+                   for i, w in self.self_weights.items())
+
+    @functools.cached_property
+    def _self_bank(self) -> WeightBank:
+        return WeightBank([self.self_weights[i] for i in range(self.n)])
+
+
+_SUM_ROWS = 128  # rows of an arc-value block summed per bincount
 
 
 def persistence_report(net: TimeVaryingNetwork) -> PersistenceReport:
@@ -809,13 +997,6 @@ def aggregate_vanishing_weight(net: TimeVaryingNetwork) -> Weight:
     return WeightSum(parts) if parts else Zero()
 
 
-def row_total(net: TimeVaryingNetwork, t: float, i: int) -> float:
-    """Self-weight plus incoming weight of node ``i`` (discrete rows)."""
-    if net.mode is not Mode.DISCRETE:
-        raise ValueError("row totals are a discrete-mode concept")
-    return float(net.self_weights[i].eval(t)) + inflow(net, t, i)
-
-
 def stochastic_network(
     graph: Digraph,
     arc_weights: Mapping[Arc, Weight],
@@ -831,19 +1012,17 @@ def stochastic_network(
     in_parts: list[list[Weight]] = [[] for _ in range(graph.n)]
     for (tail, head), w in sorted(aw.items()):
         in_parts[head].append(w)
-    if check_times is None:
-        check_times = [float(t) for t in range(128)] + [
-            float(2**k) for k in range(7, 21)
-        ]
-    times = np.asarray(sorted(set(check_times)), dtype=float)
-    for i, parts in enumerate(in_parts):
-        if parts:
-            total = np.sum([w.eval(times) for w in parts], axis=0)
-            if np.any(total > 1.0 + 1e-12):
-                t_bad = float(times[int(np.argmax(total > 1.0 + 1e-12))])
-                raise ValueError(
-                    f"incoming weight of node {i} exceeds 1 at t={t_bad}; "
-                    "scale the arc weights down before building a stochastic network"
-                )
     self_weights = {i: StochasticComplement(tuple(parts)) for i, parts in enumerate(in_parts)}
-    return TimeVaryingNetwork(graph, aw, self_weights, Mode.DISCRETE)
+    net = TimeVaryingNetwork(graph, aw, self_weights, Mode.DISCRETE)
+    if check_times is None:
+        check_times = [float(t) for t in range(128)] + [float(2**k) for k in range(7, 21)]
+    times = np.asarray(sorted(set(check_times)), dtype=float)
+    over = net.head_sums(net.bank.values(times)) > 1.0 + 1e-12
+    if np.any(over):
+        i = int(np.argmax(over.any(axis=0)))
+        t_bad = float(times[int(np.argmax(over[:, i]))])
+        raise ValueError(
+            f"incoming weight of node {i} exceeds 1 at t={t_bad}; "
+            "scale the arc weights down before building a stochastic network"
+        )
+    return net

@@ -4,7 +4,7 @@ import json
 
 import pytest
 
-from persistnet import catalog, save_scenario
+from persistnet import catalog, save_scenario, scenario_to_dict
 from persistnet.cli import main
 from persistnet.scenarios import CERTIFICATES, CHECKS
 
@@ -136,6 +136,27 @@ class TestRun:
         out = capsys.readouterr().out
         assert "seed: 5" in out
         assert "sampled subsets (seed 5)" in out
+
+    def test_certificate_order_does_not_change_verdicts(self, tmp_path):
+        # a certificate reading the run's trajectory, listed before the
+        # certificate that drives that trajectory
+        doc = next(scenario_to_dict(s) for s in catalog()
+                   if s.name == "discrete-window-violation")
+        rate = {"certificate": "discrete-rate", "eta": 0.5, "a_star": 0.5, "T_star": 3}
+        runs = {}
+        for order, certs in (("rate-first", [rate] + doc["certificates"]),
+                             ("rate-last", doc["certificates"] + [rate])):
+            path = tmp_path / f"{order}.json"
+            path.write_text(json.dumps({**doc, "name": order, "certificates": certs}))
+            code = main(["run", str(path), "--out-dir", str(tmp_path)])
+            report = json.loads((tmp_path / f"{order}.report.json").read_text())
+            kinds = [c["kind"] for c in report["certificates"]]
+            assert kinds == [c["certificate"] for c in certs]  # file order kept
+            verdicts = {c["kind"]: (c["passed"], c["vacuous"], c["margin"], c["values"])
+                        for c in report["certificates"]}
+            runs[order] = (code, verdicts, report["trajectory_rows"])
+        assert runs["rate-first"] == runs["rate-last"]
+        assert runs["rate-first"][0] in (0, 1)
 
     def test_catalog_run_by_name(self, tmp_path):
         code = main(

@@ -131,6 +131,15 @@ class TestSimulate:
         assert err.value.time == 7
         assert err.value.row_sum == pytest.approx(1.1)
 
+    def test_complement_overweight_between_build_samples_raises(self):
+        # stochastic_network samples t = 0..127, 128, 256, ...; the inflow of
+        # node 1 exceeds 1 only on [130, 140), so the stepper must catch it
+        g = Digraph(2, frozenset({(0, 1), (1, 0)}))
+        bump = Tabulated((0.0, 130.0, 140.0), (0.1, 1.2, 0.1), persistent=False)
+        net = stochastic_network(g, {(0, 1): bump, (1, 0): Constant(0.2)})
+        with pytest.raises(ValueError, match="incoming weight exceeds 1"):
+            simulate(net, BeliefVector(np.array([0.0, 1.0]), 0), 200)
+
     def test_nonstochastic_from_start_aborts_before_stepping(self):
         g = Digraph(2, frozenset({(0, 1)}))
         net = TimeVaryingNetwork(

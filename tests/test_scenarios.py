@@ -1,10 +1,12 @@
 """Scenario documents: parsing, strict validation, runs, and file outputs."""
 
 import json
+import sys
 
 import numpy as np
 import pytest
 
+from persistnet import graph
 from persistnet import (
     Constant,
     ExponentialDecay,
@@ -274,6 +276,26 @@ class TestRunScenario:
             report, traj = run_scenario(s)
             assert report.passed, f"{s.name}: {report.render_text()}"
             assert traj is not None
+
+    def test_graph_queries_run_once_per_run(self, monkeypatch):
+        # the agreement-ratio certificate needs QSC and d0 of the persistent
+        # graph, which the run context has already computed
+        calls = {}
+        for name in ("is_quasi_strongly_connected", "diameter"):
+            original = getattr(graph, name)
+
+            def counted(g, _original=original, _name=name):
+                calls[_name] = calls.get(_name, 0) + 1
+                return _original(g)
+
+            for module in [m for k, m in sys.modules.items() if k.startswith("persistnet")]:
+                if getattr(module, name, None) is original:
+                    monkeypatch.setattr(module, name, counted)
+        s = next(s for s in catalog() if s.name == "continuous-powerlaw-agreement")
+        report, _ = run_scenario(s)
+        assert report.passed
+        assert [c.kind for c in report.certificates] == ["agreement-ratio"]
+        assert calls == {"is_quasi_strongly_connected": 1, "diameter": 1}
 
     def test_deterministic_outputs(self, tmp_path):
         fast = [s for s in catalog() if s.name in
