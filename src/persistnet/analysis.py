@@ -25,7 +25,6 @@ import numpy as np
 from scipy.integrate import quad
 from scipy.optimize import brentq
 
-from .continuous import ContinuousTrajectory
 from .discrete import Trajectory
 from .weights import (
     Mode,
@@ -185,59 +184,61 @@ class ContractionReport:
     witness_time: float | None
 
 
+VERIFY_TOLERANCE = {Mode.DISCRETE: 1e-12, Mode.CONTINUOUS: 1e-8}  # default slack on a margin
+
+
+def _windows(traj: Trajectory, T0: float) -> tuple[np.ndarray, np.ndarray]:
+    """Start and end sample indices ``(k, j)`` of every window of span ``T0``.
+
+    ``j`` is the last sample at or before ``times[k] + T0``.  A window counts
+    when it ends within the trajectory and ``j > k``; sampling too coarse to
+    reach a later sample says nothing about that window.
+    """
+    if traj.mode is Mode.DISCRETE and not (T0 >= 1 and float(T0).is_integer()):
+        raise ValueError(f"discrete T0 must be a whole number >= 1, got {T0!r}")
+    times = traj.times
+    ends = times + T0
+    j = np.searchsorted(times, ends, side="right") - 1
+    k = np.flatnonzero((ends <= times[-1]) & (j > np.arange(len(times))))
+    return k, j[k]
+
+
 def verify_contraction(
-    traj: Trajectory | ContinuousTrajectory,
+    traj: Trajectory,
     cert: RateCertificate,
     tol: float | None = None,
 ) -> ContractionReport:
     """Check ``spread(t + T0) <= epsilon * spread(t) + tol`` along ``traj``.
 
-    Discrete trajectories are checked at every step index.  Continuous
-    trajectories are sampled at step boundaries, so the check compares
-    against the last sample at or before ``t + T0``; the spread is
-    non-increasing, which makes this the conservative side.
+    Every sample time starts a window, compared against the last sample at
+    or before ``t + T0``: in discrete mode that is exactly ``t + T0``, and in
+    continuous mode the spread is non-increasing, which makes the earlier
+    sample the conservative side.  ``tol`` defaults to the mode's
+    ``VERIFY_TOLERANCE``.
     """
-    discrete = isinstance(traj, Trajectory)
-    if discrete and cert.mode is not Mode.DISCRETE:
-        raise ValueError("discrete trajectory needs a discrete-mode certificate")
-    if not discrete and cert.mode is not Mode.CONTINUOUS:
-        raise ValueError("continuous trajectory needs a continuous-mode certificate")
+    if traj.mode is not cert.mode:
+        raise ValueError(
+            f"{traj.mode.value} trajectory needs a {traj.mode.value}-mode certificate"
+        )
     if tol is None:
-        tol = 1e-12 if discrete else 1e-8
-    spreads = traj.spreads()
+        tol = VERIFY_TOLERANCE[traj.mode]
     if cert.trivial:
         return ContractionReport(True, True, cert.epsilon, cert.T0, 0, -math.inf, None)
-    worst, witness, windows = -math.inf, None, 0
-    if discrete:
-        T0 = int(round(cert.T0))
-        for k in range(len(spreads) - T0):
-            margin = spreads[k + T0] - cert.epsilon * spreads[k]
-            windows += 1
-            if margin > worst:
-                worst, witness = float(margin), float(traj.times[k])
-    else:
-        times = traj.times
-        for k in range(len(spreads)):
-            target = times[k] + cert.T0
-            if target > times[-1]:
-                break
-            j = traj.index_at_or_before(target)
-            if j <= k:
-                continue  # sampling too coarse to say anything about this window
-            margin = spreads[j] - cert.epsilon * spreads[k]
-            windows += 1
-            if margin > worst:
-                worst, witness = float(margin), float(times[k])
-    if windows == 0:
+    k, j = _windows(traj, cert.T0)
+    if len(k) == 0:
         return ContractionReport(True, True, cert.epsilon, cert.T0, 0, -math.inf, None)
+    spreads = traj.spreads()
+    margins = spreads[j] - cert.epsilon * spreads[k]
+    w = int(np.argmax(margins))  # the first worst window
+    worst = float(margins[w])
     return ContractionReport(
         passed=worst <= tol,
         vacuous=False,
         epsilon=cert.epsilon,
         T0=cert.T0,
-        windows=windows,
+        windows=len(k),
         worst_margin=worst,
-        witness_time=witness,
+        witness_time=float(traj.times[k[w]]),
     )
 
 
@@ -249,42 +250,27 @@ class EpsilonEstimate:
     worst_time: float | None
 
 
-def detect_epsilon_agreement(
-    traj: Trajectory | ContinuousTrajectory, T0: float
-) -> EpsilonEstimate:
+def detect_epsilon_agreement(traj: Trajectory, T0: float) -> EpsilonEstimate:
     """Smallest factor epsilon with spread(t+T0) <= epsilon * spread(t).
 
-    Windows with zero starting spread are excluded; a trajectory whose spread
-    is identically zero is trivial agreement (factor 0).  A supremum at or
-    above 1 means the trajectory exhibits no contraction over span ``T0``.
+    Windows are those of ``verify_contraction``, less those with zero starting
+    spread; a trajectory whose spread is identically zero is trivial
+    agreement (factor 0).  A supremum at or above 1 means the trajectory
+    exhibits no contraction over span ``T0``.
     """
-    if T0 <= 0:
+    if not T0 > 0:
         raise ValueError("T0 must be positive")
+    k, j = _windows(traj, T0)
     spreads = traj.spreads()
-    times = np.asarray(traj.times, dtype=float)
     if np.all(spreads == 0.0):
         return EpsilonEstimate(0.0, False, True, None)
-    best, where = -math.inf, None
-    discrete = isinstance(traj, Trajectory)
-    for k in range(len(spreads)):
-        if spreads[k] == 0.0:
-            continue
-        if discrete:
-            j = k + int(round(T0))
-            if j >= len(spreads):
-                break
-        else:
-            target = times[k] + T0
-            if target > times[-1]:
-                break
-            j = traj.index_at_or_before(target)
-            if j <= k:
-                continue
-        ratio = float(spreads[j] / spreads[k])
-        if ratio > best:
-            best, where = ratio, float(times[k])
-    if best == -math.inf:
+    live = spreads[k] != 0.0
+    k, j = k[live], j[live]
+    if len(k) == 0:
         return EpsilonEstimate(None, False, True, None)
+    ratios = spreads[j] / spreads[k]
+    w = int(np.argmax(ratios))
+    best, where = float(ratios[w]), float(traj.times[k[w]])
     if best >= 1.0:
         return EpsilonEstimate(None, True, False, where)
     return EpsilonEstimate(best, False, False, where)
@@ -357,7 +343,7 @@ def _inflow_integral(net: TimeVaryingNetwork, m: int, a: float, b: float) -> flo
 
 
 def verify_exponential_bound(
-    traj: ContinuousTrajectory,
+    traj: Trajectory,
     net: TimeVaryingNetwork,
     m: int,
     k_from: int,
@@ -394,7 +380,7 @@ def verify_exponential_bound(
 
 
 def verify_influence_bound(
-    traj: ContinuousTrajectory,
+    traj: Trajectory,
     net: TimeVaryingNetwork,
     source: int,
     m: int,
@@ -503,7 +489,7 @@ def discrete_disagreement_floor(theta: Weight, t0: int = 0) -> LowerBoundCertifi
         raise NotSummableError("vanishing mass diverges; no floor exists")
     t1 = _first_quiet_time(theta)
     ts = np.arange(t1, PRODUCT_HORIZON + 1, dtype=float)
-    vals = np.asarray(theta.eval(ts), dtype=float) + np.zeros(len(ts))
+    vals = theta.eval(ts)
     if np.any(vals >= 1.0):
         raise NotSummableError("vanishing mass returns to 1 after first dropping below")
     beyond = float(theta.eval(float(PRODUCT_HORIZON + 1)))
@@ -587,14 +573,14 @@ def continuous_disagreement_floor(
 
 
 def block_extremes(
-    traj: Trajectory | ContinuousTrajectory,
+    traj: Trajectory,
     low_block,
     high_block,
 ) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
     """Per-sample (max over low block, min over high block, their gap)."""
     low = sorted(set(int(i) for i in low_block))
     high = sorted(set(int(i) for i in high_block))
-    n = traj.states.shape[1]
+    n = traj.n
     if not low or not high:
         raise ValueError("both blocks must be nonempty")
     if set(low) & set(high):

@@ -23,10 +23,10 @@ time still remains.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
 
 import numpy as np
 
+from .discrete import Trajectory
 from .weights import Mode, TimeVaryingNetwork
 
 MIN_STEP = 1e-12
@@ -37,66 +37,6 @@ class StepSizeUnderflow(RuntimeError):
         super().__init__(f"step size underflow at t={t!r}: h={h!r} < {MIN_STEP}")
         self.t = t
         self.h = h
-
-
-@dataclass(frozen=True)
-class ContinuousTrajectory:
-    """Sampled solution: one row of ``states`` per accepted step boundary.
-
-    ``step_sizes[k]`` and ``step_max_inflow[k]`` record the step from
-    ``times[k]`` to ``times[k+1]`` and the largest per-node inflow used to
-    cap it.
-    """
-
-    times: np.ndarray
-    states: np.ndarray
-    step_sizes: np.ndarray
-    step_max_inflow: np.ndarray
-
-    def __post_init__(self):
-        times = np.asarray(self.times, dtype=float)
-        states = np.asarray(self.states, dtype=float)
-        hs = np.asarray(self.step_sizes, dtype=float)
-        xi = np.asarray(self.step_max_inflow, dtype=float)
-        if states.ndim != 2 or len(times) != len(states):
-            raise ValueError("need matching times and states")
-        if len(times) < 1:
-            raise ValueError("trajectory cannot be empty")
-        if len(hs) != len(times) - 1 or len(xi) != len(hs):
-            raise ValueError("need one step record per step")
-        if np.any(np.diff(times) <= 0):
-            raise ValueError("times must be strictly increasing")
-        if not np.all(np.isfinite(states)):
-            raise ValueError("states must be finite")
-        scale = max(1.0, float(np.max(np.abs(states))))
-        slack = 1e-9 * scale
-        if np.any(np.diff(states.max(axis=1)) > slack):
-            raise ValueError("running maximum increased beyond solver tolerance")
-        if np.any(np.diff(states.min(axis=1)) < -slack):
-            raise ValueError("running minimum decreased beyond solver tolerance")
-        for name, arr in (("times", times), ("states", states),
-                          ("step_sizes", hs), ("step_max_inflow", xi)):
-            object.__setattr__(self, name, arr)
-
-    def __len__(self) -> int:
-        return len(self.times)
-
-    @property
-    def n(self) -> int:
-        return self.states.shape[1]
-
-    def minima(self) -> np.ndarray:
-        return self.states.min(axis=1)
-
-    def maxima(self) -> np.ndarray:
-        return self.states.max(axis=1)
-
-    def spreads(self) -> np.ndarray:
-        return self.maxima() - self.minima()
-
-    def index_at_or_before(self, t: float) -> int:
-        """Index of the last sample time <= t."""
-        return int(np.searchsorted(self.times, t, side="right") - 1)
 
 
 def derivative(net: TimeVaryingNetwork, x: np.ndarray, t: float) -> np.ndarray:
@@ -117,7 +57,7 @@ def integrate(
     t0: float,
     t_end: float,
     h_max: float | None = None,
-) -> ContinuousTrajectory:
+) -> Trajectory:
     """Integrate from ``t0`` to ``t_end``; samples at every step boundary.
 
     The step is the smallest of: ``h_max``, the distance to the next weight
@@ -146,8 +86,6 @@ def integrate(
 
     times = [t0]
     rows = [x.copy()]
-    hs: list[float] = []
-    xis: list[float] = []
 
     t = t0
     while t < t_end:
@@ -181,10 +119,6 @@ def integrate(
 
         times.append(t_next)
         rows.append(x.copy())
-        hs.append(h)
-        xis.append(max_xi)
         t = t_next
 
-    return ContinuousTrajectory(
-        np.asarray(times), np.vstack(rows), np.asarray(hs), np.asarray(xis)
-    )
+    return Trajectory(np.asarray(times), np.vstack(rows), Mode.CONTINUOUS)

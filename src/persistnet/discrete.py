@@ -56,60 +56,90 @@ class BeliefVector:
         return self.values.size
 
 
+_ENVELOPE_SLACK = {Mode.DISCRETE: 1e-12, Mode.CONTINUOUS: 1e-9}  # relative to max |state|
+
+
 @dataclass(frozen=True)
 class Trajectory:
-    """States at consecutive integer times ``times[0] .. times[-1]``.
+    """States sampled at strictly increasing times, one row of ``states`` each.
 
-    Validated on construction: times step by one, values are finite, and the
-    running max/min envelopes are monotone to within accumulated rounding.
+    A discrete run samples every integer time from ``times[0]``; a continuous
+    run samples every accepted step boundary.  Validated on construction:
+    times are finite and strictly increasing (whole numbers advancing by one
+    in discrete mode), values are finite, and the running max/min envelopes
+    are monotone to within the mode's rounding slack.
     """
 
     times: np.ndarray
     states: np.ndarray
-    _envelope_slack: float = field(default=1e-12, repr=False, compare=False)
+    mode: Mode
+    _minima: np.ndarray = field(init=False, repr=False, compare=False)
+    _maxima: np.ndarray = field(init=False, repr=False, compare=False)
 
     def __post_init__(self):
-        times = np.asarray(self.times, dtype=int)
+        times = np.asarray(self.times, dtype=float)
         states = np.asarray(self.states, dtype=float)
         if states.ndim != 2 or times.ndim != 1 or len(times) != len(states):
             raise ValueError("need matching 1-d times and 2-d states")
         if len(times) == 0:
             raise ValueError("trajectory cannot be empty")
-        if np.any(np.diff(times) != 1):
-            raise ValueError("times must advance by exactly one step")
-        if not np.all(np.isfinite(states)):
+        if not np.all(np.isfinite(times)):
+            raise ValueError("times must be finite")
+        if np.any(np.diff(times) <= 0):
+            raise ValueError("times must be strictly increasing")
+        if self.mode is Mode.DISCRETE:
+            if np.any(np.diff(times) != 1):
+                raise ValueError("times must advance by exactly one step")
+            if not float(times[0]).is_integer():  # then all are, one apart
+                raise ValueError("discrete times must be whole numbers")
+        # NaN and infinities reach the row extremes, so these decide finiteness
+        # without a temporary the size of ``states``.
+        minima, maxima = states.min(axis=1), states.max(axis=1)
+        if not (np.all(np.isfinite(minima)) and np.all(np.isfinite(maxima))):
             raise ValueError("states must be finite")
-        scale = max(1.0, float(np.max(np.abs(states))))
-        slack = self._envelope_slack * scale
-        if np.any(np.diff(states.max(axis=1)) > slack):
+        scale = max(1.0, float(np.max(np.abs(maxima))), float(np.max(np.abs(minima))))
+        slack = _ENVELOPE_SLACK[self.mode] * scale
+        if np.any(np.diff(maxima) > slack):
             raise ValueError("running maximum increased beyond rounding slack")
-        if np.any(np.diff(states.min(axis=1)) < -slack):
+        if np.any(np.diff(minima) < -slack):
             raise ValueError("running minimum decreased beyond rounding slack")
-        object.__setattr__(self, "times", times)
-        object.__setattr__(self, "states", states)
+        minima.flags.writeable = maxima.flags.writeable = False
+        for name, arr in (("times", times), ("states", states),
+                          ("_minima", minima), ("_maxima", maxima)):
+            object.__setattr__(self, name, arr)
 
     def __len__(self) -> int:
         return len(self.times)
 
     @property
-    def t0(self) -> int:
-        return int(self.times[0])
+    def t0(self) -> float:
+        return float(self.times[0])
 
     @property
     def n(self) -> int:
         return self.states.shape[1]
 
+    @property
+    def step_sizes(self) -> np.ndarray:
+        """Length of each step, ``times[k+1] - times[k]``."""
+        return np.diff(self.times)
+
     def state_at(self, k: int) -> BeliefVector:
-        return BeliefVector(self.states[k], int(self.times[k]))
+        t = self.times[k]
+        return BeliefVector(self.states[k], int(t) if self.mode is Mode.DISCRETE else float(t))
+
+    def index_at_or_before(self, t: float) -> int:
+        """Index of the last sample time <= t."""
+        return int(np.searchsorted(self.times, t, side="right") - 1)
 
     def minima(self) -> np.ndarray:
-        return self.states.min(axis=1)
+        return self._minima
 
     def maxima(self) -> np.ndarray:
-        return self.states.max(axis=1)
+        return self._maxima
 
     def spreads(self) -> np.ndarray:
-        return self.maxima() - self.minima()
+        return self._maxima - self._minima
 
 
 def simulate(net: TimeVaryingNetwork, x0: BeliefVector, horizon: int) -> Trajectory:
@@ -151,7 +181,7 @@ def simulate(net: TimeVaryingNetwork, x0: BeliefVector, horizon: int) -> Traject
             np.add.at(nxt, heads, arc_block[k] * x[tails])
         done += count
     times = np.arange(t0, t0 + horizon + 1)
-    return Trajectory(times, states)
+    return Trajectory(times, states, Mode.DISCRETE)
 
 
 def step(net: TimeVaryingNetwork, x: BeliefVector) -> BeliefVector:

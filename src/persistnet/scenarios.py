@@ -38,7 +38,7 @@ import numpy as np
 
 from . import analysis, checks
 from .checks import CheckResult
-from .continuous import ContinuousTrajectory, integrate
+from .continuous import integrate
 from .discrete import BeliefVector, Trajectory, simulate
 from .graph import Digraph
 from .weights import (
@@ -750,14 +750,12 @@ def _rate(kind: str, p: dict, ctx: RunContext, traj):
         return _failed(kind, "persistent graph not quasi-strongly connected")
     if ctx.scenario.mode is Mode.DISCRETE:
         cert = analysis.discrete_rate_bound(p["eta"], p["a_star"], int(p["T_star"]), ctx.d0)
-        tol = 1e-12
     else:
         theta_int = aggregate_vanishing_weight(ctx.net).tail_integral(0.0)
         cert = analysis.continuous_rate_bound(
             p["A"], ctx.net.n, theta_int, p["a_star"], p["tau0"], ctx.d0
         )
-        tol = 1e-8
-    rr = analysis.verify_contraction(traj, cert, tol=tol)
+    rr = analysis.verify_contraction(traj, cert)
     values = {"epsilon": cert.epsilon, "T0": cert.T0, "d0": ctx.d0,
               "windows": rr.windows, "worst_margin": rr.worst_margin}
     if cert.mode is Mode.CONTINUOUS:
@@ -884,7 +882,7 @@ def run_check(spec: CheckSpec, ctx: RunContext) -> CheckResult:
 
 def run_scenario(
     s: Scenario, *, seed: int | None = None
-) -> tuple[RunReport, Trajectory | ContinuousTrajectory | None]:
+) -> tuple[RunReport, Trajectory | None]:
     """Full pipeline; returns the report and the trajectory (None if aborted)."""
     started = time.perf_counter()
     ctx = run_context(s, seed)
@@ -915,7 +913,7 @@ def run_scenario(
     if not all(c.passed for c in check_records):
         return report([], None, aborted=True, passed=False), None
 
-    traj: Trajectory | ContinuousTrajectory | None = None
+    traj: Trajectory | None = None
     if not any(CERTIFICATES[c.kind].drives for c in s.certificates):
         x0 = resolve_x0(s)
         try:
@@ -945,7 +943,7 @@ def run_scenario(
 
 
 def write_trajectory_csv(
-    traj: Trajectory | ContinuousTrajectory, path: str | Path, stride: int = 1
+    traj: Trajectory, path: str | Path, stride: int = 1
 ) -> int:
     """Write ``t, x_0..x_{n-1}, psi, Psi, H`` rows at 17 significant digits.
 
@@ -955,7 +953,7 @@ def write_trajectory_csv(
     """
     if stride < 1:
         raise ValueError("stride must be >= 1")
-    n = traj.states.shape[1]
+    n = traj.n
     keep = np.arange(0, len(traj), stride)
     header = "t," + ",".join(f"x_{i}" for i in range(n)) + ",psi,Psi,H"
     minima, maxima, spreads = traj.minima(), traj.maxima(), traj.spreads()

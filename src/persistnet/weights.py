@@ -634,16 +634,16 @@ class StochasticComplement(Weight):
 
     parts: tuple[Weight, ...]
 
-    def _complement(self, evals):
-        return _one_minus(np.sum(np.asarray(evals, dtype=float), axis=0) if self.parts else 0.0)
+    def _complement(self, t, left):
+        base = np.zeros(np.shape(t))
+        evals = [(w.eval_left(t) if left else w.eval(t)) + base for w in self.parts]
+        return _scalar_or_array(t, _one_minus(np.sum(evals, axis=0) if evals else base))
 
     def eval(self, t):
-        base = np.zeros(np.shape(t))
-        return _scalar_or_array(t, self._complement([w.eval(t) + base for w in self.parts]))
+        return self._complement(t, False)
 
     def eval_left(self, t):
-        base = np.zeros(np.shape(t))
-        return _scalar_or_array(t, self._complement([w.eval_left(t) + base for w in self.parts]))
+        return self._complement(t, True)
 
     def window_sum(self, start, length):
         return float(length) - sum(w.window_sum(start, length) for w in self.parts)
@@ -764,8 +764,7 @@ def _tables(ws):
 def _each(ws):
     def f(col, left):
         ts = col[:, 0]
-        return np.column_stack([np.broadcast_to(w.eval_left(ts) if left else w.eval(ts), ts.shape)
-                                for w in ws])
+        return np.column_stack([w.eval_left(ts) if left else w.eval(ts) for w in ws])
     return f
 
 

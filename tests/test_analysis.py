@@ -4,19 +4,25 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from persistnet import (
     BeliefVector,
     CertificateDomainError,
     Constant,
+    ContractionReport,
     Digraph,
+    EpsilonEstimate,
     ExponentialDecay,
     FloorUnavailableError,
     Mode,
     NotSummableError,
     PeriodicPulse,
     PowerDecay,
+    RateCertificate,
     TimeVaryingNetwork,
+    Trajectory,
     Zero,
     agreement_metrics,
     agreement_time_bound,
@@ -162,8 +168,23 @@ class TestVerifyContraction:
 
     def test_mode_mismatch_rejected(self):
         traj = star5_trajectory(horizon=5)
-        with pytest.raises(ValueError):
+        with pytest.raises(ValueError, match="discrete trajectory"):
             verify_contraction(traj, continuous_rate_bound(1.0, 2, 0.0, LN2, 1.0, 1))
+
+    def test_continuous_trajectory_rejects_discrete_certificate(self):
+        aw = {(0, 1): Constant(1.0), (1, 0): Constant(1.0)}
+        net = TimeVaryingNetwork(Digraph(2, frozenset(aw)), aw, None, Mode.CONTINUOUS)
+        traj = integrate(net, np.array([0.0, 1.0]), 0.0, 5.0, h_max=0.5)
+        with pytest.raises(ValueError, match="continuous trajectory"):
+            verify_contraction(traj, discrete_rate_bound(0.5, 1.0, 1, 1))
+
+    @pytest.mark.parametrize("T0", [0.5, 1.5, 2.25])
+    def test_discrete_rejects_fractional_span(self, T0):
+        traj = star5_trajectory(horizon=5)
+        with pytest.raises(ValueError, match="whole number"):
+            verify_contraction(traj, RateCertificate(0.9, T0, Mode.DISCRETE))
+        with pytest.raises(ValueError, match="whole number"):
+            detect_epsilon_agreement(traj, T0)
 
     def test_continuous_pair_certificate(self):
         aw = {(0, 1): Constant(1.0), (1, 0): Constant(1.0)}
@@ -231,6 +252,110 @@ class TestDetectEpsilonAgreement:
     def test_rejects_nonpositive_span(self):
         with pytest.raises(ValueError):
             detect_epsilon_agreement(star5_trajectory(horizon=3), 0)
+
+
+def reference_verify_contraction(traj, cert, tol=None):
+    """Per-sample loop the vectorized ``verify_contraction`` must equal."""
+    discrete = traj.mode is Mode.DISCRETE
+    if tol is None:
+        tol = 1e-12 if discrete else 1e-8
+    spreads = traj.spreads()
+    if cert.trivial:
+        return ContractionReport(True, True, cert.epsilon, cert.T0, 0, -math.inf, None)
+    worst, witness, windows = -math.inf, None, 0
+    if discrete:
+        T0 = int(round(cert.T0))
+        for k in range(len(spreads) - T0):
+            margin = spreads[k + T0] - cert.epsilon * spreads[k]
+            windows += 1
+            if margin > worst:
+                worst, witness = float(margin), float(traj.times[k])
+    else:
+        times = traj.times
+        for k in range(len(spreads)):
+            target = times[k] + cert.T0
+            if target > times[-1]:
+                break
+            j = traj.index_at_or_before(target)
+            if j <= k:
+                continue
+            margin = spreads[j] - cert.epsilon * spreads[k]
+            windows += 1
+            if margin > worst:
+                worst, witness = float(margin), float(times[k])
+    if windows == 0:
+        return ContractionReport(True, True, cert.epsilon, cert.T0, 0, -math.inf, None)
+    return ContractionReport(worst <= tol, False, cert.epsilon, cert.T0, windows, worst, witness)
+
+
+def reference_detect_epsilon_agreement(traj, T0):
+    """Per-sample loop the vectorized ``detect_epsilon_agreement`` must equal."""
+    spreads = traj.spreads()
+    times = traj.times
+    if np.all(spreads == 0.0):
+        return EpsilonEstimate(0.0, False, True, None)
+    best, where = -math.inf, None
+    for k in range(len(spreads)):
+        if spreads[k] == 0.0:
+            continue
+        if traj.mode is Mode.DISCRETE:
+            j = k + int(round(T0))
+            if j >= len(spreads):
+                break
+        else:
+            target = times[k] + T0
+            if target > times[-1]:
+                break
+            j = traj.index_at_or_before(target)
+            if j <= k:
+                continue
+        ratio = float(spreads[j] / spreads[k])
+        if ratio > best:
+            best, where = ratio, float(times[k])
+    if best == -math.inf:
+        return EpsilonEstimate(None, False, True, None)
+    if best >= 1.0:
+        return EpsilonEstimate(None, True, False, where)
+    return EpsilonEstimate(best, False, False, where)
+
+
+@st.composite
+def windowed_runs(draw):
+    """A trajectory with non-increasing spreads (ties and zeros likely) and a span."""
+    mode = draw(st.sampled_from(list(Mode)))
+    size = draw(st.integers(1, 30))
+    if mode is Mode.DISCRETE:
+        t0 = draw(st.integers(0, 10**6))
+        times = np.arange(t0, t0 + size, dtype=float)
+        T0 = float(draw(st.integers(1, 12)))
+    else:
+        steps = st.one_of(st.sampled_from([0.1, 0.25, 0.5, 1.0, 1 / 3]),
+                          st.floats(1e-6, 3.0))
+        t0 = draw(st.one_of(st.just(0.0), st.floats(0.0, 1e3)))
+        times = t0 + np.concatenate([[0.0], np.cumsum(draw(st.lists(steps, min_size=size - 1,
+                                                                    max_size=size - 1)))])
+        if np.any(np.diff(times) <= 0):
+            times = np.arange(size, dtype=float)
+        T0 = draw(st.one_of(st.sampled_from([0.1, 0.25, 0.5, 1.0, 2.0, 1 / 3]),
+                            st.floats(1e-6, 10.0)))
+    levels = st.one_of(st.sampled_from([0.0, 0.5, 1.0, 2.0]), st.floats(0.0, 10.0))
+    hi = np.sort(np.asarray(draw(st.lists(levels, min_size=size, max_size=size))))[::-1]
+    lo = draw(st.sampled_from([0.0, -1.5, 0.1]))
+    states = np.column_stack([np.full(size, lo), lo + hi])
+    epsilon = draw(st.sampled_from([0.0, 0.5, 0.8, 0.999, 1.0]))
+    return Trajectory(times, states, mode), T0, epsilon
+
+
+class TestVectorizedWindowScan:
+    @settings(max_examples=400, deadline=None)
+    @given(windowed_runs())
+    def test_equals_per_sample_loops(self, run):
+        traj, T0, epsilon = run
+        cert = RateCertificate(epsilon, T0, traj.mode)
+        got, want = verify_contraction(traj, cert), reference_verify_contraction(traj, cert)
+        assert repr(got) == repr(want)
+        got, want = detect_epsilon_agreement(traj, T0), reference_detect_epsilon_agreement(traj, T0)
+        assert repr(got) == repr(want)
 
 
 class TestConvexityBound:

@@ -7,7 +7,6 @@ import pytest
 
 from persistnet import (
     Constant,
-    ContinuousTrajectory,
     Digraph,
     ExponentialDecay,
     Mode,
@@ -110,9 +109,7 @@ class TestIntegrate:
         net = symmetric_pair(0.25)
         traj = integrate(net, np.array([0.0, 1.0]), 1.0, 4.0, h_max=0.3)
         assert len(traj.step_sizes) == len(traj) - 1
-        assert len(traj.step_max_inflow) == len(traj) - 1
         assert traj.step_sizes.sum() == pytest.approx(3.0, abs=1e-12)
-        assert np.all(traj.step_max_inflow == 0.25)
 
     def test_envelopes_monotone_mixed_weights(self):
         net = continuous_net(
@@ -171,42 +168,3 @@ class TestIntegrate:
         moved = integrate(net, a * x0 + b, 0.0, 5.0, h_max=0.05)
         assert np.array_equal(base.times, moved.times)
         assert moved.states == pytest.approx(a * base.states + b, abs=1e-12)
-
-
-class TestContinuousTrajectoryType:
-    def test_index_at_or_before(self):
-        traj = ContinuousTrajectory(
-            np.array([0.0, 0.5, 1.0]),
-            np.array([[0.0, 1.0], [0.2, 0.8], [0.4, 0.6]]),
-            np.array([0.5, 0.5]),
-            np.array([1.0, 1.0]),
-        )
-        assert traj.index_at_or_before(0.75) == 1
-        assert traj.index_at_or_before(1.0) == 2
-
-    def test_rejects_mismatched_step_records(self):
-        with pytest.raises(ValueError):
-            ContinuousTrajectory(
-                np.array([0.0, 1.0]),
-                np.zeros((2, 2)),
-                np.array([1.0, 1.0]),
-                np.array([0.0]),
-            )
-
-    def test_rejects_decreasing_times(self):
-        with pytest.raises(ValueError):
-            ContinuousTrajectory(
-                np.array([0.0, 0.0]),
-                np.zeros((2, 2)),
-                np.array([0.0]),
-                np.array([0.0]),
-            )
-
-    def test_rejects_spread_growth(self):
-        with pytest.raises(ValueError, match="maximum"):
-            ContinuousTrajectory(
-                np.array([0.0, 1.0]),
-                np.array([[0.0, 1.0], [0.0, 2.0]]),
-                np.array([1.0]),
-                np.array([0.0]),
-            )

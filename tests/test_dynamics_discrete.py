@@ -1,5 +1,7 @@
 """Discrete averaging dynamics against direct matrix-product oracles."""
 
+import tracemalloc
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -197,19 +199,67 @@ class TestSimulate:
 
 class TestTrajectoryType:
     def test_rejects_time_gaps(self):
-        with pytest.raises(ValueError):
-            Trajectory(np.array([0, 2]), np.zeros((2, 3)))
+        with pytest.raises(ValueError, match="exactly one step"):
+            Trajectory(np.array([0, 2]), np.zeros((2, 3)), Mode.DISCRETE)
 
-    def test_rejects_growing_envelope(self):
+    def test_rejects_non_integer_discrete_times(self):
+        with pytest.raises(ValueError, match="whole numbers"):
+            Trajectory(np.array([0.5, 1.5]), np.zeros((2, 3)), Mode.DISCRETE)
+        Trajectory(np.array([0.5, 1.5]), np.zeros((2, 3)), Mode.CONTINUOUS)
+
+    @pytest.mark.parametrize("mode", list(Mode))
+    def test_rejects_decreasing_times(self, mode):
+        with pytest.raises(ValueError, match="strictly increasing"):
+            Trajectory(np.array([0.0, 0.0]), np.zeros((2, 2)), mode)
+
+    @pytest.mark.parametrize("mode", list(Mode))
+    def test_rejects_growing_envelope(self, mode):
         states = np.array([[0.0, 1.0], [0.0, 1.5]])
         with pytest.raises(ValueError, match="maximum"):
-            Trajectory(np.array([0, 1]), states)
+            Trajectory(np.array([0, 1]), states, mode)
+
+    def test_envelope_slack_follows_mode(self):
+        states = np.array([[0.0, 1.0], [0.0, 1.0 + 1e-10]])
+        Trajectory(np.array([0.0, 1.0]), states, Mode.CONTINUOUS)  # within 1e-9
+        with pytest.raises(ValueError, match="maximum"):
+            Trajectory(np.array([0.0, 1.0]), states, Mode.DISCRETE)  # beyond 1e-12
+
+    @pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
+    def test_rejects_non_finite_states(self, bad):
+        states = np.zeros((2, 3))
+        states[1, 1] = bad
+        with pytest.raises(ValueError, match="finite"):
+            Trajectory(np.array([0, 1]), states, Mode.DISCRETE)
 
     def test_state_at(self):
-        traj = Trajectory(np.array([4, 5]), np.array([[0.0, 1.0], [0.25, 0.75]]))
+        traj = Trajectory(np.array([4, 5]), np.array([[0.0, 1.0], [0.25, 0.75]]), Mode.DISCRETE)
         bv = traj.state_at(1)
         assert bv.time == 5
         assert np.array_equal(bv.values, [0.25, 0.75])
+
+    def test_index_at_or_before_and_step_sizes(self):
+        traj = Trajectory(
+            np.array([0.0, 0.5, 1.0]),
+            np.array([[0.0, 1.0], [0.2, 0.8], [0.4, 0.6]]),
+            Mode.CONTINUOUS,
+        )
+        assert traj.index_at_or_before(0.75) == 1
+        assert traj.index_at_or_before(1.0) == 2
+        assert np.array_equal(traj.step_sizes, [0.5, 0.5])
+        assert traj.spreads() == pytest.approx([1.0, 0.6, 0.2])
+
+    def test_construction_allocates_no_copy_of_states(self):
+        rows, n = 2000, 500
+        states = np.tile(np.linspace(-3.0, 2.0, n), (rows, 1))
+        times = np.arange(rows)
+        tracemalloc.start()
+        try:
+            traj = Trajectory(times, states, Mode.DISCRETE)
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert traj.states is states
+        assert peak < 0.25 * states.nbytes
 
 
 class TestBeliefVector:

@@ -32,6 +32,7 @@ from persistnet import (
     stochastic_network,
     total_vanishing_weight,
 )
+from persistnet.scenarios import parse_weight
 
 
 def brute_window_sum(w, start, length):
@@ -59,6 +60,26 @@ SAMPLE_FAMILIES = [
     PeriodicPulse(0.6, 1.5, 2.0, gap_growth=1.7),
     Tabulated((0.0, 2.0, 5.5), (0.4, 0.0, 0.2), persistent=True),
     Zero(),
+]
+
+
+SHAPE_FAMILIES = [
+    parse_weight(spec, "w") for spec in (
+        {"family": "constant", "c": 0.3},
+        {"family": "power-decay", "c": 0.7, "p": 0.4},
+        {"family": "exponential-decay", "c": 0.5, "rate": 0.25},
+        {"family": "periodic-pulse", "height": 0.6, "width": 1.0, "period": 2.0},
+        {"family": "periodic-pulse", "height": 0.6, "width": 1.5, "period": 2.0,
+         "gap_growth": 1.7},
+        {"family": "tabulated", "breakpoints": [0.0, 2.0], "values": [0.4, 0.1],
+         "persistent": True},
+        {"family": "zero"},
+    )
+] + [
+    WeightSum((Constant(0.1), PowerDecay(0.2, 1.0))),
+    WeightSum(()),
+    StochasticComplement((Constant(0.1), PeriodicPulse(0.3, 1.0, 1.0))),
+    StochasticComplement(()),
 ]
 
 
@@ -113,6 +134,13 @@ class TestEval:
             vec = w.eval(ts)
             scal = np.array([w.eval(float(t)) for t in ts])
             assert np.array_equal(vec, scal), type(w).__name__
+
+    @pytest.mark.parametrize("t", [2.5, np.arange(3.0), np.empty(0), np.arange(6.0).reshape(2, 3)],
+                             ids=["scalar", "vector", "empty", "matrix"])
+    @pytest.mark.parametrize("w", SHAPE_FAMILIES, ids=lambda w: type(w).__name__)
+    def test_one_value_per_time(self, w, t):
+        assert np.shape(w.eval(t)) == np.shape(t)
+        assert np.shape(w.eval_left(t)) == np.shape(t)
 
     def test_pulse_left_limit_at_edges(self):
         w = PeriodicPulse(1.0, 1.0, 1.0)  # on [0,1), off [1,2), ...
