@@ -1,4 +1,4 @@
-"""Agreement metrics, contraction-rate certificates, and disagreement floors.
+"""Contraction-rate certificates, disagreement floors, and their verifiers.
 
 The certificate functions turn structural facts about a network (self-weight
 floor, window mass floor, mutual weight bound, vanishing-arc mass) into
@@ -31,7 +31,6 @@ from .weights import (
     TimeVaryingNetwork,
     Weight,
     aggregate_vanishing_weight,
-    inflow,
     persistence_report,
 )
 
@@ -48,21 +47,6 @@ class NotSummableError(ValueError):
 
 class FloorUnavailableError(ValueError):
     """The vanishing mass from the requested start is too large for a floor."""
-
-
-@dataclass(frozen=True)
-class AgreementMetrics:
-    minimum: float
-    maximum: float
-    spread: float
-
-
-def agreement_metrics(values) -> AgreementMetrics:
-    vals = np.asarray(values, dtype=float)
-    if vals.size == 0:
-        raise ValueError("metrics of an empty value vector are undefined")
-    lo, hi = float(vals.min()), float(vals.max())
-    return AgreementMetrics(minimum=lo, maximum=hi, spread=hi - lo)
 
 
 @dataclass(frozen=True)
@@ -287,48 +271,38 @@ class BoundReport:
     lower_margin: float  # lower - value; <= tol when the lower bound holds
 
 
-def _mix(mu_low: float, mu_high: float, decay: float, lo: float, hi: float):
-    upper = mu_low * decay * lo + (1.0 - mu_low * decay) * hi
-    lower = mu_high * decay * hi + (1.0 - mu_high * decay) * lo
-    return upper, lower
+BOUND_TOLERANCE = {Mode.DISCRETE: 1e-12, Mode.CONTINUOUS: 1e-6}  # default slack on a bound
 
 
-def verify_convexity_bound(
-    traj: Trajectory,
-    net: TimeVaryingNetwork,
-    m: int,
-    k: int,
-    T: int,
-    tol: float = 1e-12,
-) -> BoundReport:
-    """Window convexity bounds on node ``m`` between steps ``k`` and ``k+T``.
-
-    With ``mu`` the relative depth of ``x_m`` below the maximum at the anchor
-    and ``P`` the product of ``1 - inflow(m)`` over the window, the value at
-    the window end is at most ``mu*P`` of the way from the maximum down to
-    the minimum, and symmetrically at least ``(1-mu)*P`` of the way up from
-    the minimum.  ``T = 0`` reduces both bounds to the anchor value itself.
-    Zero anchor spread makes the check vacuous.
-    """
+def _check_window(traj: Trajectory, net: TimeVaryingNetwork, m: int, k_from: int, k_to: int):
+    if traj.mode is not net.mode:
+        raise ValueError(f"{traj.mode.value} trajectory of a {net.mode.value} network")
     if not (0 <= m < net.n):
         raise ValueError("node index out of range")
-    if T < 0 or k < 0:
-        raise ValueError("anchor index and window length must be nonnegative")
-    if k + T > len(traj) - 1:
-        raise ValueError("window extends past the trajectory")
-    base = agreement_metrics(traj.states[k])
-    value = float(traj.states[k + T][m])
-    if base.spread == 0.0:
-        return BoundReport(True, True, value, base.maximum, base.minimum, 0.0, 0.0)
-    mu_low = (base.maximum - traj.states[k][m]) / base.spread
-    mu_high = (traj.states[k][m] - base.minimum) / base.spread
-    t_anchor = int(traj.times[k])
-    P = 1.0
-    for s in range(t_anchor, t_anchor + T):
-        P *= 1.0 - inflow(net, float(s), m)
-    upper, lower = _mix(mu_low, mu_high, P, base.minimum, base.maximum)
+    if not (0 <= k_from <= k_to < len(traj)):
+        raise ValueError("sample indices out of order or range")
+
+
+def _bound_report(traj: Trajectory, m: int, k_from: int, k_to: int, held, share, tol: float):
+    """Convex-mix bounds on ``x_m`` at sample ``k_to`` from the extremes at ``k_from``.
+
+    ``held`` are values that stay at least ``mu_low * spread`` below the
+    anchor maximum and ``mu_high * spread`` above the anchor minimum;
+    ``share`` is the weight of that depth still felt at the window end.
+    Zero anchor spread makes the check vacuous.
+    """
+    lo, hi = float(traj.minima()[k_from]), float(traj.maxima()[k_from])
+    spread = hi - lo
+    value = float(traj.states[k_to, m])
+    if spread == 0.0:
+        return BoundReport(True, True, value, hi, lo, 0.0, 0.0)
+    mu_low = max(0.0, float(np.min(hi - held)) / spread)
+    mu_high = max(0.0, float(np.min(held - lo)) / spread)
+    q = float(share)
+    upper = mu_low * q * lo + (1.0 - mu_low * q) * hi
+    lower = mu_high * q * hi + (1.0 - mu_high * q) * lo
     return BoundReport(
-        passed=(value <= upper + tol) and (value >= lower - tol),
+        passed=value <= upper + tol and value >= lower - tol,
         vacuous=False,
         value=value,
         upper=upper,
@@ -342,41 +316,36 @@ def _inflow_integral(net: TimeVaryingNetwork, m: int, a: float, b: float) -> flo
     return sum(w.window_integral(a, b) for _, w in net.in_arcs(m))
 
 
-def verify_exponential_bound(
+def verify_convexity_bound(
     traj: Trajectory,
     net: TimeVaryingNetwork,
     m: int,
+    *,
     k_from: int,
     k_to: int,
-    tol: float = 1e-6,
+    tol: float | None = None,
 ) -> BoundReport:
-    """Continuous analogue of the window convexity bounds.
+    """Window convexity bounds on node ``m`` between samples ``k_from`` and ``k_to``.
 
-    The product over steps becomes ``exp(-integral of inflow(m))`` between
-    the two sample times; the mass integral is evaluated in closed form.
+    With ``mu`` the relative depth of ``x_m`` below the maximum at the anchor
+    ``k_from`` and ``P`` the share of its own value ``m`` keeps over the
+    window, the value at ``k_to`` is at most ``mu*P`` of the way from the
+    maximum down to the minimum, and symmetrically at least ``(1-mu)*P`` of
+    the way up from the minimum.  ``P`` is the product of ``1 - inflow(m)``
+    over the steps in discrete mode and ``exp(-integral of inflow(m))`` in
+    continuous mode, in closed form.  ``k_from == k_to`` reduces both bounds
+    to the anchor value itself; zero anchor spread makes the check vacuous.
+    ``tol`` defaults to the mode's ``BOUND_TOLERANCE``.
     """
-    if not (0 <= m < net.n):
-        raise ValueError("node index out of range")
-    if not (0 <= k_from <= k_to < len(traj)):
-        raise ValueError("sample indices out of order or range")
-    base = agreement_metrics(traj.states[k_from])
-    value = float(traj.states[k_to][m])
-    if base.spread == 0.0:
-        return BoundReport(True, True, value, base.maximum, base.minimum, 0.0, 0.0)
-    mu_low = (base.maximum - traj.states[k_from][m]) / base.spread
-    mu_high = (traj.states[k_from][m] - base.minimum) / base.spread
-    s, t = float(traj.times[k_from]), float(traj.times[k_to])
-    decay = math.exp(-_inflow_integral(net, m, s, t))
-    upper, lower = _mix(mu_low, mu_high, decay, base.minimum, base.maximum)
-    return BoundReport(
-        passed=(value <= upper + tol) and (value >= lower - tol),
-        vacuous=False,
-        value=value,
-        upper=upper,
-        lower=lower,
-        upper_margin=value - upper,
-        lower_margin=lower - value,
-    )
+    _check_window(traj, net, m, k_from, k_to)
+    s, t = traj.times[k_from], traj.times[k_to]
+    if traj.mode is Mode.DISCRETE:
+        inflows = net.head_sums(net.bank.values(np.arange(s, t)))
+        share = np.prod(1.0 - inflows[:, m])
+    else:
+        share = math.exp(-_inflow_integral(net, m, float(s), float(t)))
+    tol = BOUND_TOLERANCE[traj.mode] if tol is None else tol
+    return _bound_report(traj, m, k_from, k_to, traj.states[k_from, m], share, tol)
 
 
 def verify_influence_bound(
@@ -400,20 +369,14 @@ def verify_influence_bound(
     The attenuation integral is closed-form; the outer integral is composite
     quadrature split at the weight discontinuities.  The symmetric lower
     bound uses the source's height above the window-start minimum.
+    Continuous runs only.
     """
+    if traj.mode is not Mode.CONTINUOUS:
+        raise ValueError("the influence bound applies to continuous trajectories")
     if (source, m) not in net.arc_weights:
         raise ValueError(f"no arc {(source, m)} in the network")
-    if not (0 <= k_from <= k_to < len(traj)):
-        raise ValueError("sample indices out of order or range")
-    base = agreement_metrics(traj.states[k_from])
-    value = float(traj.states[k_to][m])
-    if base.spread == 0.0:
-        return BoundReport(True, True, value, base.maximum, base.minimum, 0.0, 0.0)
+    _check_window(traj, net, m, k_from, k_to)
     s, t = float(traj.times[k_from]), float(traj.times[k_to])
-    src = traj.states[k_from : k_to + 1, source]
-    mu_low = max(0.0, float(np.min((base.maximum - src))) / base.spread)
-    mu_high = max(0.0, float(np.min((src - base.minimum))) / base.spread)
-
     w_arc = net.weight((source, m))
     pieces = {s, t}
     pieces.update(float(b) for b in w_arc.breakpoints_between(s, t))
@@ -429,16 +392,8 @@ def verify_influence_bound(
         if b > a:
             part, _ = quad(integrand, a, b, epsabs=1e-12, epsrel=1e-9, limit=200)
             q += part
-    upper, lower = _mix(mu_low, mu_high, q, base.minimum, base.maximum)
-    return BoundReport(
-        passed=(value <= upper + tol) and (value >= lower - tol),
-        vacuous=False,
-        value=value,
-        upper=upper,
-        lower=lower,
-        upper_margin=value - upper,
-        lower_margin=lower - value,
-    )
+    held = traj.states[k_from : k_to + 1, source]
+    return _bound_report(traj, m, k_from, k_to, held, q, tol)
 
 
 @dataclass(frozen=True)

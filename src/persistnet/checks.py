@@ -3,8 +3,8 @@
 Each check returns a ``CheckResult`` carrying the verdict, the worst witness
 found (node/arc and time), and whether the check was vacuous (nothing to
 compare).  Checks are sampling-based where stated; the window-mass check
-additionally consults each family's analytic infimum so a passing verdict is
-sound whenever one exists.
+decides by each family's analytic infimum where one exists, so a passing
+verdict is sound, and samples only the arcs without one.
 """
 
 from __future__ import annotations
@@ -33,9 +33,9 @@ class CheckResult:
         return self.passed
 
 
-def _default_times(mode: Mode) -> list[float]:
-    ts = list(range(32)) + [2**k for k in range(5, 17)]
-    return [float(t) for t in ts]
+_DEFAULT_TIMES = tuple(float(t) for t in [*range(32), *(2**k for k in range(5, 17))])
+WINDOW_STARTS = tuple(float(t) for t in [*range(64), *(2**k for k in range(6, 18))])
+_MAX_SUBSETS = 4096  # random cut subsets drawn beyond n = 12
 
 
 def _row_extreme(net: TimeVaryingNetwork, times: list[float], of, pick, empty: float):
@@ -55,7 +55,7 @@ def check_stochasticity(
     """Row sums (self-weight plus inflow) must equal 1 within 1e-12."""
     if net.mode is not Mode.DISCRETE:
         raise ValueError("stochasticity only applies to discrete networks")
-    times = _default_times(net.mode) if times is None else list(times)
+    times = _DEFAULT_TIMES if times is None else list(times)
     worst, where = _row_extreme(net, times, lambda s, f: np.abs(s + f - 1.0), np.argmax, -1.0)
     return CheckResult(
         name="stochasticity",
@@ -74,7 +74,7 @@ def check_self_confidence(
         raise ValueError("self-confidence only applies to discrete networks")
     if not (0 < eta <= 1):
         raise ValueError("eta must lie in (0, 1]")
-    times = _default_times(net.mode) if times is None else list(times)
+    times = _DEFAULT_TIMES if times is None else list(times)
     worst, where = _row_extreme(net, times, lambda s, f: s, np.argmin, math.inf)
     return CheckResult(
         name="self-confidence",
@@ -115,7 +115,7 @@ def check_arc_balance(
     arcs = sorted(rep.persistent_arcs)
     if not arcs:
         return CheckResult("arc-balance", True, vacuous=True, detail="no persistent arcs")
-    times = _default_times(net.mode) if times is None else list(times)
+    times = _DEFAULT_TIMES if times is None else list(times)
     worst, where = 0.0, ()
     for t, values in zip(times, _arc_values(net, arcs, times)):
         ok, ratio = _balance_over_values(values, A)
@@ -174,12 +174,12 @@ def check_window_bound(
     """Uniform window-mass floor on persistent arcs.
 
     Discrete mode sums ``window`` consecutive integer steps; continuous mode
-    integrates over ``[t, t + window]``.  Sampled starts are combined with
-    each family's analytic infimum over all placements where one exists, so a
-    pass backed by infima is sound; the detail string says whether any arc
-    had to rely on samples alone.  Sampled masses are allowed a 1e-9 slack
-    because ``(t + window) - t`` loses a few ulps at large ``t``; the
-    infimum comparison is exact.
+    integrates over ``[t, t + window]``.  Where a family has an analytic
+    infimum over all window placements, the infimum alone decides the arc,
+    so a pass backed by infima is sound.  Other arcs are sampled at
+    ``starts`` (default ``WINDOW_STARTS``), and the detail string lists them.
+    Sampled masses are allowed a 1e-9 slack because ``(t + window) - t``
+    loses a few ulps at large ``t``; the infimum comparison is exact.
     """
     if a_star <= 0:
         raise ValueError("window mass floor a_star must be positive")
@@ -189,8 +189,7 @@ def check_window_bound(
     arcs = sorted(rep.persistent_arcs)
     if not arcs:
         return CheckResult("window-bound", True, vacuous=True, detail="no persistent arcs")
-    if starts is None:
-        starts = [float(t) for t in range(64)] + [float(2**k) for k in range(6, 18)]
+    starts = WINDOW_STARTS if starts is None else starts
     discrete = net.mode is Mode.DISCRETE
     if discrete:
         T = int(window)
@@ -200,22 +199,18 @@ def check_window_bound(
     worst, where, sampled_only, ok = math.inf, (), [], True
     for arc in arcs:
         w = net.weight(arc)
-        if discrete:
-            inf_mass = w.window_sum_infimum(T)
-            masses = [(w.window_sum(int(s), T), int(s)) for s in starts]
-        else:
-            inf_mass = w.window_integral_infimum(window)
-            masses = [(w.window_integral(s, s + window), s) for s in starts]
-        low, at = min(masses, key=lambda mv: mv[0])
-        if low < a_star - slack:
-            ok = False
-        if inf_mass is not None:
-            if inf_mass < a_star:
-                ok = False
-            if inf_mass < low:
-                low, at = inf_mass, None  # None marks the analytic infimum
+        low = w.window_sum_infimum(T) if discrete else w.window_integral_infimum(window)
+        if low is not None:
+            at = None  # None marks the analytic infimum
+            ok = ok and low >= a_star
         else:
             sampled_only.append(arc)
+            if discrete:
+                masses = [(w.window_sum(int(s), T), int(s)) for s in starts]
+            else:
+                masses = [(w.window_integral(s, s + window), s) for s in starts]
+            low, at = min(masses, key=lambda mv: mv[0])
+            ok = ok and low >= a_star - slack
         if low < worst:
             worst, where = low, (arc, at)
     note = f"; arcs with sample-only evidence: {sampled_only}" if sampled_only else ""
@@ -236,25 +231,21 @@ def check_cut_balance(
     K: float,
     times: Sequence[float] | None = None,
     *,
-    persistent_only: bool = True,
     seed: int = 0,
-    max_subsets: int = 4096,
 ) -> CheckResult:
-    """Subset flow balance: for every nonempty proper node subset S, the
-    weight entering S and the weight leaving S stay within a factor ``K``.
+    """Subset flow balance on persistent arcs: for every nonempty proper node
+    subset S, the weight entering S and the weight leaving S stay within a
+    factor ``K``.
 
-    Exhaustive over subsets up to n = 12; beyond that, ``max_subsets`` random
-    subsets drawn from the given seed (noted in the detail string).
+    Exhaustive over subsets up to n = 12; beyond that, 4096 random subsets
+    drawn from the given seed (noted in the detail string).
     """
     if K < 1.0:
         raise ValueError("cut balance factor K must be >= 1")
-    if persistent_only:
-        arcs = sorted(persistence_report(net).persistent_arcs)
-    else:
-        arcs = list(net.arcs())
+    arcs = sorted(persistence_report(net).persistent_arcs)
     if not arcs:
         return CheckResult("cut-balance", True, vacuous=True, detail="no arcs to balance")
-    times = _default_times(net.mode) if times is None else list(times)
+    times = _DEFAULT_TIMES if times is None else list(times)
     n = net.n
     tails = np.asarray([a[0] for a in arcs])
     heads = np.asarray([a[1] for a in arcs])
@@ -264,7 +255,7 @@ def check_cut_balance(
         exhaustive = True
     else:
         rng = np.random.default_rng(seed)
-        raw = rng.integers(1, 2**n - 1, size=max_subsets, dtype=np.uint64)
+        raw = rng.integers(1, 2**n - 1, size=_MAX_SUBSETS, dtype=np.uint64)
         masks = np.unique(raw)
         exhaustive = False
     # membership matrix: member[s, i] == node i in subset s

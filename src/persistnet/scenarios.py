@@ -590,27 +590,11 @@ class RunReport:
     wall_time_s: float
 
     def to_dict(self, include_timing: bool = True) -> dict:
-        doc = {
-            "scenario_name": self.scenario_name,
-            "mode": self.mode,
-            "seed": self.seed,
-            "nodes": self.nodes,
-            "arc_count": self.arc_count,
-            "persistent_count": self.persistent_count,
-            "vanishing_count": self.vanishing_count,
-            "qsc_persistent": self.qsc_persistent,
-            "persistent_diameter": self.persistent_diameter,
-            "checks": [dataclasses.asdict(c) for c in self.checks],
-            "certificates": [dataclasses.asdict(c) for c in self.certificates],
-            "aborted": self.aborted,
-            "passed": self.passed,
-            "t_start": self.t_start,
-            "t_end": self.t_end,
-            "trajectory_rows": self.trajectory_rows,
-            "trajectory_file": self.trajectory_file,
-        }
-        if include_timing:
-            doc["wall_time_s"] = self.wall_time_s
+        doc = {f.name: getattr(self, f.name) for f in dataclasses.fields(self)}
+        for key in ("checks", "certificates"):
+            doc[key] = [dataclasses.asdict(r) for r in doc[key]]
+        if not include_timing:
+            del doc["wall_time_s"]
         return doc
 
     def render_text(self, include_timing: bool = True) -> str:
@@ -646,26 +630,11 @@ class RunReport:
     @staticmethod
     def from_dict(doc: dict) -> "RunReport":
         try:
-            return RunReport(
-                scenario_name=doc["scenario_name"],
-                mode=doc["mode"],
-                seed=doc["seed"],
-                nodes=doc["nodes"],
-                arc_count=doc["arc_count"],
-                persistent_count=doc["persistent_count"],
-                vanishing_count=doc["vanishing_count"],
-                qsc_persistent=doc["qsc_persistent"],
-                persistent_diameter=doc["persistent_diameter"],
-                checks=tuple(CheckRecord(**c) for c in doc["checks"]),
-                certificates=tuple(CertRecord(**c) for c in doc["certificates"]),
-                aborted=doc["aborted"],
-                passed=doc["passed"],
-                t_start=doc["t_start"],
-                t_end=doc["t_end"],
-                trajectory_rows=doc["trajectory_rows"],
-                trajectory_file=doc["trajectory_file"],
-                wall_time_s=doc.get("wall_time_s", 0.0),
-            )
+            fields = {f.name: doc[f.name] for f in dataclasses.fields(RunReport)
+                      if f.name != "wall_time_s"}
+            fields["checks"] = tuple(CheckRecord(**c) for c in fields["checks"])
+            fields["certificates"] = tuple(CertRecord(**c) for c in fields["certificates"])
+            return RunReport(**fields, wall_time_s=doc.get("wall_time_s", 0.0))
         except (KeyError, TypeError) as e:
             raise ScenarioParseError(f"not a run report: {e}") from e
 

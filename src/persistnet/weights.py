@@ -67,9 +67,6 @@ __all__ = [
     "TimeVaryingNetwork",
     "PersistenceReport",
     "persistence_report",
-    "inflow",
-    "persistent_inflow",
-    "total_vanishing_weight",
     "aggregate_vanishing_weight",
     "stochastic_network",
 ]
@@ -805,8 +802,15 @@ class WeightBank:
         # Groups fill contiguous column ranges; one take restores the given order.
         self._order = np.argsort(np.asarray(grouped, dtype=np.intp))
 
-    def values(self, t, left: bool = False) -> np.ndarray:
+    def values(self, t) -> np.ndarray:
         """Every weight at ``t`` (a scalar or a 1-d array of times)."""
+        return self._evaluate(t, False)
+
+    def values_left(self, t) -> np.ndarray:
+        """Every weight's left limit at ``t``, shaped as ``values``."""
+        return self._evaluate(t, True)
+
+    def _evaluate(self, t, left: bool) -> np.ndarray:
         ts = np.asarray(t, dtype=float)
         if np.any(ts < 0):
             raise ValueError("weights are defined for t >= 0")
@@ -816,10 +820,6 @@ class WeightBank:
             grouped[:, lo:hi] = f(col, left)
         out = grouped.take(self._order, axis=1)
         return out[0] if ts.ndim == 0 else out
-
-    def values_left(self, t) -> np.ndarray:
-        """Every weight's left limit at ``t``, shaped as ``values``."""
-        return self.values(t, left=True)
 
 
 def classify_arc(w: Weight, mode: Mode) -> Persistence:
@@ -970,25 +970,6 @@ def persistence_report(net: TimeVaryingNetwork) -> PersistenceReport:
     return report
 
 
-def inflow(net: TimeVaryingNetwork, t: float, m: int) -> float:
-    """Total non-self weight entering node ``m`` at time ``t``."""
-    return float(sum(w.eval(t) for _, w in net.in_arcs(m)))
-
-
-def persistent_inflow(net: TimeVaryingNetwork, t: float, m: int) -> float:
-    """Like ``inflow`` but restricted to persistent arcs."""
-    keep = persistence_report(net).persistent_arcs
-    return float(
-        sum(w.eval(t) for tail, w in net.in_arcs(m) if (tail, m) in keep)
-    )
-
-
-def total_vanishing_weight(net: TimeVaryingNetwork, t: float) -> float:
-    """Sum of all vanishing arc weights at time ``t`` (whole network)."""
-    rep = persistence_report(net)
-    return float(sum(net.weight(a).eval(t) for a in sorted(rep.vanishing_arcs)))
-
-
 def aggregate_vanishing_weight(net: TimeVaryingNetwork) -> Weight:
     """The vanishing arcs' total as a single weight function."""
     rep = persistence_report(net)
@@ -996,15 +977,14 @@ def aggregate_vanishing_weight(net: TimeVaryingNetwork) -> Weight:
     return WeightSum(parts) if parts else Zero()
 
 
-def stochastic_network(
-    graph: Digraph,
-    arc_weights: Mapping[Arc, Weight],
-    check_times: Sequence[float] | None = None,
-) -> TimeVaryingNetwork:
+_INFLOW_CHECK_TIMES = np.concatenate([np.arange(128.0), 2.0 ** np.arange(8, 21)])  # 0..127, 256..2**20
+
+
+def stochastic_network(graph: Digraph, arc_weights: Mapping[Arc, Weight]) -> TimeVaryingNetwork:
     """Discrete network with each self-weight set to one minus the inflow.
 
     Rows then sum to one identically.  Raises if the incoming weight of any
-    node exceeds 1 at any of the sampled times (default: 0..127 plus a coarse
+    node exceeds 1 at any of the sampled times (0..127 plus a coarse
     geometric sweep out to 1e6).
     """
     aw = {(int(t), int(h)): w for (t, h), w in dict(arc_weights).items()}
@@ -1013,13 +993,10 @@ def stochastic_network(
         in_parts[head].append(w)
     self_weights = {i: StochasticComplement(tuple(parts)) for i, parts in enumerate(in_parts)}
     net = TimeVaryingNetwork(graph, aw, self_weights, Mode.DISCRETE)
-    if check_times is None:
-        check_times = [float(t) for t in range(128)] + [float(2**k) for k in range(7, 21)]
-    times = np.asarray(sorted(set(check_times)), dtype=float)
-    over = net.head_sums(net.bank.values(times)) > 1.0 + 1e-12
+    over = net.head_sums(net.bank.values(_INFLOW_CHECK_TIMES)) > 1.0 + 1e-12
     if np.any(over):
         i = int(np.argmax(over.any(axis=0)))
-        t_bad = float(times[int(np.argmax(over[:, i]))])
+        t_bad = float(_INFLOW_CHECK_TIMES[int(np.argmax(over[:, i]))])
         raise ValueError(
             f"incoming weight of node {i} exceeds 1 at t={t_bad}; "
             "scale the arc weights down before building a stochastic network"

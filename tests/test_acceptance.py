@@ -46,7 +46,6 @@ from persistnet import (
     stochastic_network,
     verify_contraction,
     verify_convexity_bound,
-    verify_exponential_bound,
     verify_influence_bound,
 )
 
@@ -247,7 +246,7 @@ def test_07_window_bounds_on_catalog_trajectories(catalog_runs):
                     for T in (1, 3, 17, 32):
                         if k + T > last:
                             continue
-                        rep = verify_convexity_bound(traj, net, m, k, T, tol=1e-12)
+                        rep = verify_convexity_bound(traj, net, m, k_from=k, k_to=k + T, tol=1e-12)
                         assert rep.passed, (name, m, k, T, rep)
                         convexity += 1
         else:
@@ -257,8 +256,8 @@ def test_07_window_bounds_on_catalog_trajectories(catalog_runs):
                     for k_to in sorted({last // 2, last}):
                         if k_to < k_from:
                             continue
-                        rep = verify_exponential_bound(
-                            traj, net, m, k_from, k_to, tol=1e-6
+                        rep = verify_convexity_bound(
+                            traj, net, m, k_from=k_from, k_to=k_to, tol=1e-6
                         )
                         assert rep.passed, (name, m, k_from, k_to, rep)
                         exponential += 1

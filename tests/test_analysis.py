@@ -1,5 +1,6 @@
 """Certificate math and empirical verifiers against hand-derived values."""
 
+import dataclasses
 import math
 
 import numpy as np
@@ -9,6 +10,7 @@ from hypothesis import strategies as st
 
 from persistnet import (
     BeliefVector,
+    BoundReport,
     CertificateDomainError,
     Constant,
     ContractionReport,
@@ -24,9 +26,10 @@ from persistnet import (
     TimeVaryingNetwork,
     Trajectory,
     Zero,
-    agreement_metrics,
     agreement_time_bound,
     block_extremes,
+    build_network,
+    catalog,
     continuous_disagreement_floor,
     continuous_rate_bound,
     detect_epsilon_agreement,
@@ -34,11 +37,11 @@ from persistnet import (
     discrete_rate_bound,
     find_window_violation,
     integrate,
+    run_scenario,
     simulate,
     stochastic_network,
     verify_contraction,
     verify_convexity_bound,
-    verify_exponential_bound,
     verify_influence_bound,
     window_violation_threshold,
 )
@@ -55,16 +58,6 @@ def star5():
 def star5_trajectory(horizon=60):
     x0 = np.array([0.5, 0.0, 1.0, 0.25, 0.75])
     return simulate(star5(), BeliefVector(x0, 0), horizon)
-
-
-class TestAgreementMetrics:
-    def test_basic(self):
-        m = agreement_metrics([0.25, -1.0, 3.0])
-        assert (m.minimum, m.maximum, m.spread) == (-1.0, 3.0, 4.0)
-
-    def test_empty_rejected(self):
-        with pytest.raises(ValueError):
-            agreement_metrics([])
 
 
 class TestDiscreteRateBound:
@@ -361,14 +354,14 @@ class TestVectorizedWindowScan:
 class TestConvexityBound:
     def test_zero_window_pins_anchor_value(self):
         traj = star5_trajectory(horizon=10)
-        report = verify_convexity_bound(traj, star5(), m=2, k=3, T=0)
+        report = verify_convexity_bound(traj, star5(), m=2, k_from=3, k_to=3)
         assert report.passed
         assert report.upper == pytest.approx(report.value, abs=0)
         assert report.lower == pytest.approx(report.value, abs=0)
 
     def test_hub_without_inflow_stays_put(self):
         traj = star5_trajectory(horizon=10)
-        report = verify_convexity_bound(traj, star5(), m=0, k=0, T=8)
+        report = verify_convexity_bound(traj, star5(), m=0, k_from=0, k_to=8)
         assert report.passed
         # no inflow means the decay product is 1, collapsing both bounds
         assert report.upper == pytest.approx(0.5, abs=1e-15)
@@ -380,19 +373,24 @@ class TestConvexityBound:
         for m in range(5):
             for k in (0, 3, 11):
                 for T in (1, 2, 7):
-                    assert verify_convexity_bound(traj, net, m, k, T).passed
+                    assert verify_convexity_bound(traj, net, m, k_from=k, k_to=k + T).passed
 
     def test_consensus_anchor_is_vacuous(self):
         traj = simulate(star5(), BeliefVector(np.full(5, 2.0), 0), 5)
-        report = verify_convexity_bound(traj, star5(), m=1, k=0, T=3)
+        report = verify_convexity_bound(traj, star5(), m=1, k_from=0, k_to=3)
         assert report.passed and report.vacuous
 
     def test_window_validation(self):
         traj = star5_trajectory(horizon=5)
         with pytest.raises(ValueError):
-            verify_convexity_bound(traj, star5(), m=9, k=0, T=1)
+            verify_convexity_bound(traj, star5(), m=9, k_from=0, k_to=1)
         with pytest.raises(ValueError):
-            verify_convexity_bound(traj, star5(), m=0, k=3, T=5)
+            verify_convexity_bound(traj, star5(), m=0, k_from=3, k_to=8)
+
+    def test_sample_indices_are_keyword_only(self):
+        traj = star5_trajectory(horizon=5)
+        with pytest.raises(TypeError):
+            verify_convexity_bound(traj, star5(), 0, 1, 3)
 
 
 class TestExponentialBound:
@@ -406,7 +404,7 @@ class TestExponentialBound:
         idx = range(0, len(traj) - 1, 40)
         for m in range(3):
             for k_from in idx:
-                report = verify_exponential_bound(
+                report = verify_convexity_bound(
                     net=net, traj=traj, m=m, k_from=k_from, k_to=len(traj) - 1
                 )
                 assert report.passed
@@ -414,7 +412,7 @@ class TestExponentialBound:
     def test_source_free_node_is_pinned(self):
         net = self.net()
         traj = integrate(net, np.array([0.0, 1.0, 0.5]), 0.0, 2.0, h_max=0.01)
-        report = verify_exponential_bound(traj, net, 0, 0, len(traj) - 1)
+        report = verify_convexity_bound(traj, net, 0, k_from=0, k_to=len(traj) - 1)
         assert report.passed
         assert report.upper == pytest.approx(0.0, abs=1e-15)
 
@@ -422,7 +420,144 @@ class TestExponentialBound:
         net = self.net()
         traj = integrate(net, np.array([0.0, 1.0, 0.5]), 0.0, 1.0, h_max=0.1)
         with pytest.raises(ValueError):
-            verify_exponential_bound(traj, net, 0, 5, 1)
+            verify_convexity_bound(traj, net, 0, k_from=5, k_to=1)
+
+
+def constant_pair(mode):
+    aw = {(0, 1): Constant(0.5), (1, 0): Constant(0.25)}
+    g = Digraph(2, frozenset(aw))
+    if mode is Mode.DISCRETE:
+        return stochastic_network(g, aw)
+    return TimeVaryingNetwork(g, aw, None, Mode.CONTINUOUS)
+
+
+class TestBoundModes:
+    """The window bounds refuse a trajectory of the other mode."""
+
+    def runs(self):
+        disc, cont = constant_pair(Mode.DISCRETE), constant_pair(Mode.CONTINUOUS)
+        x0 = np.array([0.0, 1.0])
+        return (disc, simulate(disc, BeliefVector(x0, 0), 6),
+                cont, integrate(cont, x0, 0.0, 1.8, h_max=0.3))
+
+    def test_continuous_run_into_discrete_network_raises(self):
+        disc, _, _, cont_traj = self.runs()
+        assert len(cont_traj) == 7 and cont_traj.times[2] == pytest.approx(0.6)
+        with pytest.raises(ValueError, match="continuous trajectory of a discrete network"):
+            verify_convexity_bound(cont_traj, disc, 1, k_from=2, k_to=5)
+
+    def test_discrete_run_into_continuous_network_raises(self):
+        _, disc_traj, cont, _ = self.runs()
+        with pytest.raises(ValueError, match="discrete trajectory of a continuous network"):
+            verify_convexity_bound(disc_traj, cont, 1, k_from=0, k_to=3)
+
+    def test_influence_bound_refuses_a_discrete_run(self):
+        disc, disc_traj, cont, _ = self.runs()
+        for net in (disc, cont):
+            with pytest.raises(ValueError):
+                verify_influence_bound(disc_traj, net, 0, 1, 0, 3)
+
+    def test_matching_modes_hold_with_python_types(self):
+        disc, disc_traj, cont, cont_traj = self.runs()
+        reports = [verify_convexity_bound(disc_traj, disc, 1, k_from=1, k_to=4),
+                   verify_convexity_bound(cont_traj, cont, 1, k_from=1, k_to=4),
+                   verify_influence_bound(cont_traj, cont, 0, 1, 1, 4)]
+        for report in reports:
+            assert report.passed and not report.vacuous
+            for f in dataclasses.fields(report):
+                want = bool if f.name in ("passed", "vacuous") else float
+                assert type(getattr(report, f.name)) is want, f.name
+
+
+def _reference_mix(mu_low, mu_high, decay, lo, hi):
+    upper = mu_low * decay * lo + (1.0 - mu_low * decay) * hi
+    lower = mu_high * decay * hi + (1.0 - mu_high * decay) * lo
+    return upper, lower
+
+
+def _reference_report(value, upper, lower, tol):
+    return BoundReport((value <= upper + tol) and (value >= lower - tol), False, value,
+                       upper, lower, value - upper, lower - value)
+
+
+def reference_convexity_bound(traj, net, m, k, T, tol=1e-12):
+    """The discrete verifier the merged one replaced: a per-step scalar loop."""
+    row = traj.states[k]
+    lo, hi = float(row.min()), float(row.max())
+    value = float(traj.states[k + T][m])
+    if hi - lo == 0.0:
+        return BoundReport(True, True, value, hi, lo, 0.0, 0.0)
+    mu_low, mu_high = (hi - row[m]) / (hi - lo), (row[m] - lo) / (hi - lo)
+    P = 1.0
+    for s in range(int(traj.times[k]), int(traj.times[k]) + T):
+        P *= 1.0 - float(sum(w.eval(float(s)) for _, w in net.in_arcs(m)))
+    return _reference_report(value, *_reference_mix(mu_low, mu_high, P, lo, hi), tol)
+
+
+def reference_exponential_bound(traj, net, m, k_from, k_to, tol=1e-6):
+    """The continuous verifier the merged one replaced."""
+    row = traj.states[k_from]
+    lo, hi = float(row.min()), float(row.max())
+    value = float(traj.states[k_to][m])
+    if hi - lo == 0.0:
+        return BoundReport(True, True, value, hi, lo, 0.0, 0.0)
+    mu_low, mu_high = (hi - row[m]) / (hi - lo), (row[m] - lo) / (hi - lo)
+    s, t = float(traj.times[k_from]), float(traj.times[k_to])
+    decay = math.exp(-sum(w.window_integral(s, t) for _, w in net.in_arcs(m)))
+    return _reference_report(value, *_reference_mix(mu_low, mu_high, decay, lo, hi), tol)
+
+
+def bits(report):
+    return tuple(float(getattr(report, f.name)).hex() for f in dataclasses.fields(report))
+
+
+@pytest.fixture(scope="module")
+def catalog_trajectories():
+    runs = []
+    for s in catalog():
+        _, traj = run_scenario(s)
+        if traj is not None:
+            runs.append((s.name, build_network(s), traj))
+    return runs
+
+
+class TestMergedVerifierMatchesReference:
+    """Bit for bit on the catalog windows of acceptance test 7, and on
+    discrete windows out to 500 steps."""
+
+    def test_discrete_windows(self, catalog_trajectories):
+        compared = 0
+        for name, net, traj in catalog_trajectories:
+            if traj.mode is not Mode.DISCRETE:
+                continue
+            last = len(traj) - 1
+            for m in range(net.n):
+                for k in sorted({0, 1, 7, last // 2} & set(range(last + 1))):
+                    for T in (0, 1, 3, 17, 32, 128, 500):
+                        if k + T > last:
+                            continue
+                        got = verify_convexity_bound(traj, net, m, k_from=k, k_to=k + T)
+                        want = reference_convexity_bound(traj, net, m, k, T)
+                        assert bits(got) == bits(want), (name, m, k, T)
+                        compared += 1
+        assert compared > 200
+
+    def test_continuous_windows(self, catalog_trajectories):
+        compared = 0
+        for name, net, traj in catalog_trajectories:
+            if traj.mode is not Mode.CONTINUOUS:
+                continue
+            last = len(traj) - 1
+            for m in range(net.n):
+                for k_from in sorted({0, last // 4, last // 2}):
+                    for k_to in sorted({k_from, last // 2, last}):
+                        if k_to < k_from:
+                            continue
+                        got = verify_convexity_bound(traj, net, m, k_from=k_from, k_to=k_to)
+                        want = reference_exponential_bound(traj, net, m, k_from, k_to)
+                        assert bits(got) == bits(want), (name, m, k_from, k_to)
+                        compared += 1
+        assert compared > 40
 
 
 class TestInfluenceBound:

@@ -18,7 +18,6 @@ from persistnet import (
     TimeVaryingNetwork,
     WeightBank,
     WeightSum,
-    inflow,
     stochastic_network,
 )
 from persistnet.scenarios import parse_weight
@@ -122,7 +121,8 @@ class TestNetworkSums:
         sums = net.head_sums(net.bank.values(ts))
         selves = net.self_values(ts, sums)
         for k, t in enumerate(times):
-            assert np.array_equal(sums[k], [inflow(net, t, i) for i in range(3)])
+            assert np.array_equal(
+                sums[k], [float(sum(w.eval(t) for _, w in net.in_arcs(i))) for i in range(3)])
             assert np.array_equal(selves[k], [sw[i].eval(t) for i in range(3)])
 
     def test_complement_rows_equal_the_complement_weights(self):

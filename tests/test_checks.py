@@ -3,6 +3,8 @@
 import math
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from persistnet import (
     Constant,
@@ -21,6 +23,9 @@ from persistnet import (
     check_window_bound,
     stochastic_network,
 )
+from persistnet.checks import WINDOW_STARTS
+from persistnet.scenarios import parse_weight
+from test_bank import WEIGHT_SPECS
 
 
 def star_net(weight=None):
@@ -167,6 +172,31 @@ class TestWindowBound:
     def test_discrete_window_must_be_integer(self):
         with pytest.raises(ValueError):
             check_window_bound(star_net(), a_star=0.1, window=1.5)
+
+    def test_infimum_decides_without_sampling(self):
+        # sampling the constant arcs would find (16384 + ln 2) - 16384, a few
+        # ulps below ln 2; the infimum alone decides them
+        net = continuous_pair(Constant(1.0), Constant(1.0))
+        result = check_window_bound(net, a_star=0.5, window=math.log(2.0))
+        assert result.passed
+        assert result.worst_value == math.log(2.0)
+        assert result.witness == ((0, 1), None)
+        assert "sample-only" not in result.detail
+
+    @settings(max_examples=150, deadline=None)
+    @given(WEIGHT_SPECS, st.integers(1, 40), st.floats(0.05, 40.0))
+    def test_infimum_bounds_every_default_start(self, spec, length, tau):
+        # so samples cannot fail an arc its infimum passes, within their slack
+        w = parse_weight(spec, "w")
+        for inf_mass, mass in (
+            (w.window_sum_infimum(length), lambda s: w.window_sum(int(s), length)),
+            (w.window_integral_infimum(tau), lambda s: w.window_integral(s, s + tau)),
+        ):
+            if inf_mass is None:
+                continue
+            slack = 1e-9 * max(1.0, inf_mass)
+            for s in WINDOW_STARTS:
+                assert inf_mass <= mass(s) + slack, (s, inf_mass, mass(s))
 
     def test_tabulated_long_table_reports_sample_only(self):
         w = Tabulated((0.0, 2e5), (0.4, 0.4), persistent=True)

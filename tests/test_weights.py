@@ -26,11 +26,8 @@ from persistnet import (
     Zero,
     aggregate_vanishing_weight,
     classify_arc,
-    inflow,
     persistence_report,
-    persistent_inflow,
     stochastic_network,
-    total_vanishing_weight,
 )
 from persistnet.scenarios import parse_weight
 
@@ -466,7 +463,7 @@ class TestNetworks:
         net = self.make_star()
         for t in (0.0, 1.0, 7.0, 31.0):
             for i in range(3):
-                total = float(net.self_weights[i].eval(t)) + inflow(net, t, i)
+                total = float(net.self_weights[i].eval(t)) + net.head_sums(net.bank.values(t))[i]
                 assert total == pytest.approx(1.0, abs=1e-15)
 
     def test_stochastic_network_rejects_overweight_inflow(self):
@@ -484,10 +481,14 @@ class TestNetworks:
 
     def test_inflow_helpers(self):
         net = self.make_star()
-        assert inflow(net, 0.0, 1) == pytest.approx(0.4)
-        assert inflow(net, 0.0, 0) == 0.0
-        assert persistent_inflow(net, 0.0, 2) == 0.0  # only a vanishing arc arrives
-        assert total_vanishing_weight(net, 0.0) == pytest.approx(0.3)
+        values = net.bank.values(0.0)
+        inflows = net.head_sums(values)
+        assert inflows[1] == pytest.approx(0.4)
+        assert inflows[0] == 0.0
+        keep = persistence_report(net).persistent_arcs
+        persistent = net.head_sums(values * [arc in keep for arc in net.arcs()])
+        assert persistent[2] == 0.0  # only a vanishing arc arrives
+        assert aggregate_vanishing_weight(net).eval(0.0) == pytest.approx(0.3)
 
     def test_aggregate_vanishing_weight(self):
         net = self.make_star()
