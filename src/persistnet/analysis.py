@@ -313,7 +313,7 @@ def _bound_report(traj: Trajectory, m: int, k_from: int, k_to: int, held, share,
 
 
 def _inflow_integral(net: TimeVaryingNetwork, m: int, a: float, b: float) -> float:
-    return sum(w.window_integral(a, b) for _, w in net.in_arcs(m))
+    return sum(w.mass(a, b, Mode.CONTINUOUS) for _, w in net.in_arcs(m))
 
 
 def verify_convexity_bound(
@@ -440,7 +440,7 @@ def discrete_disagreement_floor(theta: Weight, t0: int = 0) -> LowerBoundCertifi
     mass is at most half the product; the smallest such start at or after
     ``t0`` is returned, and the floor is half the product.
     """
-    if theta.tail_sum(0) == math.inf:
+    if theta.tail(0, Mode.DISCRETE) == math.inf:
         raise NotSummableError("vanishing mass diverges; no floor exists")
     t1 = _first_quiet_time(theta)
     ts = np.arange(t1, PRODUCT_HORIZON + 1, dtype=float)
@@ -453,16 +453,16 @@ def discrete_disagreement_floor(theta: Weight, t0: int = 0) -> LowerBoundCertifi
             "vanishing mass still exceeds 1/2 beyond the truncation horizon"
         )
     log_product = float(np.sum(np.log1p(-vals)))
-    tail_correction = 2.0 * theta.tail_sum(PRODUCT_HORIZON + 1)
+    tail_correction = 2.0 * theta.tail(PRODUCT_HORIZON + 1, Mode.DISCRETE)
     sigma = math.exp(log_product - tail_correction)
     floor = sigma / 2.0
     if floor <= 0.0:
         raise FloorUnavailableError("survival product underflowed to zero")
 
     start = max(int(t0), t1)
-    if theta.tail_sum(start) > floor:
+    if theta.tail(start, Mode.DISCRETE) > floor:
         lo, hi = start, start + 1
-        while theta.tail_sum(hi) > floor:
+        while theta.tail(hi, Mode.DISCRETE) > floor:
             lo, hi = hi, hi * 2
             if hi > 10**12:
                 raise FloorUnavailableError(
@@ -470,7 +470,7 @@ def discrete_disagreement_floor(theta: Weight, t0: int = 0) -> LowerBoundCertifi
                 )
         while hi - lo > 1:  # lo fails, hi passes
             mid = (lo + hi) // 2
-            if theta.tail_sum(mid) > floor:
+            if theta.tail(mid, Mode.DISCRETE) > floor:
                 lo = mid
             else:
                 hi = mid
@@ -479,7 +479,7 @@ def discrete_disagreement_floor(theta: Weight, t0: int = 0) -> LowerBoundCertifi
         mode=Mode.DISCRETE,
         floor=floor,
         required_t0=float(start),
-        tail_mass=float(theta.tail_sum(start)),
+        tail_mass=float(theta.tail(start, Mode.DISCRETE)),
         tail_product=sigma,
         note=(
             f"survival product truncated at t={PRODUCT_HORIZON}, remainder covered "
@@ -498,21 +498,21 @@ def continuous_disagreement_floor(
     start is pushed just far enough that the floor reaches 1/3 (tail integral
     at most ln(3/2)).
     """
-    if theta.tail_integral(0.0) == math.inf:
+    if theta.tail(0.0, Mode.CONTINUOUS) == math.inf:
         raise NotSummableError("vanishing mass diverges; no floor exists")
     start = float(t0)
     if seek_min_t0:
         target = math.log(1.5)
-        if theta.tail_integral(start) > target:
+        if theta.tail(start, Mode.CONTINUOUS) > target:
             hi = max(start, 1.0)
-            while theta.tail_integral(hi) > target:
+            while theta.tail(hi, Mode.CONTINUOUS) > target:
                 hi *= 2.0
                 if hi > 1e15:
                     raise FloorUnavailableError(
                         "tail mass decays too slowly to reach a 1/3 floor"
                     )
-            start = float(brentq(lambda u: theta.tail_integral(u) - target, start, hi))
-    mass = theta.tail_integral(start)
+            start = float(brentq(lambda u: theta.tail(u, Mode.CONTINUOUS) - target, start, hi))
+    mass = theta.tail(start, Mode.CONTINUOUS)
     if mass >= math.log(2.0):
         raise FloorUnavailableError(
             f"vanishing mass {mass:.6g} from t0={start} is at least ln 2; floor would not be positive"
@@ -578,7 +578,7 @@ def find_window_violation(
     threshold = window_violation_threshold(A, net.n, epsilon)
     arcs = net.arcs()
     for t in range(scan_limit + 1):
-        if all(net.weight(a).window_sum(t, T) < threshold for a in arcs):
+        if all(net.weight(a).mass(t, t + T, Mode.DISCRETE) < threshold for a in arcs):
             return t, threshold
     return None
 
@@ -622,7 +622,7 @@ def agreement_time_bound(
     n = net.n
     if n < 2 or d0 < 1:
         raise CertificateDomainError("need at least two nodes with persistent arcs")
-    theta_int = aggregate_vanishing_weight(net).tail_integral(0.0)
+    theta_int = aggregate_vanishing_weight(net).tail(0.0, Mode.CONTINUOUS)
     if theta_int == math.inf:
         raise CertificateDomainError("vanishing mass must be integrable")
     omega0 = math.exp(-theta_int)
@@ -636,7 +636,7 @@ def agreement_time_bound(
         w = net.weight(arc)
 
         def remaining(t: float) -> float:
-            return w.window_integral(t0, t) - mass
+            return w.mass(t0, t, Mode.CONTINUOUS) - mass
 
         hi = max(t0 + 1.0, 2.0 * t0 + 1.0)
         while remaining(hi) < 0.0 and hi < 1e300:

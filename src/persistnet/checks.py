@@ -38,10 +38,16 @@ WINDOW_STARTS = tuple(float(t) for t in [*range(64), *(2**k for k in range(6, 18
 _MAX_SUBSETS = 4096  # random cut subsets drawn beyond n = 12
 
 
-def _row_extreme(net: TimeVaryingNetwork, times: list[float], of, pick, empty: float):
-    """Extreme of ``of(self-weights, inflows)`` and its first (node, t), time-major."""
+def _sample_times(times: Sequence[float] | None, default=_DEFAULT_TIMES, name: str = "times") -> list:
+    """The sample points a check reads: ``default`` for None, else a non-empty list."""
+    times = list(default if times is None else times)
     if not times:
-        return empty, ()
+        raise ValueError(f"{name} must not be empty")
+    return times
+
+
+def _row_extreme(net: TimeVaryingNetwork, times: list[float], of, pick):
+    """Extreme of ``of(self-weights, inflows)`` and its first (node, t), time-major."""
     ts = np.asarray(times, dtype=float)
     inflow = net.head_sums(net.bank.values(ts))
     values = of(net.self_values(ts, inflow), inflow)
@@ -55,8 +61,8 @@ def check_stochasticity(
     """Row sums (self-weight plus inflow) must equal 1 within 1e-12."""
     if net.mode is not Mode.DISCRETE:
         raise ValueError("stochasticity only applies to discrete networks")
-    times = _DEFAULT_TIMES if times is None else list(times)
-    worst, where = _row_extreme(net, times, lambda s, f: np.abs(s + f - 1.0), np.argmax, -1.0)
+    times = _sample_times(times)
+    worst, where = _row_extreme(net, times, lambda s, f: np.abs(s + f - 1.0), np.argmax)
     return CheckResult(
         name="stochasticity",
         passed=worst <= ROW_SUM_TOLERANCE,
@@ -74,8 +80,8 @@ def check_self_confidence(
         raise ValueError("self-confidence only applies to discrete networks")
     if not (0 < eta <= 1):
         raise ValueError("eta must lie in (0, 1]")
-    times = _DEFAULT_TIMES if times is None else list(times)
-    worst, where = _row_extreme(net, times, lambda s, f: s, np.argmin, math.inf)
+    times = _sample_times(times)
+    worst, where = _row_extreme(net, times, lambda s, f: s, np.argmin)
     return CheckResult(
         name="self-confidence",
         passed=worst >= eta,
@@ -115,7 +121,7 @@ def check_arc_balance(
     arcs = sorted(rep.persistent_arcs)
     if not arcs:
         return CheckResult("arc-balance", True, vacuous=True, detail="no persistent arcs")
-    times = _DEFAULT_TIMES if times is None else list(times)
+    times = _sample_times(times)
     worst, where = 0.0, ()
     for t, values in zip(times, _arc_values(net, arcs, times)):
         ok, ratio = _balance_over_values(values, A)
@@ -140,6 +146,8 @@ def check_integral_arc_balance(
     """Interval-mass variant of the mutual bound, over the given [a, b]."""
     if A < 1.0:
         raise ValueError("balance factor A must be >= 1")
+    if not intervals:
+        raise ValueError("intervals must not be empty")
     rep = persistence_report(net)
     arcs = sorted(rep.persistent_arcs)
     if not arcs:
@@ -148,7 +156,7 @@ def check_integral_arc_balance(
         )
     worst, where = 0.0, ()
     for a, b in intervals:
-        masses = np.asarray([net.weight(arc).window_integral(a, b) for arc in arcs])
+        masses = np.asarray([net.weight(arc).mass(a, b, Mode.CONTINUOUS) for arc in arcs])
         ok, ratio = _balance_over_values(masses, A)
         if not ok or ratio > worst:
             hi = arcs[int(np.argmax(masses))]
@@ -189,26 +197,23 @@ def check_window_bound(
     arcs = sorted(rep.persistent_arcs)
     if not arcs:
         return CheckResult("window-bound", True, vacuous=True, detail="no persistent arcs")
-    starts = WINDOW_STARTS if starts is None else starts
-    discrete = net.mode is Mode.DISCRETE
-    if discrete:
-        T = int(window)
-        if T != window or T < 1:
+    starts, span = _sample_times(starts, WINDOW_STARTS, "starts"), window
+    if net.mode is Mode.DISCRETE:
+        span = int(window)
+        if span != window or span < 1:
             raise ValueError("discrete mode needs an integer window of at least 1 step")
+        starts = [int(s) for s in starts]
     slack = 1e-9 * max(1.0, a_star)
     worst, where, sampled_only, ok = math.inf, (), [], True
     for arc in arcs:
         w = net.weight(arc)
-        low = w.window_sum_infimum(T) if discrete else w.window_integral_infimum(window)
+        low = w.mass_infimum(span, net.mode)
         if low is not None:
             at = None  # None marks the analytic infimum
             ok = ok and low >= a_star
         else:
             sampled_only.append(arc)
-            if discrete:
-                masses = [(w.window_sum(int(s), T), int(s)) for s in starts]
-            else:
-                masses = [(w.window_integral(s, s + window), s) for s in starts]
+            masses = [(w.mass(s, s + span, net.mode), s) for s in starts]
             low, at = min(masses, key=lambda mv: mv[0])
             ok = ok and low >= a_star - slack
         if low < worst:
@@ -245,7 +250,7 @@ def check_cut_balance(
     arcs = sorted(persistence_report(net).persistent_arcs)
     if not arcs:
         return CheckResult("cut-balance", True, vacuous=True, detail="no arcs to balance")
-    times = _DEFAULT_TIMES if times is None else list(times)
+    times = _sample_times(times)
     n = net.n
     tails = np.asarray([a[0] for a in arcs])
     heads = np.asarray([a[1] for a in arcs])

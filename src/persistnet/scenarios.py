@@ -165,9 +165,10 @@ def _bounded(ok, what: str, as_type=_as_float):
 
 
 def _list_of(read_item, size: int | None = None):
+    """Reader of a non-empty list (of ``size`` items, if given)."""
     def read(v, path: str) -> None:
-        if not isinstance(v, list) or size not in (None, len(v)):
-            what = "a list" if size is None else f"a list of {size}"
+        if not isinstance(v, list) or not v or size not in (None, len(v)):
+            what = "a non-empty list" if size is None else f"a list of {size}"
             raise ScenarioParseError(f"{path} must be {what}, got {v!r}")
         for i, item in enumerate(v):
             read_item(item, f"{path}[{i}]")
@@ -720,7 +721,7 @@ def _rate(kind: str, p: dict, ctx: RunContext, traj):
     if ctx.scenario.mode is Mode.DISCRETE:
         cert = analysis.discrete_rate_bound(p["eta"], p["a_star"], int(p["T_star"]), ctx.d0)
     else:
-        theta_int = aggregate_vanishing_weight(ctx.net).tail_integral(0.0)
+        theta_int = aggregate_vanishing_weight(ctx.net).tail(0.0, Mode.CONTINUOUS)
         cert = analysis.continuous_rate_bound(
             p["A"], ctx.net.n, theta_int, p["a_star"], p["tau0"], ctx.d0
         )
@@ -924,16 +925,18 @@ def write_trajectory_csv(
         raise ValueError("stride must be >= 1")
     n = traj.n
     keep = np.arange(0, len(traj), stride)
-    header = "t," + ",".join(f"x_{i}" for i in range(n)) + ",psi,Psi,H"
-    minima, maxima, spreads = traj.minima(), traj.maxima(), traj.spreads()
-    lines = [header]
-    for k in keep:
-        cells = [f"{float(traj.times[k]):.17g}"]
-        cells += [f"{v:.17g}" for v in traj.states[k]]
-        cells += [f"{minima[k]:.17g}", f"{maxima[k]:.17g}", f"{spreads[k]:.17g}"]
-        lines.append(",".join(cells))
-    Path(path).write_text("\n".join(lines) + "\n")
+    row = ",".join(["%.17g"] * (n + 4)) + "\n"
+    columns = (traj.times, traj.states, traj.minima(), traj.maxima(), traj.spreads())
+    with Path(path).open("w") as f:
+        f.write("t," + ",".join(f"x_{i}" for i in range(n)) + ",psi,Psi,H\n")
+        # A block of rows at a time, so memory stays bounded in the row count.
+        for s in range(0, len(keep), _CSV_BLOCK):
+            block = np.column_stack([c[keep[s : s + _CSV_BLOCK]] for c in columns])
+            f.write("".join([row % tuple(r) for r in block.tolist()]))
     return len(keep)
+
+
+_CSV_BLOCK = 4096  # trajectory rows formatted per write
 
 
 def read_trajectory_csv(path: str | Path):

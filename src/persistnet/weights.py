@@ -3,24 +3,28 @@
 Each weight family evaluates to a nonnegative value for t >= 0 and knows, in
 closed form where one exists:
 
-* ``window_sum(start, length)``   -- sum over the integer times
-  start, start+1, ..., start+length-1 (discrete window mass),
-* ``window_integral(a, b)``       -- integral over [a, b] (continuous mass),
-* ``tail_sum`` / ``tail_integral`` -- total mass from a time onward
-  (``inf`` when the family is persistent),
-* its own discontinuity points, so integrators can align steps to them,
-* an analytic infimum of the window mass over all window placements,
-  where the family admits one.
+* ``mass(a, b, mode)`` -- its mass over ``[a, b)``: in discrete mode the sum
+  of its values at the whole times a, a+1, ..., b-1 (the l1 norm), in
+  continuous mode its integral (the L1 norm),
+* ``tail(start, mode)`` -- the mass from ``start`` onward (``inf`` when it
+  diverges),
+* ``mass_infimum(span, mode)`` -- the infimum of the mass of a window of that
+  span over all window placements, where the family admits one,
+* its own discontinuity points, so integrators can align steps to them.
 
-Persistence is an analytic per-family rule: a weight is persistent when its
-total mass diverges (the tail sum, or tail integral, is infinite from every
-starting time), and vanishing when the total mass is finite.  The test suite
-cross-checks these rules against direct numerical accumulation out to large
-horizons.
+Persistence is the paper's definition: a weight is persistent when its total
+mass ``tail(0, mode)`` is infinite, and vanishing when it is finite; the mode
+changes the norm and nothing else.  A finite table says nothing about
+divergence, so tabulated weights declare their class instead.  The test
+suite cross-checks the classification against direct numerical accumulation
+out to large horizons.
 
-The ``Weight`` classes are the scalar oracle.  The hot paths (the stepper,
-the integrator, the sampled checks) evaluate every arc at once through a
-``WeightBank``, which returns the same values bit for bit.
+Each family writes its values once, as ``_formula``: a function of the
+family's parameters held as arrays, which evaluates a group of weights at a
+block of times.  ``Weight.eval`` runs it on one weight.  A ``WeightBank``,
+which the hot paths (the stepper, the integrator, the sampled checks) use,
+runs it once per family over every arc of that family.  Growing-gap pulses,
+sums and complements are evaluated weight by weight.
 
 ``TimeVaryingNetwork`` pairs a static digraph with one weight function per
 arc, and holds the bank of its arc weights.  Discrete networks also carry
@@ -36,7 +40,7 @@ import enum
 import functools
 import math
 from dataclasses import dataclass, field
-from typing import Iterable, Mapping, Sequence
+from typing import Mapping, Sequence
 
 import numpy as np
 from scipy.special import digamma, zeta
@@ -86,11 +90,6 @@ class UndeclaredPersistenceError(ValueError):
     """Raised when a tabulated weight is classified without a declared class."""
 
 
-def _check_window(a: float, b: float) -> None:
-    if not (0.0 <= a <= b):
-        raise ValueError(f"window [{a}, {b}] must satisfy 0 <= a <= b")
-
-
 def _as_times(t) -> np.ndarray:
     arr = np.asarray(t, dtype=float)
     if np.any(arr < 0):
@@ -98,60 +97,82 @@ def _as_times(t) -> np.ndarray:
     return arr
 
 
-def _scalar_or_array(t, values):
-    values = np.asarray(values, dtype=float)
-    return float(values) if np.ndim(t) == 0 else values
+def _params(ws, *names) -> list[np.ndarray]:
+    return [np.asarray([getattr(w, f) for w in ws], dtype=float) for f in names]
 
 
 class Weight(abc.ABC):
     """Nonnegative weight of one arc as a function of time t >= 0."""
 
-    @abc.abstractmethod
     def eval(self, t):
         """Value at time ``t`` (scalar or ndarray, right-continuous)."""
+        return self._at(t, False)
 
     def eval_left(self, t):
         """Left limit at ``t``; differs from ``eval`` only at jump points."""
-        return self.eval(t)
+        return self._at(t, True)
 
     def __call__(self, t):
         return self.eval(t)
 
-    def window_sum(self, start: int, length: int) -> float:
-        """Sum of values at the ``length`` integer times starting at ``start``."""
-        if length < 0:
-            raise ValueError("window length must be >= 0")
-        if length == 0:
-            return 0.0
-        return float(np.sum(self.eval(np.arange(start, start + length, dtype=float))))
+    def _at(self, t, left: bool):
+        ts = _as_times(t)
+        col = ts.reshape(-1, 1)
+        out = np.broadcast_to(self._own_formula(col, left), col.shape).copy()
+        return float(out[0, 0]) if ts.ndim == 0 else out.reshape(ts.shape)
+
+    @functools.cached_property
+    def _own_formula(self):
+        return self._formula((self,))
+
+    def __getstate__(self):  # the cached formula is a closure: pickle without it
+        return {k: v for k, v in vars(self).items() if k != "_own_formula"}
+
+    def _group(self) -> tuple:
+        """Weights with equal groups share one ``_formula`` in a ``WeightBank``."""
+        return (type(self),)
+
+    @classmethod
+    def _formula(cls, ws: Sequence[Weight]):
+        """``f(col, left)``: the values of ``ws`` (their left limits if
+        ``left``) at the times in the ``(k, 1)`` column ``col``, broadcastable
+        to ``(k, len(ws))``.  By default each weight's ``_values`` in turn."""
+        return lambda col, left: np.column_stack([w._values(col[:, 0], left) for w in ws])
+
+    def _values(self, ts: np.ndarray, left: bool) -> np.ndarray:
+        """Values at the 1-d times ``ts``, for weights evaluated one by one."""
+        raise NotImplementedError
+
+    def mass(self, a, b, mode: Mode) -> float:
+        """Mass over ``[a, b)``: the sum of the values at the whole times
+        a, ..., b-1 in discrete mode, the integral in continuous mode."""
+        if not 0 <= a <= b:
+            raise ValueError(f"window [{a}, {b}) must satisfy 0 <= a <= b")
+        if mode is Mode.DISCRETE:
+            if a != int(a) or b != int(b):
+                raise ValueError(f"discrete window [{a}, {b}) must start and end at whole times")
+            a, b = int(a), int(b)
+        return self._mass(a, b, mode)
 
     @abc.abstractmethod
-    def window_integral(self, a: float, b: float) -> float:
-        """Integral of the weight over ``[a, b]``."""
+    def _mass(self, a, b, mode: Mode) -> float:
+        """``mass`` over a checked window; discrete bounds are ints."""
 
-    @abc.abstractmethod
+    def tail(self, start, mode: Mode) -> float:
+        """Upper bound (exact where possible) on the mass from ``start`` on."""
+        raise NotImplementedError
+
+    def mass_infimum(self, span, mode: Mode) -> float | None:
+        """Infimum over start >= 0 of ``mass(start, start + span, mode)``, or None if unknown."""
+        return None
+
     def is_persistent(self, mode: Mode) -> bool:
         """Whether the total mass diverges under the given mode."""
-
-    def tail_sum(self, start: int) -> float:
-        """Upper bound (exact where possible) on the sum over t >= start."""
-        raise NotImplementedError
-
-    def tail_integral(self, start: float) -> float:
-        """Upper bound (exact where possible) on the integral over [start, inf)."""
-        raise NotImplementedError
+        return self.tail(0, mode) == math.inf
 
     def breakpoints_between(self, a: float, b: float) -> np.ndarray:
         """Discontinuity points in the half-open interval ``(a, b]``."""
         return np.empty(0)
-
-    def window_sum_infimum(self, length: int) -> float | None:
-        """Infimum over start >= 0 of ``window_sum``, or None if unknown."""
-        return None
-
-    def window_integral_infimum(self, tau: float) -> float | None:
-        """Infimum over t >= 0 of the integral over [t, t+tau], or None."""
-        return None
 
 
 @dataclass(frozen=True)
@@ -162,32 +183,19 @@ class Constant(Weight):
         if self.c < 0:
             raise ValueError("constant weight must be nonnegative")
 
-    def eval(self, t):
-        return _scalar_or_array(t, np.full(_as_times(t).shape, float(self.c)))
+    @classmethod
+    def _formula(cls, ws):
+        (c,) = _params(ws, "c")
+        return lambda col, left: c
 
-    def window_sum(self, start, length):
-        if length < 0:
-            raise ValueError("window length must be >= 0")
-        return self.c * length
-
-    def window_integral(self, a, b):
-        _check_window(a, b)
+    def _mass(self, a, b, mode):
         return self.c * (b - a)
 
-    def is_persistent(self, mode):
-        return self.c > 0
-
-    def tail_sum(self, start):
+    def tail(self, start, mode):
         return math.inf if self.c > 0 else 0.0
 
-    def tail_integral(self, start):
-        return math.inf if self.c > 0 else 0.0
-
-    def window_sum_infimum(self, length):
-        return self.c * length
-
-    def window_integral_infimum(self, tau):
-        return self.c * tau
+    def mass_infimum(self, span, mode):
+        return self.c * span
 
 
 @dataclass(frozen=True)
@@ -203,55 +211,46 @@ class PowerDecay(Weight):
         if self.p < 0:
             raise ValueError("exponent must be nonnegative")
 
-    def eval(self, t):
-        return _scalar_or_array(t, self.c * np.power(1.0 + _as_times(t), -self.p))
+    def _group(self):
+        return (PowerDecay, self.p)
 
-    def window_sum(self, start, length):
-        if length < 0:
-            raise ValueError("window length must be >= 0")
-        if length == 0 or self.c == 0.0:
+    @classmethod
+    def _formula(cls, ws):
+        # One exponent per group, passed as a scalar: numpy's power takes fast
+        # paths for some scalar exponents (-1, 0.5, 2) that differ in the last
+        # bit from its array-exponent path.
+        (c,), neg_p = _params(ws, "c"), -ws[0].p
+        return lambda col, left: c * np.power(1.0 + col, neg_p)
+
+    def _mass(self, a, b, mode):
+        if mode is Mode.CONTINUOUS:
+            if self.p == 1.0:
+                return self.c * math.log((1.0 + b) / (1.0 + a))
+            q = 1.0 - self.p
+            return self.c / q * ((1.0 + b) ** q - (1.0 + a) ** q)
+        if a == b or self.c == 0.0:
             return 0.0
         if self.p == 1.0:
-            return self.c * float(digamma(start + length + 1) - digamma(start + 1))
+            return self.c * float(digamma(b + 1) - digamma(a + 1))
         if self.p > 1.0:
-            return self.c * float(zeta(self.p, start + 1) - zeta(self.p, start + length + 1))
-        return super().window_sum(start, length)
+            return self.c * float(zeta(self.p, a + 1) - zeta(self.p, b + 1))
+        return float(np.sum(self.eval(np.arange(a, b, dtype=float))))
 
-    def window_integral(self, a, b):
-        _check_window(a, b)
-        if self.p == 1.0:
-            return self.c * math.log((1.0 + b) / (1.0 + a))
-        q = 1.0 - self.p
-        return self.c / q * ((1.0 + b) ** q - (1.0 + a) ** q)
-
-    def is_persistent(self, mode):
-        return self.c > 0 and self.p <= 1.0
-
-    def tail_sum(self, start):
+    def tail(self, start, mode):
         if self.c == 0.0:
             return 0.0
         if self.p <= 1.0:
             return math.inf
-        return self.c * float(zeta(self.p, start + 1))
-
-    def tail_integral(self, start):
-        if self.c == 0.0:
-            return 0.0
-        if self.p <= 1.0:
-            return math.inf
+        if mode is Mode.DISCRETE:
+            return self.c * float(zeta(self.p, start + 1))
         return self.c * (1.0 + start) ** (1.0 - self.p) / (self.p - 1.0)
 
-    def window_sum_infimum(self, length):
+    def mass_infimum(self, span, mode):
         # strictly decreasing when p > 0, so the infimum over starts is the
         # limit at infinity
         if self.c == 0.0 or self.p > 0.0:
             return 0.0
-        return self.c * length
-
-    def window_integral_infimum(self, tau):
-        if self.c == 0.0 or self.p > 0.0:
-            return 0.0
-        return self.c * tau
+        return self.c * span
 
 
 @dataclass(frozen=True)
@@ -267,51 +266,42 @@ class ExponentialDecay(Weight):
         if self.rate < 0:
             raise ValueError("rate must be nonnegative")
 
-    def eval(self, t):
-        return _scalar_or_array(t, self.c * np.exp(-self.rate * _as_times(t)))
+    @classmethod
+    def _formula(cls, ws):
+        c, rate = _params(ws, "c", "rate")
+        return lambda col, left: c * np.exp(-rate * col)
 
-    def window_sum(self, start, length):
-        if length < 0:
-            raise ValueError("window length must be >= 0")
-        if length == 0 or self.c == 0.0:
-            return 0.0
-        if self.rate == 0.0:
-            return self.c * length
+    def _mass(self, a, b, mode):
         r = self.rate
-        return self.c * math.exp(-r * start) * math.expm1(-r * length) / math.expm1(-r)
-
-    def window_integral(self, a, b):
-        _check_window(a, b)
-        if self.rate == 0.0:
+        if mode is Mode.CONTINUOUS:
+            if r == 0.0:
+                return self.c * (b - a)
+            return self.c / r * (math.exp(-r * a) - math.exp(-r * b))
+        if a == b or self.c == 0.0:
+            return 0.0
+        if r == 0.0:
             return self.c * (b - a)
-        return self.c / self.rate * (math.exp(-self.rate * a) - math.exp(-self.rate * b))
+        return self.c * math.exp(-r * a) * math.expm1(-r * (b - a)) / math.expm1(-r)
 
-    def is_persistent(self, mode):
-        return self.c > 0 and self.rate == 0.0
-
-    def tail_sum(self, start):
+    def tail(self, start, mode):
         if self.c == 0.0:
             return 0.0
         if self.rate == 0.0:
             return math.inf
-        return self.c * math.exp(-self.rate * start) / -math.expm1(-self.rate)
-
-    def tail_integral(self, start):
-        if self.c == 0.0:
-            return 0.0
-        if self.rate == 0.0:
-            return math.inf
+        if mode is Mode.DISCRETE:
+            return self.c * math.exp(-self.rate * start) / -math.expm1(-self.rate)
         return self.c / self.rate * math.exp(-self.rate * start)
 
-    def window_sum_infimum(self, length):
+    def mass_infimum(self, span, mode):
         if self.rate > 0.0 or self.c == 0.0:
             return 0.0
-        return self.c * length
+        return self.c * span
 
-    def window_integral_infimum(self, tau):
-        if self.rate > 0.0 or self.c == 0.0:
-            return 0.0
-        return self.c * tau
+
+def _pulse_values(phase, t, width, height, left: bool):
+    """Pulse values from the time ``phase`` since the last pulse start."""
+    inside = ((phase > 0) & (phase <= width)) | (t == 0.0) if left else phase < width
+    return np.where(inside, height, 0.0)
 
 
 @dataclass(frozen=True)
@@ -349,18 +339,28 @@ class PeriodicPulse(Weight):
     def _cycle(self) -> float:
         return self.width + self.period
 
+    def _group(self):
+        return (PeriodicPulse, self.gap_growth == 1.0)
+
+    @classmethod
+    def _formula(cls, ws):
+        if ws[0].gap_growth != 1.0:
+            return super()._formula(ws)
+        height, width, period = _params(ws, "height", "width", "period")
+        cycle = width + period
+        return lambda col, left: _pulse_values(np.mod(col, cycle), col, width, height, left)
+
+    def _values(self, ts, left):
+        starts = self._starts_upto(float(np.max(ts)) if ts.size else 0.0)
+        idx = np.clip(np.searchsorted(starts, ts, "left" if left else "right") - 1, 0, None)
+        return _pulse_values(ts - starts[idx], ts, self.width, self.height, left)
+
     def _starts_upto(self, tmax: float) -> np.ndarray:
         """Pulse start times s_k with s_k <= tmax (always includes s_0 = 0).
 
-        Only meaningful for the growing-gap case, where the count grows
-        logarithmically in ``tmax``; the periodic case uses arithmetic on
-        pulse indices instead of enumeration.
+        For the growing-gap case, where the count grows logarithmically in
+        ``tmax``; the periodic case uses arithmetic on pulse indices instead.
         """
-        if tmax < 0:
-            return np.empty(0)
-        if self.gap_growth == 1.0:
-            count = int(math.floor(tmax / self._cycle)) + 1
-            return np.arange(count, dtype=float) * self._cycle
         starts = [0.0]
         gap = self.period
         while math.isfinite(tmax):
@@ -392,29 +392,6 @@ class PeriodicPulse(Weight):
         starts = self._starts_upto(t)
         return float(np.sum(np.minimum(t - starts, self.width)))
 
-    def eval(self, t):
-        arr = _as_times(t)
-        if self.gap_growth == 1.0:
-            inside = np.mod(arr, self._cycle) < self.width
-        else:
-            starts = self._starts_upto(float(np.max(arr)) if arr.size else 0.0)
-            idx = np.searchsorted(starts, arr, side="right") - 1
-            inside = (arr - starts[np.clip(idx, 0, None)]) < self.width
-        return _scalar_or_array(t, np.where(inside, self.height, 0.0))
-
-    def eval_left(self, t):
-        arr = np.asarray(t, dtype=float)
-        if self.gap_growth == 1.0:
-            frac = np.mod(arr, self._cycle)
-            inside = (frac > 0) & (frac <= self.width)
-        else:
-            starts = self._starts_upto(float(np.max(arr)) if arr.size else 0.0)
-            idx = np.clip(np.searchsorted(starts, arr, side="left") - 1, 0, None)
-            delta = arr - starts[idx]
-            inside = (delta > 0) & (delta <= self.width)
-        inside = inside | (arr == 0.0)  # left limit at 0 defaults to the value there
-        return _scalar_or_array(t, np.where(inside, self.height, 0.0))
-
     def _overlaps(self, a: float, b: float) -> tuple[np.ndarray, np.ndarray]:
         """Clipped [lo, hi) intersections of each pulse with [a, b)."""
         starts = self._starts_between(a, b)
@@ -423,28 +400,15 @@ class PeriodicPulse(Weight):
         keep = hi > lo
         return lo[keep], hi[keep]
 
-    def window_sum(self, start, length):
-        if length < 0:
-            raise ValueError("window length must be >= 0")
-        if length == 0 or self.height == 0.0:
+    def _mass(self, a, b, mode):
+        if self.height == 0.0 or a == b:
             return 0.0
-        lo, hi = self._overlaps(float(start), float(start + length))
-        counts = np.ceil(hi) - np.ceil(lo)
-        return self.height * float(np.sum(np.maximum(counts, 0.0)))
+        if mode is Mode.CONTINUOUS:
+            return self.height * (self._on_time_before(b) - self._on_time_before(a))
+        lo, hi = self._overlaps(float(a), float(b))  # count the whole times in each
+        return self.height * float(np.sum(np.maximum(np.ceil(hi) - np.ceil(lo), 0.0)))
 
-    def window_integral(self, a, b):
-        _check_window(a, b)
-        if self.height == 0.0:
-            return 0.0
-        return self.height * (self._on_time_before(b) - self._on_time_before(a))
-
-    def is_persistent(self, mode):
-        return self.height > 0
-
-    def tail_sum(self, start):
-        return math.inf if self.height > 0 else 0.0
-
-    def tail_integral(self, start):
+    def tail(self, start, mode):
         return math.inf if self.height > 0 else 0.0
 
     def breakpoints_between(self, a, b):
@@ -453,33 +417,27 @@ class PeriodicPulse(Weight):
         edges = edges[(edges > a) & (edges <= b)]
         return np.unique(edges)
 
-    def window_sum_infimum(self, length):
-        if self.height == 0.0:
-            return 0.0
-        if self.gap_growth > 1.0:
-            return 0.0  # gaps grow without bound, eventually swallowing any window
+    def mass_infimum(self, span, mode):
+        if self.height == 0.0 or self.gap_growth > 1.0:
+            return 0.0  # growing gaps eventually swallow any window
         cycle = self._cycle
-        if cycle != int(cycle):
-            return None  # integer sampling never repeats exactly; rely on samples
-        return min(self.window_sum(s, length) for s in range(int(cycle)))
-
-    def window_integral_infimum(self, tau):
-        if self.height == 0.0:
-            return 0.0
-        if self.gap_growth > 1.0:
-            return 0.0
-        cycle = self._cycle
-        # The window integral is piecewise linear in the start time with kinks
-        # only where an endpoint crosses a pulse edge, and it is periodic with
-        # the cycle, so the exact minimum is attained at a kink.
-        cands = {0.0, cycle}
-        reps = int(math.ceil((tau + cycle) / cycle)) + 1
-        for j in range(reps + 1):
-            for e in (j * cycle, j * cycle + self.width):
-                for c in (e, e - tau):
-                    if 0.0 <= c <= cycle:
-                        cands.add(c)
-        return min(self.window_integral(c, c + tau) for c in sorted(cands))
+        if mode is Mode.DISCRETE:
+            if cycle != int(cycle):
+                return None  # integer sampling never repeats exactly; rely on samples
+            starts = range(int(cycle))
+        else:
+            # The window integral is piecewise linear in the start time with
+            # kinks only where an endpoint crosses a pulse edge, and it is
+            # periodic with the cycle, so the exact minimum is attained at a kink.
+            kinks = {0.0, cycle}
+            reps = int(math.ceil((span + cycle) / cycle)) + 1
+            for j in range(reps + 1):
+                for e in (j * cycle, j * cycle + self.width):
+                    for c in (e, e - span):
+                        if 0.0 <= c <= cycle:
+                            kinks.add(c)
+            starts = sorted(kinks)
+        return min(self.mass(s, s + span, mode) for s in starts)
 
 
 @dataclass(frozen=True)
@@ -511,18 +469,18 @@ class Tabulated(Weight):
         object.__setattr__(self, "breakpoints", bps)
         object.__setattr__(self, "values", vals)
 
-    def _bp_array(self) -> np.ndarray:
-        return np.asarray(self.breakpoints)
+    @classmethod
+    def _formula(cls, ws):
+        """Row g of the table holds each weight on [grid[g], grid[g+1])."""
+        grid = np.unique(np.concatenate([w.breakpoints for w in ws]))
+        table = np.column_stack([np.asarray(w.values)[np.searchsorted(w.breakpoints, grid, "right") - 1]
+                                 for w in ws])
 
-    def eval(self, t):
-        arr = _as_times(t)
-        idx = np.searchsorted(self._bp_array(), arr, side="right") - 1
-        return _scalar_or_array(t, np.asarray(self.values)[idx])
-
-    def eval_left(self, t):
-        arr = np.asarray(t, dtype=float)
-        idx = np.clip(np.searchsorted(self._bp_array(), arr, side="left") - 1, 0, None)
-        return _scalar_or_array(t, np.asarray(self.values)[idx])
+        def f(col, left):
+            if left:
+                return table[np.clip(np.searchsorted(grid, col[:, 0], "left") - 1, 0, None)]
+            return table[np.searchsorted(grid, col[:, 0], "right") - 1]
+        return f
 
     def _segments(self, a: float, b: float):
         """(lo, hi, value) pieces covering [a, b)."""
@@ -532,18 +490,14 @@ class Tabulated(Weight):
             if hi > lo:
                 yield lo, hi, v
 
-    def window_sum(self, start, length):
-        if length < 0:
-            raise ValueError("window length must be >= 0")
+    def _mass(self, a, b, mode):
+        if mode is Mode.CONTINUOUS:
+            return sum(v * (hi - lo) for lo, hi, v in self._segments(a, b))
         total = 0.0
-        for lo, hi, v in self._segments(float(start), float(start + length)):
-            if v:
+        for lo, hi, v in self._segments(float(a), float(b)):
+            if v:  # v times the count of whole times in [lo, hi)
                 total += v * max(0.0, math.ceil(hi) - math.ceil(lo))
         return total
-
-    def window_integral(self, a, b):
-        _check_window(a, b)
-        return sum(v * (hi - lo) for lo, hi, v in self._segments(a, b))
 
     def is_persistent(self, mode):
         if self.persistent is None:
@@ -552,71 +506,50 @@ class Tabulated(Weight):
             )
         return self.persistent
 
-    def tail_sum(self, start):
+    def tail(self, start, mode):
         if self.values[-1] > 0:
             return math.inf
-        return self.window_sum(start, max(0, int(math.ceil(self.breakpoints[-1])) - start))
-
-    def tail_integral(self, start):
-        if self.values[-1] > 0:
-            return math.inf
-        lo = min(float(start), self.breakpoints[-1])
-        return self.window_integral(lo, self.breakpoints[-1]) if lo < self.breakpoints[-1] else 0.0
+        end = self.breakpoints[-1]
+        if mode is Mode.DISCRETE:
+            end = math.ceil(end)
+        return self.mass(start, end, mode) if start < end else 0.0
 
     def breakpoints_between(self, a, b):
-        bps = self._bp_array()
+        bps = np.asarray(self.breakpoints)
         return bps[(bps > a) & (bps <= b)]
 
-    def window_sum_infimum(self, length):
+    def mass_infimum(self, span, mode):
         last = self.breakpoints[-1]
-        if last > 1e5:
-            return None
-        tail = self.values[-1] * length
-        local = min(
-            self.window_sum(s, length) for s in range(int(math.ceil(last)) + 1)
-        )
-        return min(local, tail)
-
-    def window_integral_infimum(self, tau):
-        last = self.breakpoints[-1]
-        cands = set()
-        for b in self.breakpoints:
-            for c in (b, b - tau):
-                if 0.0 <= c <= last:
-                    cands.add(c)
-        cands.add(0.0)
-        cands.add(last)
-        local = min(self.window_integral(c, c + tau) for c in sorted(cands))
-        return min(local, self.values[-1] * tau)
+        if mode is Mode.DISCRETE:
+            if last > 1e5:
+                return None
+            starts = range(int(math.ceil(last)) + 1)
+        else:
+            kinks = {0.0, last}
+            for b in self.breakpoints:
+                for c in (b, b - span):
+                    if 0.0 <= c <= last:
+                        kinks.add(c)
+            starts = sorted(kinks)
+        local = min(self.mass(s, s + span, mode) for s in starts)
+        return min(local, self.values[-1] * span)
 
 
 @dataclass(frozen=True)
 class Zero(Weight):
     """Identically zero (an absent arc kept for structural bookkeeping)."""
 
-    def eval(self, t):
-        return _scalar_or_array(t, np.zeros(_as_times(t).shape))
+    @classmethod
+    def _formula(cls, ws):
+        return lambda col, left: 0.0
 
-    def window_sum(self, start, length):
+    def _mass(self, a, b, mode):
         return 0.0
 
-    def window_integral(self, a, b):
-        _check_window(a, b)
+    def tail(self, start, mode):
         return 0.0
 
-    def is_persistent(self, mode):
-        return False
-
-    def tail_sum(self, start):
-        return 0.0
-
-    def tail_integral(self, start):
-        return 0.0
-
-    def window_sum_infimum(self, length):
-        return 0.0
-
-    def window_integral_infimum(self, tau):
+    def mass_infimum(self, span, mode):
         return 0.0
 
 
@@ -631,23 +564,12 @@ class StochasticComplement(Weight):
 
     parts: tuple[Weight, ...]
 
-    def _complement(self, t, left):
-        base = np.zeros(np.shape(t))
-        evals = [(w.eval_left(t) if left else w.eval(t)) + base for w in self.parts]
-        return _scalar_or_array(t, _one_minus(np.sum(evals, axis=0) if evals else base))
+    def _values(self, ts, left):
+        evals = [w.eval_left(ts) if left else w.eval(ts) for w in self.parts]
+        return _one_minus(np.sum(evals, axis=0) if evals else np.zeros(len(ts)))
 
-    def eval(self, t):
-        return self._complement(t, False)
-
-    def eval_left(self, t):
-        return self._complement(t, True)
-
-    def window_sum(self, start, length):
-        return float(length) - sum(w.window_sum(start, length) for w in self.parts)
-
-    def window_integral(self, a, b):
-        _check_window(a, b)
-        return (b - a) - sum(w.window_integral(a, b) for w in self.parts)
+    def _mass(self, a, b, mode):
+        return float(b - a) - sum(w.mass(a, b, mode) for w in self.parts)
 
     def is_persistent(self, mode):
         raise TypeError("self-weights are not classified")
@@ -664,35 +586,20 @@ class WeightSum(Weight):
 
     parts: tuple[Weight, ...]
 
-    def eval(self, t):
-        base = np.zeros(np.shape(t))
-        total = base
+    def _values(self, ts, left):
+        total = np.zeros(len(ts))
         for w in self.parts:
-            total = total + w.eval(t)
-        return _scalar_or_array(t, total)
+            total = total + (w.eval_left(ts) if left else w.eval(ts))
+        return total
 
-    def eval_left(self, t):
-        base = np.zeros(np.shape(t))
-        total = base
-        for w in self.parts:
-            total = total + w.eval_left(t)
-        return _scalar_or_array(t, total)
-
-    def window_sum(self, start, length):
-        return sum(w.window_sum(start, length) for w in self.parts)
-
-    def window_integral(self, a, b):
-        _check_window(a, b)
-        return sum(w.window_integral(a, b) for w in self.parts)
+    def _mass(self, a, b, mode):
+        return sum(w.mass(a, b, mode) for w in self.parts)
 
     def is_persistent(self, mode):
         return any(w.is_persistent(mode) for w in self.parts)
 
-    def tail_sum(self, start):
-        return sum(w.tail_sum(start) for w in self.parts)
-
-    def tail_integral(self, start):
-        return sum(w.tail_integral(start) for w in self.parts)
+    def tail(self, start, mode):
+        return sum(w.tail(start, mode) for w in self.parts)
 
     def breakpoints_between(self, a, b):
         if not self.parts:
@@ -708,95 +615,34 @@ def _one_minus(total):
     return np.maximum(vals, 0.0)
 
 
-# Each builder takes the weights of one family and returns f(col, left): their
-# values at the times in the (k, 1) column ``col``, broadcastable to (k, g),
-# computed with the same numpy operations as the family's own eval/eval_left.
-
-
-def _params(ws, *names):
-    return [np.asarray([getattr(w, f, 0.0) for w in ws], dtype=float) for f in names]
-
-
-def _constants(ws):
-    (c,) = _params(ws, "c")  # Zero has no c: 0.0
-    return lambda col, left: c
-
-
-def _powers(ws):
-    # One exponent per group, passed as a scalar as eval passes it: numpy's
-    # power takes fast paths for some scalar exponents (-1, 0.5, 2).
-    (c,), neg_p = _params(ws, "c"), -ws[0].p
-    return lambda col, left: c * np.power(1.0 + col, neg_p)
-
-
-def _exponentials(ws):
-    c, rate = _params(ws, "c", "rate")
-    return lambda col, left: c * np.exp(-rate * col)
-
-
-def _pulses(ws):
-    height, width, period = _params(ws, "height", "width", "period")
-    cycle = width + period
-
-    def f(col, left):
-        frac = np.mod(col, cycle)
-        inside = ((frac > 0) & (frac <= width)) | (col == 0.0) if left else frac < width
-        return np.where(inside, height, 0.0)
-    return f
-
-
-def _tables(ws):
-    """Row g of the table holds each weight on [grid[g], grid[g+1])."""
-    grid = np.unique(np.concatenate([w.breakpoints for w in ws]))
-    table = np.column_stack([np.asarray(w.values)[np.searchsorted(w.breakpoints, grid, "right") - 1]
-                             for w in ws])
-
-    def f(col, left):
-        if left:
-            return table[np.clip(np.searchsorted(grid, col[:, 0], "left") - 1, 0, None)]
-        return table[np.searchsorted(grid, col[:, 0], "right") - 1]
-    return f
-
-
-def _each(ws):
-    def f(col, left):
-        ts = col[:, 0]
-        return np.column_stack([w.eval_left(ts) if left else w.eval(ts) for w in ws])
-    return f
-
-
-_BANKED = {Constant: _constants, Zero: _constants, PowerDecay: _powers,
-           ExponentialDecay: _exponentials, PeriodicPulse: _pulses, Tabulated: _tables}
 _TABLE_CHUNK = 64  # tabulated weights per merged grid, so tables stay linear in their count
 
 
 class WeightBank:
     """Many weights evaluated together, at one time or at a block of times.
 
-    Weights are grouped by family with their parameters held as arrays, so
-    one evaluation costs a few numpy calls per family.  Tabulated weights are
-    read from a value table over their merged breakpoints; other kinds
-    (growing-gap pulses, sums, complements) go through their own methods.
+    Weights are grouped by family, and each group runs its family's
+    ``_formula`` over their parameters as arrays, so one evaluation costs a
+    few numpy calls per family.  Tabulated weights are read from a value
+    table over their merged breakpoints; growing-gap pulses, sums and
+    complements are evaluated one by one.
 
     ``values(t)`` has shape ``(m,)`` for a scalar ``t`` and ``(k, m)`` for
     ``k`` times, one row per time, with columns in the order the weights were
     given; ``values_left`` gives left limits.  Both equal the weights' own
-    ``eval``/``eval_left`` bit for bit.
+    ``eval``/``eval_left``, which run the same formulas.
     """
 
     def __init__(self, weights: Sequence[Weight]):
-        by_family: dict[tuple, list[int]] = {}
+        by_group: dict[tuple, list[int]] = {}
         for j, w in enumerate(weights):
-            family = type(w) if type(w) in _BANKED else Weight
-            if family is PeriodicPulse and w.gap_growth != 1.0:
-                family = Weight
-            by_family.setdefault((family, w.p if family is PowerDecay else None), []).append(j)
-        self._groups = []  # (first column, end column, evaluator) in group order
+            by_group.setdefault(w._group(), []).append(j)
+        self._groups = []  # (first column, end column, formula) in group order
         grouped: list[int] = []
-        for (family, _), idx in by_family.items():
+        for (family, *_), idx in by_group.items():
             step = _TABLE_CHUNK if family is Tabulated else len(idx)
             for part in (idx[s : s + step] for s in range(0, len(idx), step)):
-                f = _BANKED.get(family, _each)([weights[j] for j in part])
+                f = family._formula([weights[j] for j in part])
                 self._groups.append((len(grouped), len(grouped) + len(part), f))
                 grouped += part
         # Groups fill contiguous column ranges; one take restores the given order.
@@ -811,9 +657,7 @@ class WeightBank:
         return self._evaluate(t, True)
 
     def _evaluate(self, t, left: bool) -> np.ndarray:
-        ts = np.asarray(t, dtype=float)
-        if np.any(ts < 0):
-            raise ValueError("weights are defined for t >= 0")
+        ts = _as_times(t)
         col = ts.reshape(-1, 1)
         grouped = np.empty((len(col), len(self._order)))
         for lo, hi, f in self._groups:

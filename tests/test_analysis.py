@@ -503,7 +503,7 @@ def reference_exponential_bound(traj, net, m, k_from, k_to, tol=1e-6):
         return BoundReport(True, True, value, hi, lo, 0.0, 0.0)
     mu_low, mu_high = (hi - row[m]) / (hi - lo), (row[m] - lo) / (hi - lo)
     s, t = float(traj.times[k_from]), float(traj.times[k_to])
-    decay = math.exp(-sum(w.window_integral(s, t) for _, w in net.in_arcs(m)))
+    decay = math.exp(-sum(w.mass(s, t, Mode.CONTINUOUS) for _, w in net.in_arcs(m)))
     return _reference_report(value, *_reference_mix(mu_low, mu_high, decay, lo, hi), tol)
 
 
@@ -686,7 +686,7 @@ class TestWindowViolation:
         assert t_star == 238
         assert threshold == pytest.approx(0.07192051811294521, abs=1e-17)
         # independent check: both arcs really are quiet on that window
-        assert w.window_sum(t_star, 100) < threshold
+        assert w.mass(t_star, t_star + 100, Mode.DISCRETE) < threshold
 
     def test_steady_weights_never_violate(self):
         aw = {(0, 1): Constant(0.3), (1, 0): Constant(0.3)}

@@ -1,7 +1,10 @@
-"""The weight bank against the scalar oracle: every family ``parse_weight``
-builds, evaluated together, must equal each weight's own ``eval`` and
-``eval_left`` bit for bit; network sums and self-weights must equal their
+"""The weight bank and ``Weight.eval`` against a reference: every family
+``parse_weight`` builds, evaluated together or one by one, must equal the
+per-family formulas below bit for bit; persistence must follow the
+per-family rule table; network sums and self-weights must equal their
 per-node definitions."""
+
+import math
 
 import numpy as np
 import pytest
@@ -11,13 +14,16 @@ from hypothesis import strategies as st
 from persistnet import (
     Constant,
     Digraph,
+    ExponentialDecay,
     Mode,
     PeriodicPulse,
+    PowerDecay,
     StochasticComplement,
     Tabulated,
     TimeVaryingNetwork,
     WeightBank,
     WeightSum,
+    Zero,
     stochastic_network,
 )
 from persistnet.scenarios import parse_weight
@@ -55,20 +61,93 @@ def edge_times(weights):
     return out
 
 
-def assert_bank_matches(weights, times):
+def _pulse_starts(w, tmax):
+    starts, gap = [0.0], w.period
+    while starts[-1] + w.width + gap <= tmax:
+        starts.append(starts[-1] + w.width + gap)
+        gap *= w.gap_growth
+    return np.asarray(starts)
+
+
+def reference_eval(w, t, left=False):
+    """Each family's value (left limit if ``left``) at ``t``, written out
+    family by family with its own numpy operations."""
+    arr = np.asarray(t, dtype=float)
+    if isinstance(w, Constant):
+        vals = np.full(arr.shape, float(w.c))
+    elif isinstance(w, PowerDecay):
+        vals = w.c * np.power(1.0 + arr, -w.p)
+    elif isinstance(w, ExponentialDecay):
+        vals = w.c * np.exp(-w.rate * arr)
+    elif isinstance(w, PeriodicPulse):
+        if w.gap_growth == 1.0:
+            phase = np.mod(arr, w.width + w.period)
+        else:
+            starts = _pulse_starts(w, float(np.max(arr)) if arr.size else 0.0)
+            idx = np.searchsorted(starts, arr, side="left" if left else "right") - 1
+            phase = arr - starts[np.clip(idx, 0, None)]
+        if left:
+            inside = (phase > 0) & (phase <= w.width) | (arr == 0.0)
+        else:
+            inside = phase < w.width
+        vals = np.where(inside, w.height, 0.0)
+    elif isinstance(w, Tabulated):
+        bps = np.asarray(w.breakpoints)
+        if left:
+            idx = np.clip(np.searchsorted(bps, arr, side="left") - 1, 0, None)
+        else:
+            idx = np.searchsorted(bps, arr, side="right") - 1
+        vals = np.asarray(w.values)[idx]
+    else:
+        assert isinstance(w, Zero), w
+        vals = np.zeros(arr.shape)
+    return float(vals) if np.ndim(t) == 0 else vals
+
+
+def reference_is_persistent(w, mode):
+    """Each family's persistence rule: infinite mass from its parameters."""
+    if isinstance(w, Constant):
+        return w.c > 0
+    if isinstance(w, PowerDecay):
+        return w.c > 0 and w.p <= 1.0
+    if isinstance(w, ExponentialDecay):
+        # A rate so small that the finite mass c / rate overflows a double
+        # (a subnormal rate) reads as infinite mass, like any other overflow.
+        return w.c > 0 and (w.rate == 0.0 or w.c / w.rate == math.inf)
+    if isinstance(w, PeriodicPulse):
+        return w.height > 0
+    if isinstance(w, Tabulated):
+        return w.persistent
+    assert isinstance(w, Zero), w
+    return False
+
+
+def same_bits(a, b):
+    a, b = np.asarray(a, dtype=float), np.asarray(b, dtype=float)
+    return a.shape == b.shape and a.tobytes() == b.tobytes()
+
+
+def assert_bank_matches(weights, times, reference=reference_eval):
+    """Bank blocks, bank rows and each weight's eval equal ``reference``."""
     bank = WeightBank(weights)
     ts = np.asarray(times, dtype=float)
     for left in (False, True):
         block = bank.values_left(ts) if left else bank.values(ts)
         assert block.shape == (len(ts), len(weights))
         for j, w in enumerate(weights):
-            want = w.eval_left(ts) if left else w.eval(ts)
-            assert np.array_equal(block[:, j], want), (j, w, left)
+            want = reference(w, ts, left)
+            assert same_bits(block[:, j], want), (j, w, left)
+            assert same_bits(w.eval_left(ts) if left else w.eval(ts), want), (j, w, left)
         for k, t in enumerate(times):
             row = bank.values_left(t) if left else bank.values(t)
-            want = [w.eval_left(t) if left else w.eval(t) for w in weights]
-            assert np.array_equal(row, want), (t, left)
-            assert np.array_equal(row, block[k])
+            want = [reference(w, t, left) for w in weights]
+            assert same_bits(row, want), (t, left)
+            assert same_bits([w.eval_left(t) if left else w.eval(t) for w in weights], want)
+            assert same_bits(row, block[k])
+
+
+def own_eval(w, t, left):
+    return w.eval_left(t) if left else w.eval(t)
 
 
 class TestWeightBank:
@@ -90,7 +169,21 @@ class TestWeightBank:
     def test_other_weights_use_their_own_eval(self):
         parts = (Constant(0.25), PeriodicPulse(0.5, 1.0, 2.0, gap_growth=1.5))
         weights = [WeightSum(parts), StochasticComplement(parts), Constant(0.1)]
-        assert_bank_matches(weights, [0.0, 1.0, 2.5, 3.0, 7.0, 17.25])
+        assert_bank_matches(weights, [0.0, 1.0, 2.5, 3.0, 7.0, 17.25], own_eval)
+
+    @settings(max_examples=150, deadline=None)
+    @given(WEIGHT_SPECS)
+    def test_persistence_follows_the_rule_table(self, spec):
+        w = parse_weight(spec, "w")
+        for mode in Mode:
+            assert w.is_persistent(mode) == reference_is_persistent(w, mode), (w, mode)
+
+    @pytest.mark.parametrize("mode", list(Mode), ids=lambda m: m.value)
+    def test_overflowing_mass_reads_as_persistent(self, mode):
+        w = ExponentialDecay(1.0, 5e-324)  # finite mass 2e323, beyond a double
+        assert w.tail(0, mode) == math.inf
+        assert w.is_persistent(mode)
+        assert not ExponentialDecay(1.0, 1e-300).is_persistent(mode)
 
     def test_empty_bank(self):
         bank = WeightBank([])

@@ -189,8 +189,8 @@ class TestWindowBound:
         # so samples cannot fail an arc its infimum passes, within their slack
         w = parse_weight(spec, "w")
         for inf_mass, mass in (
-            (w.window_sum_infimum(length), lambda s: w.window_sum(int(s), length)),
-            (w.window_integral_infimum(tau), lambda s: w.window_integral(s, s + tau)),
+            (w.mass_infimum(length, Mode.DISCRETE), lambda s: w.mass(int(s), int(s) + length, Mode.DISCRETE)),
+            (w.mass_infimum(tau, Mode.CONTINUOUS), lambda s: w.mass(s, s + tau, Mode.CONTINUOUS)),
         ):
             if inf_mass is None:
                 continue
@@ -204,6 +204,21 @@ class TestWindowBound:
         result = check_window_bound(net, a_star=0.3, window=2)
         assert result.passed
         assert "sample-only" in result.detail
+
+
+@pytest.mark.parametrize("run, field", [
+    (lambda net: check_stochasticity(net, times=[]), "times"),
+    (lambda net: check_self_confidence(net, 0.9, times=[]), "times"),
+    (lambda net: check_arc_balance(net, 2.0, times=[]), "times"),
+    (lambda net: check_cut_balance(net, 2.0, times=[]), "times"),
+    (lambda net: check_integral_arc_balance(net, 2.0, []), "intervals"),
+    (lambda net: check_window_bound(net, 0.1, 3, starts=[]), "starts"),
+], ids=["stochasticity", "self-confidence", "arc-balance", "cut-balance",
+        "integral-arc-balance", "window-bound"])
+def test_no_samples_raise_naming_the_field(run, field):
+    net = star_net(PeriodicPulse(0.4, 1.0, 1.5))  # cycle 2.5: no analytic infimum
+    with pytest.raises(ValueError, match=f"{field} must not be empty"):
+        run(net)
 
 
 class TestCutBalance:

@@ -285,6 +285,31 @@ MALFORMED = {
     "eta out of range on self-confidence": (
         scenario_doc(required_checks=[{"check": "self-confidence", "eta": 2}]), "eta"
     ),
+    "self-confidence on no times": (
+        scenario_doc(required_checks=[{"check": "self-confidence", "eta": 0.9, "times": []}]),
+        "times",
+    ),
+    "stochasticity on no times": (
+        scenario_doc(required_checks=[{"check": "stochasticity", "times": []}]), "times"
+    ),
+    "arc-balance on no times": (
+        scenario_doc(required_checks=[{"check": "arc-balance", "A": 2.0, "times": []}]), "times"
+    ),
+    "cut-balance on no times": (
+        scenario_doc(required_checks=[{"check": "cut-balance", "K": 2.0, "times": []}]), "times"
+    ),
+    "integral-arc-balance on no intervals": (
+        scenario_doc(required_checks=[{"check": "integral-arc-balance", "A": 2.0, "intervals": []}]),
+        "intervals",
+    ),
+    "window-bound on no starts": (
+        scenario_doc(
+            arcs=[{"tail": 0, "head": 1, "weight": {  # cycle 2.5: no analytic infimum
+                "family": "periodic-pulse", "height": 0.25, "width": 1.0, "period": 1.5}}],
+            required_checks=[{"check": "window-bound", "a_star": 0.1, "window": 3, "starts": []}],
+        ),
+        "starts",
+    ),
 }
 
 

@@ -174,6 +174,10 @@ class TestParseValidation:
             (base_doc(required_checks=[{"check": "self-confidence", "eta": float("nan")}]), "eta"),
             (base_doc(required_checks=[{"check": "stochasticity", "times": [0.0, float("inf")]}]), r"times\[1\]"),
             (base_doc(x0=[0.0, 10**400]), r"x0\[1\]"),
+            (base_doc(certificates=[{"certificate": "discrete-floor", "low_nodes": [], "high_nodes": [1]}]),
+             r"low_nodes must be a non-empty list"),
+            (base_doc(certificates=[{"certificate": "discrete-floor", "low_nodes": [0], "high_nodes": []}]),
+             r"high_nodes must be a non-empty list"),
         ],
     )
     def test_rejected_documents(self, doc, needle):

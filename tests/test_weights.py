@@ -2,6 +2,7 @@
 against a numeric divergence oracle, and network construction rules."""
 
 import math
+import pickle
 import zlib
 
 import numpy as np
@@ -122,8 +123,11 @@ class TestEval:
         assert w.eval_left(3.0) == 0.2
 
     def test_eval_rejects_negative_time(self):
-        with pytest.raises(ValueError):
-            Constant(1.0).eval(-0.5)
+        for w in SHAPE_FAMILIES:
+            for method in (w.eval, w.eval_left):
+                for t in (-0.5, [0.0, -1e-9]):
+                    with pytest.raises(ValueError, match="t >= 0"):
+                        method(t)
 
     def test_vectorized_eval_matches_scalar(self):
         ts = np.linspace(0.0, 25.0, 173)
@@ -138,6 +142,13 @@ class TestEval:
     def test_one_value_per_time(self, w, t):
         assert np.shape(w.eval(t)) == np.shape(t)
         assert np.shape(w.eval_left(t)) == np.shape(t)
+
+    @pytest.mark.parametrize("w", SHAPE_FAMILIES, ids=lambda w: type(w).__name__)
+    def test_round_trips_through_pickle_after_eval(self, w):
+        w.eval(1.5)  # caches its formula on the instance
+        copy = pickle.loads(pickle.dumps(w))
+        assert copy == w
+        assert copy.eval_left(2.0) == w.eval_left(2.0)
 
     def test_pulse_left_limit_at_edges(self):
         w = PeriodicPulse(1.0, 1.0, 1.0)  # on [0,1), off [1,2), ...
@@ -175,66 +186,66 @@ class TestValidation:
 class TestWindows:
     def test_power_decay_harmonic_values(self):
         w = PowerDecay(1.0, 1.0)
-        assert w.window_sum(0, 2) == pytest.approx(1.5, abs=1e-14)
-        assert w.window_integral(0.0, 1.0) == pytest.approx(math.log(2.0), abs=1e-15)
+        assert w.mass(0, 2, Mode.DISCRETE) == pytest.approx(1.5, abs=1e-14)
+        assert w.mass(0.0, 1.0, Mode.CONTINUOUS) == pytest.approx(math.log(2.0), abs=1e-15)
 
     def test_power_decay_digamma_matches_direct_sum(self):
         w = PowerDecay(0.8, 1.0)
         for start, length in [(0, 1), (0, 50), (7, 123), (1000, 10)]:
-            assert w.window_sum(start, length) == pytest.approx(
+            assert w.mass(start, start + length, Mode.DISCRETE) == pytest.approx(
                 brute_window_sum(w, start, length), rel=1e-12
             )
 
     def test_power_decay_zeta_matches_direct_sum(self):
         w = PowerDecay(2.0, 3.0)
         for start, length in [(0, 1), (0, 40), (5, 200)]:
-            assert w.window_sum(start, length) == pytest.approx(
+            assert w.mass(start, start + length, Mode.DISCRETE) == pytest.approx(
                 brute_window_sum(w, start, length), rel=1e-12
             )
 
     def test_exponential_geometric_sum(self):
         w = ExponentialDecay(0.5, 0.25)
         for start, length in [(0, 1), (0, 30), (11, 64)]:
-            assert w.window_sum(start, length) == pytest.approx(
+            assert w.mass(start, start + length, Mode.DISCRETE) == pytest.approx(
                 brute_window_sum(w, start, length), rel=1e-12
             )
 
     def test_pulse_window_sum_counts_integers(self):
         w = PeriodicPulse(2.0, 1.0, 2.0)  # on at integer t = 0, 3, 6, ...
-        assert w.window_sum(0, 3) == 2.0
-        assert w.window_sum(0, 7) == 2.0 * 3
-        assert w.window_sum(1, 2) == 0.0
+        assert w.mass(0, 3, Mode.DISCRETE) == 2.0
+        assert w.mass(0, 7, Mode.DISCRETE) == 2.0 * 3
+        assert w.mass(1, 3, Mode.DISCRETE) == 0.0
         for start, length in [(0, 10), (2, 9), (5, 1)]:
-            assert w.window_sum(start, length) == brute_window_sum(w, start, length)
+            assert w.mass(start, start + length, Mode.DISCRETE) == brute_window_sum(w, start, length)
 
     def test_every_family_window_sum_matches_brute_force(self):
         for w in SAMPLE_FAMILIES:
             for start, length in [(0, 1), (0, 17), (3, 8), (12, 25)]:
-                assert w.window_sum(start, length) == pytest.approx(
+                assert w.mass(start, start + length, Mode.DISCRETE) == pytest.approx(
                     brute_window_sum(w, start, length), rel=1e-10, abs=1e-12
                 ), type(w).__name__
 
     def test_every_family_window_integral_matches_quadrature(self):
         for w in SAMPLE_FAMILIES:
             for a, b in [(0.0, 1.0), (0.0, 9.5), (2.25, 11.0), (6.0, 6.0)]:
-                assert w.window_integral(a, b) == pytest.approx(
+                assert w.mass(a, b, Mode.CONTINUOUS) == pytest.approx(
                     brute_window_integral(w, a, b), rel=1e-8, abs=1e-10
                 ), type(w).__name__
 
     def test_growing_gap_pulse_integral_on_huge_ranges(self):
         # must not try to enumerate pulses index by index up to 1e280
         w = PeriodicPulse(0.5, 1.0, 2.0, gap_growth=1.5)
-        big = w.window_integral(0.0, 1e280)
-        small = w.window_integral(0.0, 1e3)
+        big = w.mass(0.0, 1e280, Mode.CONTINUOUS)
+        small = w.mass(0.0, 1e3, Mode.CONTINUOUS)
         assert big > small
         assert math.isfinite(big)
 
     def test_window_rejects_negative_or_reversed(self):
         w = Constant(1.0)
         with pytest.raises(ValueError):
-            w.window_sum(0, -1)
+            w.mass(0, -1, Mode.DISCRETE)
         with pytest.raises(ValueError):
-            w.window_integral(3.0, 2.0)
+            w.mass(3.0, 2.0, Mode.CONTINUOUS)
 
     @given(
         st.sampled_from(SAMPLE_FAMILIES),
@@ -245,8 +256,8 @@ class TestWindows:
     @settings(max_examples=200)
     def test_integral_additive_over_adjacent_windows(self, w, a, d1, d2):
         b, c = a + d1, a + d1 + d2
-        whole = w.window_integral(a, c)
-        split = w.window_integral(a, b) + w.window_integral(b, c)
+        whole = w.mass(a, c, Mode.CONTINUOUS)
+        split = w.mass(a, b, Mode.CONTINUOUS) + w.mass(b, c, Mode.CONTINUOUS)
         assert whole == pytest.approx(split, rel=1e-9, abs=1e-12)
 
     @given(
@@ -257,62 +268,62 @@ class TestWindows:
     )
     @settings(max_examples=200)
     def test_sum_additive_over_adjacent_windows(self, w, s, l1, l2):
-        whole = w.window_sum(s, l1 + l2)
-        split = w.window_sum(s, l1) + w.window_sum(s + l1, l2)
+        whole = w.mass(s, s + l1 + l2, Mode.DISCRETE)
+        split = w.mass(s, s + l1, Mode.DISCRETE) + w.mass(s + l1, s + l1 + l2, Mode.DISCRETE)
         assert whole == pytest.approx(split, rel=1e-9, abs=1e-12)
 
 
 class TestTails:
     def test_exponential_tail_closed_forms(self):
         w = ExponentialDecay(0.125, math.log(2.0))  # values 2^-(t+3) at integers
-        assert w.tail_sum(0) == pytest.approx(0.25, rel=1e-14)
-        assert w.tail_integral(0.0) == pytest.approx(0.125 / math.log(2.0), rel=1e-14)
+        assert w.tail(0, Mode.DISCRETE) == pytest.approx(0.25, rel=1e-14)
+        assert w.tail(0.0, Mode.CONTINUOUS) == pytest.approx(0.125 / math.log(2.0), rel=1e-14)
 
     def test_power_tail_matches_partial_sums(self):
         w = PowerDecay(2.0, 3.0)
         # direct sum truncated at 40000 terms leaves < 1e-9 of the mass behind
         approx = brute_window_sum(w, 4, 40000)
-        assert w.tail_sum(4) == pytest.approx(approx, rel=1e-7)
+        assert w.tail(4, Mode.DISCRETE) == pytest.approx(approx, rel=1e-7)
 
     def test_persistent_tails_diverge(self):
-        assert Constant(0.2).tail_sum(5) == math.inf
-        assert PowerDecay(1.0, 1.0).tail_integral(3.0) == math.inf
-        assert PeriodicPulse(1.0, 1.0, 2.0).tail_sum(100) == math.inf
+        assert Constant(0.2).tail(5, Mode.DISCRETE) == math.inf
+        assert PowerDecay(1.0, 1.0).tail(3.0, Mode.CONTINUOUS) == math.inf
+        assert PeriodicPulse(1.0, 1.0, 2.0).tail(100, Mode.DISCRETE) == math.inf
 
     def test_tabulated_tail_is_remaining_mass(self):
         w = Tabulated((0.0, 2.0, 4.0), (0.5, 0.25, 0.0), persistent=False)
-        assert w.tail_integral(0.0) == pytest.approx(0.5 * 2 + 0.25 * 2)
-        assert w.tail_integral(3.0) == pytest.approx(0.25)
-        assert w.tail_integral(9.0) == 0.0
+        assert w.tail(0.0, Mode.CONTINUOUS) == pytest.approx(0.5 * 2 + 0.25 * 2)
+        assert w.tail(3.0, Mode.CONTINUOUS) == pytest.approx(0.25)
+        assert w.tail(9.0, Mode.CONTINUOUS) == 0.0
 
 
 class TestInfima:
     def test_constant_infimum_is_exact(self):
-        assert Constant(0.2).window_sum_infimum(5) == pytest.approx(1.0)
-        assert Constant(0.2).window_integral_infimum(5.0) == pytest.approx(1.0)
+        assert Constant(0.2).mass_infimum(5, Mode.DISCRETE) == pytest.approx(1.0)
+        assert Constant(0.2).mass_infimum(5.0, Mode.CONTINUOUS) == pytest.approx(1.0)
 
     def test_decaying_families_have_zero_infimum(self):
-        assert PowerDecay(1.0, 1.0).window_sum_infimum(10) == 0.0
-        assert ExponentialDecay(1.0, 0.1).window_integral_infimum(10.0) == 0.0
+        assert PowerDecay(1.0, 1.0).mass_infimum(10, Mode.DISCRETE) == 0.0
+        assert ExponentialDecay(1.0, 0.1).mass_infimum(10.0, Mode.CONTINUOUS) == 0.0
 
     def test_periodic_pulse_integral_infimum(self):
         w = PeriodicPulse(1.0, 1.0, 1.0)  # cycle 2, half duty
-        assert w.window_integral_infimum(2.0) == pytest.approx(1.0)
-        assert w.window_integral_infimum(1.0) == pytest.approx(0.0)
-        assert w.window_integral_infimum(3.0) == pytest.approx(1.0)
+        assert w.mass_infimum(2.0, Mode.CONTINUOUS) == pytest.approx(1.0)
+        assert w.mass_infimum(1.0, Mode.CONTINUOUS) == pytest.approx(0.0)
+        assert w.mass_infimum(3.0, Mode.CONTINUOUS) == pytest.approx(1.0)
 
     def test_growing_gaps_destroy_window_floor(self):
         w = PeriodicPulse(1.0, 1.0, 2.0, gap_growth=1.5)
-        assert w.window_sum_infimum(50) == 0.0
-        assert w.window_integral_infimum(50.0) == 0.0
+        assert w.mass_infimum(50, Mode.DISCRETE) == 0.0
+        assert w.mass_infimum(50.0, Mode.CONTINUOUS) == 0.0
 
     @given(st.sampled_from(SAMPLE_FAMILIES), st.integers(1, 20), st.integers(0, 200))
     @settings(max_examples=300)
     def test_sum_infimum_below_every_sample(self, w, length, start):
-        inf_mass = w.window_sum_infimum(length)
+        inf_mass = w.mass_infimum(length, Mode.DISCRETE)
         if inf_mass is None:
             return
-        assert inf_mass <= w.window_sum(start, length) + 1e-12
+        assert inf_mass <= w.mass(start, start + length, Mode.DISCRETE) + 1e-12
 
     @given(
         st.sampled_from(SAMPLE_FAMILIES),
@@ -321,24 +332,24 @@ class TestInfima:
     )
     @settings(max_examples=300)
     def test_integral_infimum_below_every_sample(self, w, tau, start):
-        inf_mass = w.window_integral_infimum(tau)
+        inf_mass = w.mass_infimum(tau, Mode.CONTINUOUS)
         if inf_mass is None:
             return
-        assert inf_mass <= w.window_integral(start, start + tau) + 1e-9
+        assert inf_mass <= w.mass(start, start + tau, Mode.CONTINUOUS) + 1e-9
 
 
 def divergence_oracle_discrete(w, budget=10**6):
     """Crude but independent: compare partial sums at two horizons."""
-    s_small = w.window_sum(0, 10**3)
-    s_big = s_small + w.window_sum(10**3, budget - 10**3)
+    s_small = w.mass(0, 10**3, Mode.DISCRETE)
+    s_big = s_small + w.mass(10**3, budget, Mode.DISCRETE)
     if s_big == 0.0:
         return Persistence.VANISHING
     return Persistence.PERSISTENT if s_big >= 1.5 * s_small else Persistence.VANISHING
 
 
 def divergence_oracle_continuous(w, budget=10**6):
-    s_small = w.window_integral(0.0, 10.0**3)
-    s_big = s_small + w.window_integral(10.0**3, float(budget))
+    s_small = w.mass(0.0, 10.0**3, Mode.CONTINUOUS)
+    s_big = s_small + w.mass(10.0**3, float(budget), Mode.CONTINUOUS)
     if s_big == 0.0:
         return Persistence.VANISHING
     return Persistence.PERSISTENT if s_big >= 1.5 * s_small else Persistence.VANISHING
@@ -418,7 +429,7 @@ class TestStochasticComplement:
 
     def test_window_sum_complements_exactly(self):
         sc = StochasticComplement((PowerDecay(0.5, 1.0),))
-        total = sc.window_sum(3, 10) + PowerDecay(0.5, 1.0).window_sum(3, 10)
+        total = sc.mass(3, 13, Mode.DISCRETE) + PowerDecay(0.5, 1.0).mass(3, 13, Mode.DISCRETE)
         assert total == pytest.approx(10.0, rel=1e-14)
 
     def test_not_classifiable(self):
@@ -495,7 +506,7 @@ class TestNetworks:
         theta = aggregate_vanishing_weight(net)
         assert isinstance(theta, WeightSum)
         assert theta.eval(0.0) == pytest.approx(0.3)
-        assert theta.tail_integral(0.0) == pytest.approx(0.3, rel=1e-12)
+        assert theta.tail(0.0, Mode.CONTINUOUS) == pytest.approx(0.3, rel=1e-12)
 
     def test_aggregate_vanishing_weight_empty(self):
         g = Digraph(2, frozenset({(0, 1)}))
