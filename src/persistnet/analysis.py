@@ -628,6 +628,11 @@ def agreement_time_bound(
     omega0 = math.exp(-theta_int)
     m0 = (omega0 / 2.0) ** 2 / ((n - 1) * A)
     factor = 1.0 - m0**d0 / 2.0
+    if factor == 1.0:  # m0**d0 is below half an ulp of 1: no epoch count is finite
+        raise CertificateDomainError(
+            f"vanishing mass {theta_int!r} is too large: "
+            f"the per-epoch factor 1 - {m0**d0 / 2.0!r} rounds to 1"
+        )
     epochs = int(math.ceil(math.log(target_ratio) / math.log(factor)))
     mass = epochs * d0 * math.log(2.0) * A  # per reference arc, mutual bound applied
 

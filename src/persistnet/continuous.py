@@ -16,6 +16,18 @@ The second stage evaluates weights as left limits at the step end; on-off
 families jump there, and the value that governed the interval is the left
 one.
 
+Steps are planned and their weights evaluated in blocks.  Inside a
+breakpoint-free stretch the cap can only relax, so once ``h_max`` binds (or
+the inflow holds still) each step has the size ``h`` of the last one up to
+the next landing.  A block's step starts are then ``t, t + h, ...``, summed
+in order so they are the same floats as stepping one at a time, cut at the
+first landing; one bank call gives the weights at all starts and one the left
+limits at all ends.  Each row's step size is still worked out from that
+row's inflow, and the block ends at the first row whose step differs from
+``h``, so a weight that rose between breakpoints shortens a block instead of
+breaking the guarantee.  Only the Heun updates run one step at a time; the
+trajectory equals that of the step-by-step loop bit for bit.
+
 Raises ``StepSizeUnderflow`` if the cap drives a step below 1e-12 while real
 time still remains.
 """
@@ -26,7 +38,7 @@ import math
 
 import numpy as np
 
-from .discrete import Trajectory
+from .discrete import Trajectory, block_steps
 from .weights import Mode, TimeVaryingNetwork
 
 MIN_STEP = 1e-12
@@ -82,43 +94,56 @@ def integrate(
         if wfs
         else np.empty(0)
     )
-    bp_pos = 0
+    next_bp = np.append(bps, math.inf)  # by searchsorted index; inf past the last
+    h_cap = math.inf if h_max is None else h_max
+    limit = block_steps(net)
 
-    times = [t0]
-    rows = [x.copy()]
-
-    t = t0
+    times, blocks = [np.array([t0])], [x[None, :].copy()]
+    # Blocks grow from one step, doubling, so runs of short blocks waste few rows.
+    t, size, h_plan = t0, 1, h_cap
     while t < t_end:
-        w1 = net.bank.values(t)
-        dx1 = _flow(net, x, w1)
-        max_xi = float(net.head_sums(w1).max())
+        # Step starts if the last step size repeats, cut at the first landing.
+        count = int(min(size, (t_end - t) // h_plan + 2))
+        starts = np.full(count, h_plan)
+        starts[0] = t
+        starts = starts.cumsum()  # sequential sums: the floats of repeated t + h
+        starts = starts[: starts.searchsorted(t_end)]  # a start at t_end is no step
+        nb = next_bp[bps.searchsorted(starts, side="right")]
+        remaining = t_end - starts
+        lands = (nb - starts <= np.minimum(h_plan, remaining)) | (h_plan >= remaining)
+        if lands.any():
+            starts = starts[: lands.argmax() + 1]
 
-        h = math.inf if h_max is None else h_max
-        if max_xi > 0.0:
-            h = min(h, 0.5 / max_xi)
-        while bp_pos < len(bps) and bps[bp_pos] <= t:
-            bp_pos += 1
-        remaining = t_end - t
-        snapped = False  # landings on known times may be arbitrarily short
-        if bp_pos < len(bps) and bps[bp_pos] - t <= min(h, remaining):
-            t_next = float(bps[bp_pos])  # land exactly on the discontinuity
-            snapped = True
-        elif h >= remaining:
-            t_next = t_end  # final landing step, however small the remainder
-            snapped = True
-        else:
-            t_next = t + h
-        h = t_next - t
-        if (h < MIN_STEP and not snapped) or t_next <= t:
-            raise StepSizeUnderflow(t, h)  # also guards h vanishing in the ulp of a huge t
+        w1 = net.bank.values(starts)
+        max_xi = net.head_sums(w1).max(axis=1)
+        with np.errstate(over="ignore"):  # a subnormal inflow caps nothing
+            cap = np.divide(0.5, max_xi, out=np.full(len(starts), math.inf), where=max_xi > 0.0)
+        h = np.minimum(h_cap, cap)  # worked out per row, not assumed from monotonicity
+        other = h != h_plan  # a step of another size ends the block
+        k = int(other.argmax()) + 1 if other.any() else len(starts)
 
-        w2 = net.bank.values_left(t_next)
-        x_star = x + h * dx1
-        dx2 = _flow(net, x_star, w2)
-        x = x + 0.5 * h * (dx1 + dx2)
+        # Rows before j are steps of h_plan that land nowhere; row j is a step
+        # as the one-step rule takes it, landing where that rule lands.
+        j = k - 1
+        on_bp = nb[j] - starts[j] <= min(h[j], remaining[j])
+        snapped = on_bp or h[j] >= remaining[j]  # landings may be arbitrarily short
+        starts = starts[:k]
+        ends = np.append(starts[1:], nb[j] if on_bp else t_end if snapped else starts[j] + h[j])
+        steps = ends - starts
+        bad = (steps < MIN_STEP) | (ends <= starts)
+        bad[j] = (steps[j] < MIN_STEP and not snapped) or ends[j] <= starts[j]
+        if bad.any():  # also guards h vanishing in the ulp of a huge t
+            b = int(bad.argmax())
+            raise StepSizeUnderflow(float(starts[b]), float(steps[b]))
 
-        times.append(t_next)
-        rows.append(x.copy())
-        t = t_next
+        w2 = net.bank.values_left(ends)
+        out = np.empty((k, net.n))
+        for i, hi in enumerate(steps):
+            dx1 = _flow(net, x, w1[i])
+            dx2 = _flow(net, x + hi * dx1, w2[i])
+            x = out[i] = x + 0.5 * hi * (dx1 + dx2)
+        times.append(ends)
+        blocks.append(out)
+        t, size, h_plan = float(ends[j]), min(limit, 2 * k), float(h[j])
 
-    return Trajectory(np.asarray(times), np.vstack(rows), Mode.CONTINUOUS)
+    return Trajectory(np.concatenate(times), np.vstack(blocks), Mode.CONTINUOUS)

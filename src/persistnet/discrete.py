@@ -25,6 +25,11 @@ _BLOCK = 4096  # steps of weight values precomputed at a time, at most
 _BLOCK_VALUES = 1 << 18  # and at most this many values (steps times arcs or nodes)
 
 
+def block_steps(net: TimeVaryingNetwork) -> int:
+    """Most steps of weight values one bank call evaluates, in either mode."""
+    return max(1, min(_BLOCK, _BLOCK_VALUES // max(len(net.heads), net.n)))
+
+
 class RowSumViolation(RuntimeError):
     def __init__(self, node: int, time: int, row_sum: float):
         super().__init__(
@@ -156,7 +161,7 @@ def simulate(net: TimeVaryingNetwork, x0: BeliefVector, horizon: int) -> Traject
     if horizon < 0:
         raise ValueError("horizon must be >= 0")
     tails, heads = net.tails, net.heads
-    block = max(1, min(_BLOCK, _BLOCK_VALUES // max(len(heads), net.n)))
+    block = block_steps(net)
     t0 = int(x0.time)
 
     states = np.empty((horizon + 1, net.n))

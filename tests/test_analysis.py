@@ -736,6 +736,13 @@ class TestAgreementTimeBound:
         with pytest.raises(ValueError):
             agreement_time_bound(disc, 1.0, 0.1)
 
+    def test_large_vanishing_mass_refused(self):
+        # vanishing mass 50 makes m0 about e^-100, so 1 - m0 / 2 rounds to 1
+        aw = {(0, 1): Constant(0.5), (1, 0): ExponentialDecay(5.0, 0.1)}
+        net = TimeVaryingNetwork(Digraph(2, frozenset(aw)), aw, None, Mode.CONTINUOUS)
+        with pytest.raises(CertificateDomainError, match="vanishing mass 50.0 is too large"):
+            agreement_time_bound(net, 1.0, 0.5)
+
     def test_disconnected_persistent_graph_refused(self):
         # the only arcs vanish, leaving nothing persistent to certify with
         aw = {(0, 1): ExponentialDecay(0.5, 1.0)}

@@ -158,6 +158,24 @@ class TestRun:
         assert runs["rate-first"] == runs["rate-last"]
         assert runs["rate-first"][0] in (0, 1)
 
+    def test_agreement_horizon_out_of_reach_fails_with_report(self, tmp_path, capsys):
+        doc = scenario_doc(
+            "continuous",
+            arcs=[{"tail": 0, "head": 1, "weight": {"family": "constant", "c": 0.5}},
+                  {"tail": 1, "head": 0, "weight": {"family": "exponential-decay",
+                                                     "c": 5.0, "rate": 0.1}}],
+            horizon="auto",
+            certificates=[{"certificate": "agreement-ratio", "A": 1.0, "target": 0.5}],
+        )
+        path = tmp_path / "vanishing.json"
+        path.write_text(json.dumps(doc))
+        assert main(["run", str(path), "--out-dir", str(tmp_path)]) == 1
+        captured = capsys.readouterr()
+        assert "certificate agreement-ratio: FAIL (no horizon: vanishing mass 50.0" in captured.out
+        assert "Traceback" not in captured.err
+        report = json.loads((tmp_path / "doc.report.json").read_text())
+        assert report["certificates"][0]["passed"] is False
+
     def test_catalog_run_by_name(self, tmp_path):
         code = main(
             ["run", "--catalog", "continuous-out-star-cut-imbalance",

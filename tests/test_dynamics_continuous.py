@@ -1,10 +1,16 @@
-"""Heun integration of the continuous flow against closed-form solutions."""
+"""Heun integration of the continuous flow against closed-form solutions,
+and the block-stepped integrator against a one-step-at-a-time reference,
+bit for bit."""
 
 import math
+from dataclasses import dataclass
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
+import persistnet.scenarios as scenarios
 from persistnet import (
     Constant,
     Digraph,
@@ -14,10 +20,16 @@ from persistnet import (
     PowerDecay,
     StepSizeUnderflow,
     TimeVaryingNetwork,
+    WeightSum,
     Zero,
+    catalog,
     derivative,
     integrate,
 )
+from persistnet.continuous import MIN_STEP
+from persistnet.scenarios import parse_weight
+from persistnet.weights import Weight
+from test_bank import WEIGHT_SPECS
 
 
 def continuous_net(n, arc_weights):
@@ -168,3 +180,147 @@ class TestIntegrate:
         moved = integrate(net, a * x0 + b, 0.0, 5.0, h_max=0.05)
         assert np.array_equal(base.times, moved.times)
         assert moved.states == pytest.approx(a * base.states + b, abs=1e-12)
+
+
+def reference_integrate(net, x0, t0, t_end, h_max=None):
+    """The integrator written one step at a time: two weight-bank calls per
+    step, the step size chosen from the inflow at its start."""
+    x = np.asarray(x0, dtype=float).copy()
+
+    def flow(x, w):
+        return np.bincount(net.heads, w * (x[net.tails] - x[net.heads]), minlength=net.n)
+
+    wfs = [net.weight(a) for a in net.arcs()]
+    bps = (
+        np.unique(np.concatenate([w.breakpoints_between(t0, t_end) for w in wfs]))
+        if wfs
+        else np.empty(0)
+    )
+    bp_pos = 0
+
+    times = [t0]
+    rows = [x.copy()]
+
+    t = t0
+    while t < t_end:
+        w1 = net.bank.values(t)
+        dx1 = flow(x, w1)
+        max_xi = float(net.head_sums(w1).max())
+
+        h = math.inf if h_max is None else h_max
+        if max_xi > 0.0:
+            h = min(h, 0.5 / max_xi)
+        while bp_pos < len(bps) and bps[bp_pos] <= t:
+            bp_pos += 1
+        remaining = t_end - t
+        snapped = False
+        if bp_pos < len(bps) and bps[bp_pos] - t <= min(h, remaining):
+            t_next = float(bps[bp_pos])
+            snapped = True
+        elif h >= remaining:
+            t_next = t_end
+            snapped = True
+        else:
+            t_next = t + h
+        h = t_next - t
+        if (h < MIN_STEP and not snapped) or t_next <= t:
+            raise StepSizeUnderflow(t, h)
+
+        w2 = net.bank.values_left(t_next)
+        x_star = x + h * dx1
+        dx2 = flow(x_star, w2)
+        x = x + 0.5 * h * (dx1 + dx2)
+
+        times.append(t_next)
+        rows.append(x.copy())
+        t = t_next
+
+    return np.asarray(times), np.vstack(rows)
+
+
+def assert_matches_reference(net, x0, t0, t_end, h_max):
+    traj = integrate(net, x0, t0, t_end, h_max=h_max)
+    times, states = reference_integrate(net, x0, t0, t_end, h_max)
+    assert traj.times.tobytes() == times.tobytes()
+    assert traj.states.tobytes() == states.tobytes()
+    return traj
+
+
+@st.composite
+def small_flows(draw):
+    """A continuous network of at most 6 nodes, with arcs from every family
+    ``parse_weight`` builds and sums of them, and a span to integrate."""
+    n = draw(st.integers(2, 6))
+    pairs = [(i, j) for i in range(n) for j in range(n) if i != j]
+    arcs = draw(st.lists(st.sampled_from(pairs), min_size=1, max_size=8, unique=True))
+    weights = {}
+    for k, arc in enumerate(arcs):
+        parts = [parse_weight(spec, f"arcs[{k}]")
+                 for spec in draw(st.lists(WEIGHT_SPECS, min_size=1, max_size=2))]
+        weights[arc] = parts[0] if len(parts) == 1 else WeightSum(tuple(parts))
+    x0 = np.asarray(draw(st.lists(st.floats(-5.0, 5.0), min_size=n, max_size=n)))
+    t0 = draw(st.just(0.0) | st.floats(0.0, 30.0))
+    t_end = t0 + draw(st.floats(0.0, 5.0))
+    h_max = draw(st.none() | st.floats(0.01, 1.0))
+    return continuous_net(n, weights), x0, t0, t_end, h_max
+
+
+@pytest.fixture(scope="module")
+def catalog_runs():
+    """The arguments of every integration the catalog's continuous scenarios run."""
+    runs = []
+
+    def recording(net, x0, t0, t_end, h_max=None):
+        runs.append((net, np.asarray(x0, dtype=float).copy(), t0, t_end, h_max))
+        return integrate(net, x0, t0, t_end, h_max=h_max)
+
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(scenarios, "integrate", recording)
+        for s in catalog():
+            if s.mode is Mode.CONTINUOUS:
+                scenarios.run_scenario(s)
+    return runs
+
+
+class TestBlockSteppingMatchesReference:
+    @settings(max_examples=60, deadline=None)
+    @given(small_flows())
+    def test_random_networks(self, flow):
+        assert_matches_reference(*flow)
+
+    def test_constant_cap_and_subnormal_inflow(self):
+        # a cap that binds and holds still plans blocks of its own size; a
+        # subnormal inflow caps nothing (0.5 / it overflows to inf)
+        for c, h_max in ((20.0, 0.05), (20.0, None), (5e-324, None), (5e-324, 0.5)):
+            net = continuous_net(2, {(0, 1): Constant(c), (1, 0): Constant(c)})
+            assert_matches_reference(net, np.array([0.0, 1.0]), 0.5, 3.0, h_max)
+
+    def test_catalog_runs(self, catalog_runs):
+        assert len(catalog_runs) == 4
+        assert sum(len(assert_matches_reference(*run)) - 1 for run in catalog_runs) == 12126
+
+
+@dataclass(frozen=True)
+class Ramp(Weight):
+    """Test-only weight ``c * (1 + t)``: it rises with no breakpoint, which no
+    built-in family does."""
+
+    c: float
+
+    def _values(self, ts, left):
+        return self.c * (1.0 + ts)
+
+    def _mass(self, a, b, mode):
+        return self.c * ((b - a) + (b * b - a * a) / 2.0)
+
+
+class TestRisingWeight:
+    def test_cap_binding_inside_a_block_ends_it(self):
+        # inflow 1 + t: h_max binds until t = 9, the cap after, with no
+        # breakpoint to land on in between
+        net = continuous_net(2, {(0, 1): Ramp(1.0), (1, 0): Ramp(1.0)})
+        traj = assert_matches_reference(net, np.array([0.0, 1.0]), 0.0, 12.0, 0.05)
+        max_inflow = net.head_sums(net.bank.values(traj.times[:-1])).max(axis=1)
+        # t + h rounds to the grid of the step end, so h may gain that much
+        assert np.all(traj.step_sizes <= 0.5 / max_inflow + np.spacing(traj.times[1:]))
+        assert np.any(traj.step_sizes < 0.05 * (1 - 1e-9))  # the cap did bind
