@@ -35,6 +35,9 @@ from .weights import (
 )
 
 PRODUCT_HORIZON = 10**6  # truncation point for infinite products over integer times
+# Most epochs an agreement horizon may take.  The catalog's takes 72; a factor
+# just below 1 can ask for about 3e15 (t_end near 4e15), which no run could reach.
+AGREEMENT_EPOCH_LIMIT = 10**6
 
 
 class CertificateDomainError(ValueError):
@@ -171,8 +174,12 @@ class ContractionReport:
 VERIFY_TOLERANCE = {Mode.DISCRETE: 1e-12, Mode.CONTINUOUS: 1e-8}  # default slack on a margin
 
 
-def _windows(traj: Trajectory, T0: float) -> tuple[np.ndarray, np.ndarray]:
-    """Start and end sample indices ``(k, j)`` of every window of span ``T0``.
+_WINDOW_CHUNK = 1 << 14  # window starts scanned at a time, so scans keep no per-sample temporaries
+
+
+def _windows(traj: Trajectory, T0: float):
+    """Start and end sample indices ``(k, j)`` of every window of span ``T0``,
+    in chunks of ``_WINDOW_CHUNK`` starts, in order.
 
     ``j`` is the last sample at or before ``times[k] + T0``.  A window counts
     when it ends within the trajectory and ``j > k``; sampling too coarse to
@@ -181,10 +188,32 @@ def _windows(traj: Trajectory, T0: float) -> tuple[np.ndarray, np.ndarray]:
     if traj.mode is Mode.DISCRETE and not (T0 >= 1 and float(T0).is_integer()):
         raise ValueError(f"discrete T0 must be a whole number >= 1, got {T0!r}")
     times = traj.times
-    ends = times + T0
-    j = np.searchsorted(times, ends, side="right") - 1
-    k = np.flatnonzero((ends <= times[-1]) & (j > np.arange(len(times))))
-    return k, j[k]
+
+    def chunk(lo: int) -> tuple[np.ndarray, np.ndarray]:
+        ends = times[lo : lo + _WINDOW_CHUNK] + T0
+        j = np.searchsorted(times, ends, side="right") - 1
+        k = np.flatnonzero((ends <= times[-1]) & (j > np.arange(lo, lo + len(ends))))
+        return k + lo, j[k]
+
+    return (chunk(lo) for lo in range(0, len(times), _WINDOW_CHUNK))
+
+
+def _first_worst(traj: Trajectory, windows, score, keep=None) -> tuple[int, float, float | None]:
+    """Count of ``windows``, their largest ``score(k, j)`` and the start time
+    of the first window reaching it; ``keep(k)`` drops windows before scoring."""
+    count, worst, where = 0, -math.inf, None
+    for k, j in windows:
+        if keep is not None:
+            live = keep(k)
+            k, j = k[live], j[live]
+        if len(k) == 0:
+            continue
+        values = score(k, j)
+        w = int(np.argmax(values))  # the first worst window of the chunk
+        if values[w] > worst:  # strictly: an earlier chunk keeps a tie
+            worst, where = float(values[w]), float(traj.times[k[w]])
+        count += len(k)
+    return count, worst, where
 
 
 def verify_contraction(
@@ -208,21 +237,20 @@ def verify_contraction(
         tol = VERIFY_TOLERANCE[traj.mode]
     if cert.trivial:
         return ContractionReport(True, True, cert.epsilon, cert.T0, 0, -math.inf, None)
-    k, j = _windows(traj, cert.T0)
-    if len(k) == 0:
+    lo, hi = traj.minima(), traj.maxima()
+    windows, worst, where = _first_worst(
+        traj, _windows(traj, cert.T0), lambda k, j: (hi[j] - lo[j]) - cert.epsilon * (hi[k] - lo[k])
+    )
+    if windows == 0:
         return ContractionReport(True, True, cert.epsilon, cert.T0, 0, -math.inf, None)
-    spreads = traj.spreads()
-    margins = spreads[j] - cert.epsilon * spreads[k]
-    w = int(np.argmax(margins))  # the first worst window
-    worst = float(margins[w])
     return ContractionReport(
         passed=worst <= tol,
         vacuous=False,
         epsilon=cert.epsilon,
         T0=cert.T0,
-        windows=len(k),
+        windows=windows,
         worst_margin=worst,
-        witness_time=float(traj.times[k[w]]),
+        witness_time=where,
     )
 
 
@@ -244,17 +272,15 @@ def detect_epsilon_agreement(traj: Trajectory, T0: float) -> EpsilonEstimate:
     """
     if not T0 > 0:
         raise ValueError("T0 must be positive")
-    k, j = _windows(traj, T0)
     spreads = traj.spreads()
+    windows = _windows(traj, T0)  # refuses a bad T0 before any verdict
     if np.all(spreads == 0.0):
         return EpsilonEstimate(0.0, False, True, None)
-    live = spreads[k] != 0.0
-    k, j = k[live], j[live]
-    if len(k) == 0:
+    count, best, where = _first_worst(
+        traj, windows, lambda k, j: spreads[j] / spreads[k], keep=lambda k: spreads[k] != 0.0
+    )
+    if count == 0:
         return EpsilonEstimate(None, False, True, None)
-    ratios = spreads[j] / spreads[k]
-    w = int(np.argmax(ratios))
-    best, where = float(ratios[w]), float(traj.times[k[w]])
     if best >= 1.0:
         return EpsilonEstimate(None, True, False, where)
     return EpsilonEstimate(best, False, False, where)
@@ -293,7 +319,7 @@ def _bound_report(traj: Trajectory, m: int, k_from: int, k_to: int, held, share,
     """
     lo, hi = float(traj.minima()[k_from]), float(traj.maxima()[k_from])
     spread = hi - lo
-    value = float(traj.states[k_to, m])
+    value = float(traj.row(k_to)[m])
     if spread == 0.0:
         return BoundReport(True, True, value, hi, lo, 0.0, 0.0)
     mu_low = max(0.0, float(np.min(hi - held)) / spread)
@@ -345,7 +371,7 @@ def verify_convexity_bound(
     else:
         share = math.exp(-_inflow_integral(net, m, float(s), float(t)))
     tol = BOUND_TOLERANCE[traj.mode] if tol is None else tol
-    return _bound_report(traj, m, k_from, k_to, traj.states[k_from, m], share, tol)
+    return _bound_report(traj, m, k_from, k_to, traj.row(k_from)[m], share, tol)
 
 
 def verify_influence_bound(
@@ -392,7 +418,7 @@ def verify_influence_bound(
         if b > a:
             part, _ = quad(integrand, a, b, epsabs=1e-12, epsrel=1e-9, limit=200)
             q += part
-    held = traj.states[k_from : k_to + 1, source]
+    held = traj.every_state()[k_from : k_to + 1, source]
     return _bound_report(traj, m, k_from, k_to, held, q, tol)
 
 
@@ -527,24 +553,47 @@ def continuous_disagreement_floor(
     )
 
 
-def block_extremes(
-    traj: Trajectory,
-    low_block,
-    high_block,
-) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-    """Per-sample (max over low block, min over high block, their gap)."""
+def _blocks(low_block, high_block, n: int) -> tuple[list[int], list[int]]:
     low = sorted(set(int(i) for i in low_block))
     high = sorted(set(int(i) for i in high_block))
-    n = traj.n
     if not low or not high:
         raise ValueError("both blocks must be nonempty")
     if set(low) & set(high):
         raise ValueError("blocks must be disjoint")
     if any(not 0 <= i < n for i in low + high):
         raise ValueError("block node outside the trajectory")
-    low_max = traj.states[:, low].max(axis=1)
-    high_min = traj.states[:, high].min(axis=1)
+    return low, high
+
+
+def block_extremes(
+    traj: Trajectory,
+    low_block,
+    high_block,
+) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """Per-sample (max over low block, min over high block, their gap).
+
+    Needs every sample's states, so a strided trajectory is refused; a run
+    folds its gap into a ``BlockGap`` instead.
+    """
+    low, high = _blocks(low_block, high_block, traj.n)
+    states = traj.every_state()
+    low_max = states[:, low].max(axis=1)
+    high_min = states[:, high].min(axis=1)
     return low_max, high_min, high_min - low_max
+
+
+class BlockGap:
+    """Smallest gap (min over the high block less max over the low block) of
+    a run, folded one block of states at a time as the run produces them;
+    ``worst`` is ``inf`` until a block arrives."""
+
+    def __init__(self, low_block, high_block, n: int):
+        self.low, self.high = _blocks(low_block, high_block, n)
+        self.worst = math.inf
+
+    def __call__(self, states: np.ndarray) -> None:
+        gap = states[:, self.high].min(axis=1) - states[:, self.low].max(axis=1)
+        self.worst = min(self.worst, float(gap.min()))
 
 
 def window_violation_threshold(A: float, n: int, epsilon: float) -> float:
@@ -607,7 +656,8 @@ def agreement_time_bound(
     the slowest persistent arc has accumulated enough mass, and the mutual
     bound ``A`` converts one reference arc's closed-form integral into a
     lower bound on the slowest arc's.  Epochs multiply the per-epoch factor
-    built from the vanishing mass and ``A``.
+    built from the vanishing mass and ``A``; a horizon of more than
+    ``AGREEMENT_EPOCH_LIMIT`` epochs is refused.
     """
     if net.mode is not Mode.CONTINUOUS:
         raise ValueError("agreement horizons are computed for continuous networks")
@@ -634,6 +684,11 @@ def agreement_time_bound(
             f"the per-epoch factor 1 - {m0**d0 / 2.0!r} rounds to 1"
         )
     epochs = int(math.ceil(math.log(target_ratio) / math.log(factor)))
+    if epochs > AGREEMENT_EPOCH_LIMIT:
+        raise CertificateDomainError(
+            f"the horizon needs {epochs} epochs of factor {factor!r}, "
+            f"more than the {AGREEMENT_EPOCH_LIMIT} a run may take"
+        )
     mass = epochs * d0 * math.log(2.0) * A  # per reference arc, mutual bound applied
 
     t_end = math.inf

@@ -196,7 +196,7 @@ def build_parser() -> argparse.ArgumentParser:
     _add_scenario_args(p)
     p.add_argument("--out-dir", default=".", help="directory for CSV and reports")
     p.add_argument("--seed", type=int, default=None, help="override the scenario seed")
-    p.add_argument("--stride", type=int, default=None, help="keep every k-th CSV row")
+    p.add_argument("--stride", type=int, default=None, help="keep every k-th state, in memory and in the CSV")
     p.set_defaults(func=_cmd_run)
 
     p = sub.add_parser("catalog", help="list or run the built-in scenarios")

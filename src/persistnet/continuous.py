@@ -28,6 +28,10 @@ row's inflow, and the block ends at the first row whose step differs from
 breaking the guarantee.  Only the Heun updates run one step at a time; the
 trajectory equals that of the step-by-step loop bit for bit.
 
+Each finished block is folded into the trajectory and then dropped: every
+sample's time and extremes are kept, but states only every ``stride``-th
+sample.
+
 Raises ``StepSizeUnderflow`` if the cap drives a step below 1e-12 while real
 time still remains.
 """
@@ -35,10 +39,11 @@ time still remains.
 from __future__ import annotations
 
 import math
+from typing import Callable
 
 import numpy as np
 
-from .discrete import Trajectory, block_steps
+from .discrete import Trajectory, block_steps, check_stride, kept_rows
 from .weights import Mode, TimeVaryingNetwork
 
 MIN_STEP = 1e-12
@@ -69,12 +74,17 @@ def integrate(
     t0: float,
     t_end: float,
     h_max: float | None = None,
+    *,
+    stride: int = 1,
+    on_block: Callable[[np.ndarray], None] | None = None,
 ) -> Trajectory:
     """Integrate from ``t0`` to ``t_end``; samples at every step boundary.
 
     The step is the smallest of: ``h_max``, the distance to the next weight
     discontinuity, half the reciprocal of the largest current inflow, and the
-    remaining span.
+    remaining span.  The trajectory keeps the states of every ``stride``-th
+    sample; ``on_block`` sees every block of states (the initial state first
+    on its own) before it is dropped.
     """
     if net.mode is not Mode.CONTINUOUS:
         raise ValueError("integrate() needs a continuous-mode network")
@@ -87,6 +97,7 @@ def integrate(
         raise ValueError("need 0 <= t0 <= t_end")
     if h_max is not None and h_max <= 0:
         raise ValueError("h_max must be positive when given")
+    check_stride(stride)
 
     wfs = [net.weight(a) for a in net.arcs()]
     bps = (
@@ -98,7 +109,20 @@ def integrate(
     h_cap = math.inf if h_max is None else h_max
     limit = block_steps(net)
 
-    times, blocks = [np.array([t0])], [x[None, :].copy()]
+    samples = 0
+    times, minima, maxima, kept = [], [], [], []
+
+    def fold(ts: np.ndarray, rows: np.ndarray) -> None:
+        nonlocal samples
+        times.append(ts)
+        minima.append(rows.min(axis=1))
+        maxima.append(rows.max(axis=1))
+        kept.append(kept_rows(rows, samples, stride).copy())  # so ``rows`` can go
+        samples += len(ts)
+        if on_block is not None:
+            on_block(rows)
+
+    fold(np.array([t0]), x[None, :])
     # Blocks grow from one step, doubling, so runs of short blocks waste few rows.
     t, size, h_plan = t0, 1, h_cap
     while t < t_end:
@@ -142,8 +166,10 @@ def integrate(
             dx1 = _flow(net, x, w1[i])
             dx2 = _flow(net, x + hi * dx1, w2[i])
             x = out[i] = x + 0.5 * hi * (dx1 + dx2)
-        times.append(ends)
-        blocks.append(out)
+        fold(ends, out)
         t, size, h_plan = float(ends[j]), min(limit, 2 * k), float(h[j])
 
-    return Trajectory(np.concatenate(times), np.vstack(blocks), Mode.CONTINUOUS)
+    states = np.vstack(kept)
+    del kept
+    extremes = (np.concatenate(minima), np.concatenate(maxima))
+    return Trajectory(np.concatenate(times), states, Mode.CONTINUOUS, stride, extremes)

@@ -39,7 +39,7 @@ import numpy as np
 from . import analysis, checks
 from .checks import CheckResult
 from .continuous import integrate
-from .discrete import BeliefVector, Trajectory, simulate
+from .discrete import BeliefVector, Trajectory, check_stride, simulate
 from .graph import Digraph
 from .weights import (
     Constant,
@@ -302,6 +302,17 @@ def _parse_specs(doc: dict, field: str, key: str, table: dict, spec_type, mode: 
     return tuple(specs)
 
 
+def _check_blocks(params: dict, nodes: int, path: str) -> None:
+    """Floor node lists name nodes of the network, and no node twice."""
+    for key in ("low_nodes", "high_nodes"):
+        for i, v in enumerate(params[key]):
+            if not 0 <= v < nodes:
+                raise ScenarioParseError(f"{path}.{key}[{i}] must be a node in 0..{nodes - 1}, got {v!r}")
+    shared = sorted(set(params["low_nodes"]) & set(params["high_nodes"]))
+    if shared:
+        raise ScenarioParseError(f"{path}.high_nodes shares node(s) {shared} with low_nodes")
+
+
 _TOP_FIELDS = {
     "schema_version", "name", "description", "mode", "nodes", "arcs",
     "self_weights", "x0", "t0", "horizon", "h_max", "stride", "seed",
@@ -401,6 +412,9 @@ def parse_scenario_dict(doc: dict) -> Scenario:
         raise ScenarioParseError(
             f"at most one trajectory-driving certificate allowed, got {driving}"
         )
+    for idx, c in enumerate(cert_specs):
+        if "low_nodes" in c.params:
+            _check_blocks(c.params, nodes, f"certificates[{idx}]")
     check_specs = _parse_specs(doc, "required_checks", "check", CHECKS, CheckSpec, mode)
 
     t0_raw = doc.get("t0", 0)
@@ -646,7 +660,12 @@ def _check_record(r: CheckResult) -> CheckRecord:
 
 @dataclass(frozen=True)
 class RunContext:
-    """What every check and certificate runner reads, computed once per run."""
+    """What every check and certificate runner reads, computed once per run.
+
+    A run keeps the states of every ``stride``-th sample.  A strided run
+    feeds each block of states, as it is produced, to the floors' ``gaps``
+    (keyed by their node lists); at stride 1 the floors fold the kept states.
+    """
 
     scenario: Scenario
     net: TimeVaryingNetwork
@@ -654,6 +673,17 @@ class RunContext:
     qsc: bool
     d0: int
     seed: int
+    stride: int = 1
+    gaps: dict = dataclasses.field(default_factory=dict)
+
+    def fold(self, states: np.ndarray) -> None:
+        for gap in self.gaps.values():
+            gap(states)
+
+    def run_options(self) -> dict:
+        """Keywords for ``simulate``/``integrate``: none at stride 1, where the
+        trajectory keeps every state; else the stride and the gap fold."""
+        return {} if self.stride == 1 else {"stride": self.stride, "on_block": self.fold}
 
 
 def run_context(s: Scenario, seed: int | None = None) -> RunContext:
@@ -748,8 +778,10 @@ def _floor(kind: str, p: dict, ctx: RunContext, traj):
     if cert.required_t0 > float(s.t0):
         detail = f"floor requires starting at t0 >= {cert.required_t0!r}, scenario starts at {s.t0!r}"
         return _failed(kind, detail, {"required_t0": cert.required_t0})
-    _, _, gap = analysis.block_extremes(traj, p["low_nodes"], p["high_nodes"])
-    worst = float(min(np.min(gap), np.min(traj.spreads())))
+    gap = ctx.gaps[p["low_nodes"], p["high_nodes"]]
+    if traj.stride == 1:
+        gap(traj.states)
+    worst = float(min(gap.worst, np.min(traj.spreads())))
     margin = worst - cert.floor
     passed = margin >= -FLOOR_TOLERANCE
     values = {"floor": cert.floor, "required_t0": cert.required_t0,
@@ -768,7 +800,8 @@ def _window_violation(kind: str, p: dict, ctx: RunContext, traj):
     if found is None:
         return _failed(kind, f"no quiet window of {p['T']} steps within scan limit {p['scan_limit']}")
     t_star, threshold = found
-    wtraj = simulate(ctx.net, BeliefVector(resolve_x0(ctx.scenario), t_star), int(p["T"]))
+    x0 = BeliefVector(resolve_x0(ctx.scenario), t_star)
+    wtraj = simulate(ctx.net, x0, int(p["T"]), **ctx.run_options())
     spreads = wtraj.spreads()
     if spreads[0] <= 0.0:
         return _failed(kind, "initial spread is zero; nothing to preserve", traj=wtraj)
@@ -789,7 +822,8 @@ def _agreement_ratio(kind: str, p: dict, ctx: RunContext, traj):
         hz = analysis.agreement_time_bound(ctx.net, p["A"], p["target"], t0=float(s.t0))
     except analysis.CertificateDomainError as e:
         return _failed(kind, f"no horizon: {e}")
-    atraj = integrate(ctx.net, resolve_x0(s), float(s.t0), hz.t_end, h_max=s.h_max)
+    atraj = integrate(ctx.net, resolve_x0(s), float(s.t0), hz.t_end, h_max=s.h_max,
+                      **ctx.run_options())
     spreads = atraj.spreads()
     if spreads[0] <= 0.0:
         return _failed(kind, "initial spread is zero; ratio undefined", traj=atraj)
@@ -851,11 +885,23 @@ def run_check(spec: CheckSpec, ctx: RunContext) -> CheckResult:
 
 
 def run_scenario(
-    s: Scenario, *, seed: int | None = None
+    s: Scenario, *, seed: int | None = None, stride: int | None = None
 ) -> tuple[RunReport, Trajectory | None]:
-    """Full pipeline; returns the report and the trajectory (None if aborted)."""
+    """Full pipeline; returns the report and the trajectory (None if aborted).
+
+    The trajectory keeps the states of every ``stride``-th sample (the
+    scenario's stride by default), and every sample's time and extremes.
+    """
     started = time.perf_counter()
-    ctx = run_context(s, seed)
+    stride = s.stride if stride is None else stride
+    try:
+        check_stride(stride)
+        gaps = {(c.params["low_nodes"], c.params["high_nodes"]):
+                analysis.BlockGap(c.params["low_nodes"], c.params["high_nodes"], s.nodes)
+                for c in s.certificates if "low_nodes" in c.params}
+    except ValueError as e:
+        raise ScenarioValidationError(str(e)) from e
+    ctx = dataclasses.replace(run_context(s, seed), stride=stride, gaps=gaps)
     check_records = [_check_record(run_check(spec, ctx)) for spec in s.required_checks]
 
     def report(certs, traj, aborted, passed):
@@ -888,11 +934,11 @@ def run_scenario(
         x0 = resolve_x0(s)
         try:
             if s.mode is Mode.DISCRETE:
-                traj = simulate(ctx.net, BeliefVector(x0, int(s.t0)), int(s.horizon))
+                traj = simulate(ctx.net, BeliefVector(x0, int(s.t0)), int(s.horizon),
+                                **ctx.run_options())
             else:
-                traj = integrate(
-                    ctx.net, x0, float(s.t0), float(s.t0) + float(s.horizon), h_max=s.h_max
-                )
+                traj = integrate(ctx.net, x0, float(s.t0), float(s.t0) + float(s.horizon),
+                                 h_max=s.h_max, **ctx.run_options())
         except (ValueError, RuntimeError) as e:
             raise ScenarioValidationError(f"simulation failed: {e}") from e
 
@@ -913,25 +959,29 @@ def run_scenario(
 
 
 def write_trajectory_csv(
-    traj: Trajectory, path: str | Path, stride: int = 1
+    traj: Trajectory, path: str | Path, stride: int | None = None
 ) -> int:
     """Write ``t, x_0..x_{n-1}, psi, Psi, H`` rows at 17 significant digits.
 
-    Returns the number of data rows written.  ``psi``/``Psi``/``H`` are the
-    per-row minimum, maximum, and spread; 17 digits round-trip doubles
-    exactly, so reloading reproduces the metrics bit for bit.
+    Keeps samples 0, ``stride``, 2 * ``stride``, ...; ``stride`` defaults to
+    the trajectory's own and must be a multiple of it.  Returns the number
+    of data rows written.  ``psi``/``Psi``/``H`` are the per-row minimum,
+    maximum, and spread; 17 digits round-trip doubles exactly, so reloading
+    reproduces the metrics bit for bit.
     """
-    if stride < 1:
-        raise ValueError("stride must be >= 1")
+    stride = traj.stride if stride is None else stride
+    if stride < 1 or stride % traj.stride:
+        raise ValueError(f"stride must be a positive multiple of {traj.stride}, got {stride!r}")
     n = traj.n
     keep = np.arange(0, len(traj), stride)
     row = ",".join(["%.17g"] * (n + 4)) + "\n"
-    columns = (traj.times, traj.states, traj.minima(), traj.maxima(), traj.spreads())
     with Path(path).open("w") as f:
         f.write("t," + ",".join(f"x_{i}" for i in range(n)) + ",psi,Psi,H\n")
         # A block of rows at a time, so memory stays bounded in the row count.
         for s in range(0, len(keep), _CSV_BLOCK):
-            block = np.column_stack([c[keep[s : s + _CSV_BLOCK]] for c in columns])
+            k = keep[s : s + _CSV_BLOCK]
+            lo, hi = traj.minima()[k], traj.maxima()[k]
+            block = np.column_stack([traj.times[k], traj.states[k // traj.stride], lo, hi, hi - lo])
             f.write("".join([row % tuple(r) for r in block.tolist()]))
     return len(keep)
 
@@ -941,12 +991,14 @@ _CSV_BLOCK = 4096  # trajectory rows formatted per write
 
 def read_trajectory_csv(path: str | Path):
     """Inverse of ``write_trajectory_csv``: (times, states, psi, Psi, H)."""
-    lines = Path(path).read_text().strip().split("\n")
-    header = lines[0].split(",")
+    with Path(path).open() as f:
+        header = f.readline().rstrip("\n").split(",")
     if header[0] != "t" or header[-3:] != ["psi", "Psi", "H"]:
         raise ValueError(f"{path} is not a trajectory file")
     n = len(header) - 4
-    data = np.asarray([[float(c) for c in line.split(",")] for line in lines[1:]])
+    data = np.loadtxt(path, delimiter=",", skiprows=1, ndmin=2)
+    if data.shape[1] != n + 4:
+        raise ValueError(f"{path} is not a trajectory file: rows do not match its header")
     return data[:, 0], data[:, 1 : 1 + n], data[:, 1 + n], data[:, 2 + n], data[:, 3 + n]
 
 
@@ -957,14 +1009,18 @@ def run_and_write(
     stride: int | None = None,
     seed: int | None = None,
 ) -> tuple[RunReport, dict[str, Path]]:
-    """Run a scenario and write CSV plus both report forms into ``out_dir``."""
+    """Run a scenario and write CSV plus both report forms into ``out_dir``.
+
+    The run and its CSV keep every ``stride``-th sample (the scenario's
+    stride by default).
+    """
     out = Path(out_dir)
     out.mkdir(parents=True, exist_ok=True)
-    report, traj = run_scenario(s, seed=seed)
+    report, traj = run_scenario(s, seed=seed, stride=stride)
     paths: dict[str, Path] = {}
     if traj is not None:
         csv_path = out / f"{s.name}.csv"
-        rows = write_trajectory_csv(traj, csv_path, stride or s.stride)
+        rows = write_trajectory_csv(traj, csv_path)
         report = dataclasses.replace(
             report, trajectory_file=csv_path.name, trajectory_rows=rows
         )

@@ -45,6 +45,8 @@ from persistnet import (
     verify_influence_bound,
     window_violation_threshold,
 )
+from persistnet import analysis
+from persistnet.analysis import AGREEMENT_EPOCH_LIMIT
 
 LN2 = math.log(2.0)
 
@@ -341,14 +343,15 @@ def windowed_runs(draw):
 
 class TestVectorizedWindowScan:
     @settings(max_examples=400, deadline=None)
-    @given(windowed_runs())
-    def test_equals_per_sample_loops(self, run):
+    @given(windowed_runs(), st.sampled_from([1, 2, 3, 7, 1 << 14]))
+    def test_equals_per_sample_loops(self, run, chunk):
         traj, T0, epsilon = run
         cert = RateCertificate(epsilon, T0, traj.mode)
-        got, want = verify_contraction(traj, cert), reference_verify_contraction(traj, cert)
-        assert repr(got) == repr(want)
-        got, want = detect_epsilon_agreement(traj, T0), reference_detect_epsilon_agreement(traj, T0)
-        assert repr(got) == repr(want)
+        with pytest.MonkeyPatch.context() as mp:
+            mp.setattr(analysis, "_WINDOW_CHUNK", chunk)  # window starts scanned at a time
+            rate, estimate = verify_contraction(traj, cert), detect_epsilon_agreement(traj, T0)
+        assert repr(rate) == repr(reference_verify_contraction(traj, cert))
+        assert repr(estimate) == repr(reference_detect_epsilon_agreement(traj, T0))
 
 
 class TestConvexityBound:
@@ -742,6 +745,14 @@ class TestAgreementTimeBound:
         net = TimeVaryingNetwork(Digraph(2, frozenset(aw)), aw, None, Mode.CONTINUOUS)
         with pytest.raises(CertificateDomainError, match="vanishing mass 50.0 is too large"):
             agreement_time_bound(net, 1.0, 0.5)
+
+    def test_too_many_epochs_refused(self):
+        # vanishing mass 17: the per-epoch factor is 1 - 2.3e-16, about 3e15 epochs
+        aw = {(0, 1): Constant(0.5), (1, 0): ExponentialDecay(1.7, 0.1)}
+        net = TimeVaryingNetwork(Digraph(2, frozenset(aw)), aw, None, Mode.CONTINUOUS)
+        with pytest.raises(CertificateDomainError, match=f"more than the {AGREEMENT_EPOCH_LIMIT}"):
+            agreement_time_bound(net, 1.0, 0.5)
+        assert agreement_time_bound(self.powerlaw_net(), 1.0, 0.01).epochs < AGREEMENT_EPOCH_LIMIT
 
     def test_disconnected_persistent_graph_refused(self):
         # the only arcs vanish, leaving nothing persistent to certify with

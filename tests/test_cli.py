@@ -6,7 +6,7 @@ import pytest
 
 from persistnet import catalog, save_scenario, scenario_to_dict
 from persistnet.cli import main
-from persistnet.scenarios import CERTIFICATES, CHECKS
+from persistnet.scenarios import CERTIFICATES, CHECKS, _catalog_dicts
 
 
 def scenario_doc(mode="discrete", **over):
@@ -175,6 +175,42 @@ class TestRun:
         assert "Traceback" not in captured.err
         report = json.loads((tmp_path / "doc.report.json").read_text())
         assert report["certificates"][0]["passed"] is False
+
+    def test_agreement_horizon_of_too_many_epochs_fails_with_report(self, tmp_path, capsys):
+        # vanishing mass 17 leaves a per-epoch factor just below 1: about 3e15
+        # epochs, which would integrate out to t near 4e15 and never finish
+        doc = scenario_doc(
+            "continuous",
+            arcs=[{"tail": 0, "head": 1, "weight": {"family": "constant", "c": 0.5}},
+                  {"tail": 1, "head": 0, "weight": {"family": "exponential-decay",
+                                                     "c": 1.7, "rate": 0.1}}],
+            horizon="auto",
+            certificates=[{"certificate": "agreement-ratio", "A": 1.0, "target": 0.5}],
+        )
+        path = tmp_path / "slow.json"
+        path.write_text(json.dumps(doc))
+        assert main(["run", str(path), "--out-dir", str(tmp_path)]) == 1
+        captured = capsys.readouterr()
+        assert "certificate agreement-ratio: FAIL (no horizon: the horizon needs 3121657384082679 epochs" \
+            in captured.out
+        assert "Traceback" not in captured.err
+        report = json.loads((tmp_path / "doc.report.json").read_text())
+        assert report["certificates"][0]["passed"] is False
+
+    def test_floor_node_outside_the_network_exits_before_stepping(self, tmp_path, capsys):
+        doc = next(d for d in _catalog_dicts() if d["name"] == "discrete-split-blocks-floor")
+        doc["certificates"][0]["high_nodes"] = [2, 99]
+        path = tmp_path / "bad-floor.json"
+        path.write_text(json.dumps(doc))
+        assert main(["run", str(path), "--out-dir", str(tmp_path)]) == 2
+        err = capsys.readouterr().err
+        assert "certificates[0].high_nodes[1] must be a node in 0..3, got 99" in err
+        assert not list(tmp_path.glob("*.csv"))
+
+    @pytest.mark.parametrize("stride", ["0", "-3"])
+    def test_bad_stride_exits_2(self, pair_file, tmp_path, capsys, stride):
+        assert main(["run", str(pair_file), "--out-dir", str(tmp_path), "--stride", stride]) == 2
+        assert "stride must be an integer >= 1" in capsys.readouterr().err
 
     def test_catalog_run_by_name(self, tmp_path):
         code = main(

@@ -178,6 +178,12 @@ class TestParseValidation:
              r"low_nodes must be a non-empty list"),
             (base_doc(certificates=[{"certificate": "discrete-floor", "low_nodes": [0], "high_nodes": []}]),
              r"high_nodes must be a non-empty list"),
+            (base_doc(certificates=[{"certificate": "discrete-floor", "low_nodes": [0], "high_nodes": [1, 2]}]),
+             r"certificates\[0\]\.high_nodes\[1\] must be a node in 0\.\.1, got 2"),
+            (base_doc(certificates=[{"certificate": "discrete-floor", "low_nodes": [-1], "high_nodes": [1]}]),
+             r"certificates\[0\]\.low_nodes\[0\] must be a node"),
+            (base_doc(certificates=[{"certificate": "discrete-floor", "low_nodes": [0, 1], "high_nodes": [1]}]),
+             r"certificates\[0\]\.high_nodes shares node\(s\) \[1\] with low_nodes"),
         ],
     )
     def test_rejected_documents(self, doc, needle):
@@ -354,6 +360,36 @@ class TestTrajectoryFiles:
         path.write_text("a,b,c\n1,2,3\n")
         with pytest.raises(ValueError):
             read_trajectory_csv(path)
+        for body in ("t,x_0,psi,Psi,H\n0,1,1,1\n", "t,x_0,psi,Psi,H\n0,1,1,1,0,7\n",
+                     "t,x_0,psi,Psi,H\n0,one,1,1,0\n", ""):
+            path.write_text(body)
+            with pytest.raises(ValueError):
+                read_trajectory_csv(path)
+
+    def test_reader_returns_the_written_doubles(self, tmp_path):
+        # signed zeros, subnormals and the extremes of the doubles, at 17 digits
+        special = [0.0, -0.0, 5e-324, -2.2250738585072014e-308, sys.float_info.max,
+                   -sys.float_info.max, 1 / 3, 0.1, 123456789.12345679]
+        rng = np.random.default_rng(7)
+        states = np.concatenate([np.reshape(special * 3, (-1, 3)), rng.standard_normal((50, 3))])
+        path = tmp_path / "x.csv"
+        with path.open("w") as f:
+            f.write("t,x_0,x_1,x_2,psi,Psi,H\n")
+            for k, row in enumerate(states):
+                f.write(",".join("%.17g" % v for v in [float(k), *row, 0.0, 1.0, 1.0]) + "\n")
+        times, got, psi, Psi, H = read_trajectory_csv(path)
+        want = np.asarray([[float(c) for c in line.split(",")[1:4]]
+                           for line in path.read_text().splitlines()[1:]])
+        assert got.tobytes() == want.tobytes() == states.tobytes()
+        assert times.dtype == got.dtype == np.float64 and times.shape == (len(states),)
+
+    def test_reader_shapes_of_a_one_row_file(self, tmp_path):
+        s = parse_scenario_dict(base_doc())
+        traj = simulate(build_network(s), BeliefVector(np.array([0.0, 1.0]), 0), 0)
+        write_trajectory_csv(traj, tmp_path / "one.csv")
+        times, states, psi, Psi, H = read_trajectory_csv(tmp_path / "one.csv")
+        assert times.shape == psi.shape == Psi.shape == H.shape == (1,)
+        assert states.shape == (1, 2)
 
     def test_run_and_write_produces_all_outputs(self, tmp_path):
         s = parse_scenario_dict(base_doc())
