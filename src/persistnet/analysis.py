@@ -9,11 +9,12 @@ checkable quantitative claims:
 * disagreement floors: with a split initial condition, the spread stays above
   an explicit positive level forever, certifying that agreement fails.
 
-Verification helpers replay those claims against simulated trajectories, and
-the bound checkers validate the convexity inequalities the proofs of the rate
-claims rest on.  All floors and truncations are computed conservatively: where
-an infinite product or integral is truncated, the remainder is replaced by a
-closed-form bound in the direction that can only weaken the reported claim.
+``verify_contraction`` replays a rate claim against a simulated trajectory,
+and a ``BlockGap`` folds the gap a floor is checked against as the run
+produces its states.  All floors and truncations are computed
+conservatively: where an infinite product or integral is truncated, the
+remainder is replaced by a closed-form bound in the direction that can only
+weaken the reported claim.
 """
 
 from __future__ import annotations
@@ -22,7 +23,6 @@ import math
 from dataclasses import dataclass
 
 import numpy as np
-from scipy.integrate import quad
 from scipy.optimize import brentq
 
 from .discrete import Trajectory
@@ -198,14 +198,11 @@ def _windows(traj: Trajectory, T0: float):
     return (chunk(lo) for lo in range(0, len(times), _WINDOW_CHUNK))
 
 
-def _first_worst(traj: Trajectory, windows, score, keep=None) -> tuple[int, float, float | None]:
+def _first_worst(traj: Trajectory, windows, score) -> tuple[int, float, float | None]:
     """Count of ``windows``, their largest ``score(k, j)`` and the start time
-    of the first window reaching it; ``keep(k)`` drops windows before scoring."""
+    of the first window reaching it."""
     count, worst, where = 0, -math.inf, None
     for k, j in windows:
-        if keep is not None:
-            live = keep(k)
-            k, j = k[live], j[live]
         if len(k) == 0:
             continue
         values = score(k, j)
@@ -252,174 +249,6 @@ def verify_contraction(
         worst_margin=worst,
         witness_time=where,
     )
-
-
-@dataclass(frozen=True)
-class EpsilonEstimate:
-    epsilon: float | None
-    no_contraction: bool
-    trivial: bool
-    worst_time: float | None
-
-
-def detect_epsilon_agreement(traj: Trajectory, T0: float) -> EpsilonEstimate:
-    """Smallest factor epsilon with spread(t+T0) <= epsilon * spread(t).
-
-    Windows are those of ``verify_contraction``, less those with zero starting
-    spread; a trajectory whose spread is identically zero is trivial
-    agreement (factor 0).  A supremum at or above 1 means the trajectory
-    exhibits no contraction over span ``T0``.
-    """
-    if not T0 > 0:
-        raise ValueError("T0 must be positive")
-    spreads = traj.spreads()
-    windows = _windows(traj, T0)  # refuses a bad T0 before any verdict
-    if np.all(spreads == 0.0):
-        return EpsilonEstimate(0.0, False, True, None)
-    count, best, where = _first_worst(
-        traj, windows, lambda k, j: spreads[j] / spreads[k], keep=lambda k: spreads[k] != 0.0
-    )
-    if count == 0:
-        return EpsilonEstimate(None, False, True, None)
-    if best >= 1.0:
-        return EpsilonEstimate(None, True, False, where)
-    return EpsilonEstimate(best, False, False, where)
-
-
-@dataclass(frozen=True)
-class BoundReport:
-    passed: bool
-    vacuous: bool
-    value: float
-    upper: float
-    lower: float
-    upper_margin: float  # value - upper; <= tol when the upper bound holds
-    lower_margin: float  # lower - value; <= tol when the lower bound holds
-
-
-BOUND_TOLERANCE = {Mode.DISCRETE: 1e-12, Mode.CONTINUOUS: 1e-6}  # default slack on a bound
-
-
-def _check_window(traj: Trajectory, net: TimeVaryingNetwork, m: int, k_from: int, k_to: int):
-    if traj.mode is not net.mode:
-        raise ValueError(f"{traj.mode.value} trajectory of a {net.mode.value} network")
-    if not (0 <= m < net.n):
-        raise ValueError("node index out of range")
-    if not (0 <= k_from <= k_to < len(traj)):
-        raise ValueError("sample indices out of order or range")
-
-
-def _bound_report(traj: Trajectory, m: int, k_from: int, k_to: int, held, share, tol: float):
-    """Convex-mix bounds on ``x_m`` at sample ``k_to`` from the extremes at ``k_from``.
-
-    ``held`` are values that stay at least ``mu_low * spread`` below the
-    anchor maximum and ``mu_high * spread`` above the anchor minimum;
-    ``share`` is the weight of that depth still felt at the window end.
-    Zero anchor spread makes the check vacuous.
-    """
-    lo, hi = float(traj.minima()[k_from]), float(traj.maxima()[k_from])
-    spread = hi - lo
-    value = float(traj.row(k_to)[m])
-    if spread == 0.0:
-        return BoundReport(True, True, value, hi, lo, 0.0, 0.0)
-    mu_low = max(0.0, float(np.min(hi - held)) / spread)
-    mu_high = max(0.0, float(np.min(held - lo)) / spread)
-    q = float(share)
-    upper = mu_low * q * lo + (1.0 - mu_low * q) * hi
-    lower = mu_high * q * hi + (1.0 - mu_high * q) * lo
-    return BoundReport(
-        passed=value <= upper + tol and value >= lower - tol,
-        vacuous=False,
-        value=value,
-        upper=upper,
-        lower=lower,
-        upper_margin=value - upper,
-        lower_margin=lower - value,
-    )
-
-
-def _inflow_integral(net: TimeVaryingNetwork, m: int, a: float, b: float) -> float:
-    return sum(w.mass(a, b, Mode.CONTINUOUS) for _, w in net.in_arcs(m))
-
-
-def verify_convexity_bound(
-    traj: Trajectory,
-    net: TimeVaryingNetwork,
-    m: int,
-    *,
-    k_from: int,
-    k_to: int,
-    tol: float | None = None,
-) -> BoundReport:
-    """Window convexity bounds on node ``m`` between samples ``k_from`` and ``k_to``.
-
-    With ``mu`` the relative depth of ``x_m`` below the maximum at the anchor
-    ``k_from`` and ``P`` the share of its own value ``m`` keeps over the
-    window, the value at ``k_to`` is at most ``mu*P`` of the way from the
-    maximum down to the minimum, and symmetrically at least ``(1-mu)*P`` of
-    the way up from the minimum.  ``P`` is the product of ``1 - inflow(m)``
-    over the steps in discrete mode and ``exp(-integral of inflow(m))`` in
-    continuous mode, in closed form.  ``k_from == k_to`` reduces both bounds
-    to the anchor value itself; zero anchor spread makes the check vacuous.
-    ``tol`` defaults to the mode's ``BOUND_TOLERANCE``.
-    """
-    _check_window(traj, net, m, k_from, k_to)
-    s, t = traj.times[k_from], traj.times[k_to]
-    if traj.mode is Mode.DISCRETE:
-        inflows = net.head_sums(net.bank.values(np.arange(s, t)))
-        share = np.prod(1.0 - inflows[:, m])
-    else:
-        share = math.exp(-_inflow_integral(net, m, float(s), float(t)))
-    tol = BOUND_TOLERANCE[traj.mode] if tol is None else tol
-    return _bound_report(traj, m, k_from, k_to, traj.row(k_from)[m], share, tol)
-
-
-def verify_influence_bound(
-    traj: Trajectory,
-    net: TimeVaryingNetwork,
-    source: int,
-    m: int,
-    k_from: int,
-    k_to: int,
-    tol: float = 1e-6,
-) -> BoundReport:
-    """Bound on how far an arc ``source -> m`` drags ``m`` toward ``source``.
-
-    If the source stays at least ``mu * spread`` below the window-start
-    maximum the whole time, then ``m`` ends at least ``mu * q * spread``
-    below it too, where ``q`` integrates the arc weight attenuated by the
-    total inflow of ``m`` after each instant:
-
-        q = integral over [s, t] of exp(-integral_u^t inflow(m)) * w(u) du.
-
-    The attenuation integral is closed-form; the outer integral is composite
-    quadrature split at the weight discontinuities.  The symmetric lower
-    bound uses the source's height above the window-start minimum.
-    Continuous runs only.
-    """
-    if traj.mode is not Mode.CONTINUOUS:
-        raise ValueError("the influence bound applies to continuous trajectories")
-    if (source, m) not in net.arc_weights:
-        raise ValueError(f"no arc {(source, m)} in the network")
-    _check_window(traj, net, m, k_from, k_to)
-    s, t = float(traj.times[k_from]), float(traj.times[k_to])
-    w_arc = net.weight((source, m))
-    pieces = {s, t}
-    pieces.update(float(b) for b in w_arc.breakpoints_between(s, t))
-    for _, w in net.in_arcs(m):
-        pieces.update(float(b) for b in w.breakpoints_between(s, t))
-    cuts = sorted(p for p in pieces if s <= p <= t)
-
-    def integrand(u: float) -> float:
-        return math.exp(-_inflow_integral(net, m, u, t)) * float(w_arc.eval(u))
-
-    q = 0.0
-    for a, b in zip(cuts, cuts[1:]):
-        if b > a:
-            part, _ = quad(integrand, a, b, epsabs=1e-12, epsrel=1e-9, limit=200)
-            q += part
-    held = traj.every_state()[k_from : k_to + 1, source]
-    return _bound_report(traj, m, k_from, k_to, held, q, tol)
 
 
 @dataclass(frozen=True)
@@ -514,30 +343,15 @@ def discrete_disagreement_floor(theta: Weight, t0: int = 0) -> LowerBoundCertifi
     )
 
 
-def continuous_disagreement_floor(
-    theta: Weight, t0: float = 0.0, seek_min_t0: bool = False
-) -> LowerBoundCertificate:
+def continuous_disagreement_floor(theta: Weight, t0: float = 0.0) -> LowerBoundCertificate:
     """Continuous disagreement floor ``2 * exp(-tail integral) - 1``.
 
-    Positive only when the vanishing mass from the start is below ln 2; a
-    larger mass raises ``FloorUnavailableError``.  With ``seek_min_t0`` the
-    start is pushed just far enough that the floor reaches 1/3 (tail integral
-    at most ln(3/2)).
+    Positive only when the vanishing mass from ``t0`` on is below ln 2; a
+    larger mass raises ``FloorUnavailableError``.
     """
     if theta.tail(0.0, Mode.CONTINUOUS) == math.inf:
         raise NotSummableError("vanishing mass diverges; no floor exists")
     start = float(t0)
-    if seek_min_t0:
-        target = math.log(1.5)
-        if theta.tail(start, Mode.CONTINUOUS) > target:
-            hi = max(start, 1.0)
-            while theta.tail(hi, Mode.CONTINUOUS) > target:
-                hi *= 2.0
-                if hi > 1e15:
-                    raise FloorUnavailableError(
-                        "tail mass decays too slowly to reach a 1/3 floor"
-                    )
-            start = float(brentq(lambda u: theta.tail(u, Mode.CONTINUOUS) - target, start, hi))
     mass = theta.tail(start, Mode.CONTINUOUS)
     if mass >= math.log(2.0):
         raise FloorUnavailableError(
@@ -553,42 +367,21 @@ def continuous_disagreement_floor(
     )
 
 
-def _blocks(low_block, high_block, n: int) -> tuple[list[int], list[int]]:
-    low = sorted(set(int(i) for i in low_block))
-    high = sorted(set(int(i) for i in high_block))
-    if not low or not high:
-        raise ValueError("both blocks must be nonempty")
-    if set(low) & set(high):
-        raise ValueError("blocks must be disjoint")
-    if any(not 0 <= i < n for i in low + high):
-        raise ValueError("block node outside the trajectory")
-    return low, high
-
-
-def block_extremes(
-    traj: Trajectory,
-    low_block,
-    high_block,
-) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-    """Per-sample (max over low block, min over high block, their gap).
-
-    Needs every sample's states, so a strided trajectory is refused; a run
-    folds its gap into a ``BlockGap`` instead.
-    """
-    low, high = _blocks(low_block, high_block, traj.n)
-    states = traj.every_state()
-    low_max = states[:, low].max(axis=1)
-    high_min = states[:, high].min(axis=1)
-    return low_max, high_min, high_min - low_max
-
-
 class BlockGap:
     """Smallest gap (min over the high block less max over the low block) of
     a run, folded one block of states at a time as the run produces them;
     ``worst`` is ``inf`` until a block arrives."""
 
     def __init__(self, low_block, high_block, n: int):
-        self.low, self.high = _blocks(low_block, high_block, n)
+        low = sorted(set(int(i) for i in low_block))
+        high = sorted(set(int(i) for i in high_block))
+        if not low or not high:
+            raise ValueError("both blocks must be nonempty")
+        if set(low) & set(high):
+            raise ValueError("blocks must be disjoint")
+        if any(not 0 <= i < n for i in low + high):
+            raise ValueError("block node outside the trajectory")
+        self.low, self.high = low, high
         self.worst = math.inf
 
     def __call__(self, states: np.ndarray) -> None:

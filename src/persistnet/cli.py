@@ -35,6 +35,7 @@ from .scenarios import (
     run_check,
     run_context,
     scenario_to_dict,
+    status_word,
 )
 from .weights import Mode
 
@@ -136,10 +137,7 @@ def _cmd_check(args: argparse.Namespace) -> int:
         print("scenario declares no required checks")
     for spec in s.required_checks:
         result = run_check(spec, ctx)
-        status = "VACUOUS-PASS" if result.vacuous and result.passed else (
-            "PASS" if result.passed else "FAIL"
-        )
-        print(f"check {result.name}: {status} ({result.detail})")
+        print(f"check {result.name}: {status_word(result.passed, result.vacuous)} ({result.detail})")
         all_ok = all_ok and result.passed
     return 0 if all_ok else 1
 

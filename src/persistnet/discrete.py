@@ -169,10 +169,6 @@ class Trajectory:
         t = self.times[k]
         return BeliefVector(row, int(t) if self.mode is Mode.DISCRETE else float(t))
 
-    def index_at_or_before(self, t: float) -> int:
-        """Index of the last sample time <= t."""
-        return int(np.searchsorted(self.times, t, side="right") - 1)
-
     def minima(self) -> np.ndarray:
         return self.extremes[0]
 
@@ -287,9 +283,3 @@ def _step_block(net: TimeVaryingNetwork, rows: np.ndarray, t: int) -> None:
         x, nxt = rows[k], rows[k + 1]
         np.multiply(self_block[k], x, out=nxt)
         np.add.at(nxt, heads, arc_block[k] * x[tails])
-
-
-def step(net: TimeVaryingNetwork, x: BeliefVector) -> BeliefVector:
-    """A single update; validates the row sums at ``x.time``."""
-    traj = simulate(net, x, 1)
-    return traj.state_at(1)

@@ -43,15 +43,6 @@ class Digraph:
                 raise ValueError(f"self-loop {(tail, head)} is not allowed")
         object.__setattr__(self, "arcs", arcs)
 
-    def successors(self, i: int) -> tuple[int, ...]:
-        _require_node(self, i)
-        return tuple(sorted(head for tail, head in self.arcs if tail == i))
-
-
-def _require_node(g: Digraph, i: int) -> None:
-    if not (0 <= i < g.n):
-        raise ValueError(f"node {i} outside 0..{g.n - 1}")
-
 
 def _adjacency(g: Digraph) -> csr_matrix:
     tails, heads = np.asarray(sorted(g.arcs), dtype=np.int32).reshape(-1, 2).T
@@ -60,7 +51,8 @@ def _adjacency(g: Digraph) -> csr_matrix:
 
 def shortest_path_lengths(g: Digraph, i: int) -> dict[int, int]:
     """BFS hop counts from ``i`` to each reachable node."""
-    _require_node(g, i)
+    if not (0 <= i < g.n):
+        raise ValueError(f"node {i} outside 0..{g.n - 1}")
     dist = shortest_path(_adjacency(g), directed=True, unweighted=True, indices=i)
     return {int(j): int(dist[j]) for j in np.flatnonzero(np.isfinite(dist))}
 
@@ -68,11 +60,6 @@ def shortest_path_lengths(g: Digraph, i: int) -> dict[int, int]:
 def reachable_set(g: Digraph, i: int) -> frozenset[int]:
     """All nodes reachable from ``i`` along arc direction, including ``i``."""
     return frozenset(shortest_path_lengths(g, i))
-
-
-def centers(g: Digraph) -> frozenset[int]:
-    """Nodes that reach every other node."""
-    return frozenset(i for i in range(g.n) if len(reachable_set(g, i)) == g.n)
 
 
 def is_quasi_strongly_connected(g: Digraph) -> bool:
@@ -87,11 +74,6 @@ def is_quasi_strongly_connected(g: Digraph) -> bool:
     tails, heads = adj.nonzero()
     entered = np.unique(label[heads][label[tails] != label[heads]])
     return count - len(entered) == 1
-
-
-def is_strongly_connected(g: Digraph) -> bool:
-    """True when every node reaches every node."""
-    return connected_components(_adjacency(g), directed=True, connection="strong")[0] == 1
 
 
 _BFS_SOURCES = 256  # sources per breadth-first batch: memory O(batch * n)

@@ -583,6 +583,11 @@ class CertRecord:
     values: dict
 
 
+def status_word(passed: bool, vacuous: bool) -> str:
+    """How a report prints a verdict: VACUOUS-PASS, PASS or FAIL."""
+    return "VACUOUS-PASS" if vacuous and passed else ("PASS" if passed else "FAIL")
+
+
 @dataclass(frozen=True)
 class RunReport:
     scenario_name: str
@@ -624,11 +629,9 @@ class RunReport:
             f"diameter={self.persistent_diameter}",
         ]
         for c in self.checks:
-            status = "VACUOUS-PASS" if c.vacuous and c.passed else ("PASS" if c.passed else "FAIL")
-            lines.append(f"check {c.name}: {status} ({c.detail})")
+            lines.append(f"check {c.name}: {status_word(c.passed, c.vacuous)} ({c.detail})")
         for c in self.certificates:
-            status = "VACUOUS-PASS" if c.vacuous and c.passed else ("PASS" if c.passed else "FAIL")
-            lines.append(f"certificate {c.kind}: {status} ({c.detail})")
+            lines.append(f"certificate {c.kind}: {status_word(c.passed, c.vacuous)} ({c.detail})")
         if self.aborted:
             lines.append("run aborted: a required check failed before simulation")
         if self.trajectory_rows:
@@ -662,9 +665,9 @@ def _check_record(r: CheckResult) -> CheckRecord:
 class RunContext:
     """What every check and certificate runner reads, computed once per run.
 
-    A run keeps the states of every ``stride``-th sample.  A strided run
-    feeds each block of states, as it is produced, to the floors' ``gaps``
-    (keyed by their node lists); at stride 1 the floors fold the kept states.
+    A run keeps the states of every ``stride``-th sample, and ``fold``
+    feeds each block of its states, as it is produced, to the floors'
+    ``gaps`` (keyed by their node lists).
     """
 
     scenario: Scenario
@@ -679,11 +682,6 @@ class RunContext:
     def fold(self, states: np.ndarray) -> None:
         for gap in self.gaps.values():
             gap(states)
-
-    def run_options(self) -> dict:
-        """Keywords for ``simulate``/``integrate``: none at stride 1, where the
-        trajectory keeps every state; else the stride and the gap fold."""
-        return {} if self.stride == 1 else {"stride": self.stride, "on_block": self.fold}
 
 
 def run_context(s: Scenario, seed: int | None = None) -> RunContext:
@@ -739,6 +737,9 @@ CHECKS = {
 
 
 FLOOR_TOLERANCE = 1e-9
+# A kind that reads the run fails with this when the certificate that drives
+# the run (``window-violation``) found no window and made none.
+_NO_RUN = "no run to verify against: the certificate that drives the run made none"
 
 
 def _failed(kind: str, detail: str, values: dict | None = None, traj=None):
@@ -755,6 +756,8 @@ def _rate(kind: str, p: dict, ctx: RunContext, traj):
         cert = analysis.continuous_rate_bound(
             p["A"], ctx.net.n, theta_int, p["a_star"], p["tau0"], ctx.d0
         )
+    if traj is None:
+        return _failed(kind, _NO_RUN)
     rr = analysis.verify_contraction(traj, cert)
     values = {"epsilon": cert.epsilon, "T0": cert.T0, "d0": ctx.d0,
               "windows": rr.windows, "worst_margin": rr.worst_margin}
@@ -778,10 +781,9 @@ def _floor(kind: str, p: dict, ctx: RunContext, traj):
     if cert.required_t0 > float(s.t0):
         detail = f"floor requires starting at t0 >= {cert.required_t0!r}, scenario starts at {s.t0!r}"
         return _failed(kind, detail, {"required_t0": cert.required_t0})
-    gap = ctx.gaps[p["low_nodes"], p["high_nodes"]]
-    if traj.stride == 1:
-        gap(traj.states)
-    worst = float(min(gap.worst, np.min(traj.spreads())))
+    if traj is None:  # then no block reached the gap
+        return _failed(kind, _NO_RUN)
+    worst = ctx.gaps[p["low_nodes"], p["high_nodes"]].worst
     margin = worst - cert.floor
     passed = margin >= -FLOOR_TOLERANCE
     values = {"floor": cert.floor, "required_t0": cert.required_t0,
@@ -801,7 +803,7 @@ def _window_violation(kind: str, p: dict, ctx: RunContext, traj):
         return _failed(kind, f"no quiet window of {p['T']} steps within scan limit {p['scan_limit']}")
     t_star, threshold = found
     x0 = BeliefVector(resolve_x0(ctx.scenario), t_star)
-    wtraj = simulate(ctx.net, x0, int(p["T"]), **ctx.run_options())
+    wtraj = simulate(ctx.net, x0, int(p["T"]), stride=ctx.stride, on_block=ctx.fold)
     spreads = wtraj.spreads()
     if spreads[0] <= 0.0:
         return _failed(kind, "initial spread is zero; nothing to preserve", traj=wtraj)
@@ -823,7 +825,7 @@ def _agreement_ratio(kind: str, p: dict, ctx: RunContext, traj):
     except analysis.CertificateDomainError as e:
         return _failed(kind, f"no horizon: {e}")
     atraj = integrate(ctx.net, resolve_x0(s), float(s.t0), hz.t_end, h_max=s.h_max,
-                      **ctx.run_options())
+                      stride=ctx.stride, on_block=ctx.fold)
     spreads = atraj.spreads()
     if spreads[0] <= 0.0:
         return _failed(kind, "initial spread is zero; ratio undefined", traj=atraj)
@@ -935,10 +937,10 @@ def run_scenario(
         try:
             if s.mode is Mode.DISCRETE:
                 traj = simulate(ctx.net, BeliefVector(x0, int(s.t0)), int(s.horizon),
-                                **ctx.run_options())
+                                stride=ctx.stride, on_block=ctx.fold)
             else:
                 traj = integrate(ctx.net, x0, float(s.t0), float(s.t0) + float(s.horizon),
-                                 h_max=s.h_max, **ctx.run_options())
+                                 h_max=s.h_max, stride=ctx.stride, on_block=ctx.fold)
         except (ValueError, RuntimeError) as e:
             raise ScenarioValidationError(f"simulation failed: {e}") from e
 
@@ -958,22 +960,16 @@ def run_scenario(
 # trajectory files
 
 
-def write_trajectory_csv(
-    traj: Trajectory, path: str | Path, stride: int | None = None
-) -> int:
+def write_trajectory_csv(traj: Trajectory, path: str | Path) -> int:
     """Write ``t, x_0..x_{n-1}, psi, Psi, H`` rows at 17 significant digits.
 
-    Keeps samples 0, ``stride``, 2 * ``stride``, ...; ``stride`` defaults to
-    the trajectory's own and must be a multiple of it.  Returns the number
-    of data rows written.  ``psi``/``Psi``/``H`` are the per-row minimum,
-    maximum, and spread; 17 digits round-trip doubles exactly, so reloading
-    reproduces the metrics bit for bit.
+    One row per kept sample (samples 0, ``traj.stride``, 2 * ``traj.stride``,
+    ...).  Returns the number of data rows written.  ``psi``/``Psi``/``H`` are
+    the per-row minimum, maximum, and spread; 17 digits round-trip doubles
+    exactly, so reloading reproduces the metrics bit for bit.
     """
-    stride = traj.stride if stride is None else stride
-    if stride < 1 or stride % traj.stride:
-        raise ValueError(f"stride must be a positive multiple of {traj.stride}, got {stride!r}")
     n = traj.n
-    keep = np.arange(0, len(traj), stride)
+    keep = np.arange(0, len(traj), traj.stride)
     row = ",".join(["%.17g"] * (n + 4)) + "\n"
     with Path(path).open("w") as f:
         f.write("t," + ",".join(f"x_{i}" for i in range(n)) + ",psi,Psi,H\n")

@@ -298,9 +298,13 @@ class ExponentialDecay(Weight):
         return self.c * span
 
 
-def _pulse_values(phase, t, width, height, left: bool):
-    """Pulse values from the time ``phase`` since the last pulse start."""
-    inside = ((phase > 0) & (phase <= width)) | (t == 0.0) if left else phase < width
+def _pulse_values(start, t, width, height, left: bool):
+    """Pulse values at ``t`` from the ``start`` of the last pulse at or before
+    ``t`` (before ``t``, for left limits).  The edges are the floats
+    ``start`` and ``start + width`` that ``breakpoints_between`` returns, so
+    a step that lands on an edge sees the side it came from."""
+    end = start + width
+    inside = ((t > start) & (t <= end)) | (t == 0.0) if left else t < end
     return np.where(inside, height, 0.0)
 
 
@@ -348,12 +352,26 @@ class PeriodicPulse(Weight):
             return super()._formula(ws)
         height, width, period = _params(ws, "height", "width", "period")
         cycle = width + period
-        return lambda col, left: _pulse_values(np.mod(col, cycle), col, width, height, left)
+
+        def f(col, left):
+            # Pulse k starts at the float k * cycle, as ``_starts_between``
+            # forms it; the quotient can round across a start, so k is
+            # corrected by one either way.
+            k = np.floor(col / cycle)
+            if left:
+                k -= (k * cycle >= col) & (col > 0.0)
+                k += (k + 1.0) * cycle < col
+            else:
+                k -= k * cycle > col
+                k += (k + 1.0) * cycle <= col
+            return _pulse_values(k * cycle, col, width, height, left)
+
+        return f
 
     def _values(self, ts, left):
         starts = self._starts_upto(float(np.max(ts)) if ts.size else 0.0)
         idx = np.clip(np.searchsorted(starts, ts, "left" if left else "right") - 1, 0, None)
-        return _pulse_values(ts - starts[idx], ts, self.width, self.height, left)
+        return _pulse_values(starts[idx], ts, self.width, self.height, left)
 
     def _starts_upto(self, tmax: float) -> np.ndarray:
         """Pulse start times s_k with s_k <= tmax (always includes s_0 = 0).

@@ -16,6 +16,7 @@ from test_weights import (
     divergence_oracle_discrete,
     draw_weight,
 )
+from verifiers import verify_convexity_bound, verify_influence_bound
 
 from persistnet import (
     BeliefVector,
@@ -39,14 +40,12 @@ from persistnet import (
     discrete_rate_bound,
     find_window_violation,
     integrate,
-    is_strongly_connected,
+    reachable_set,
     resolve_x0,
     run_scenario,
     simulate,
     stochastic_network,
     verify_contraction,
-    verify_convexity_bound,
-    verify_influence_bound,
 )
 
 LN2 = math.log(2.0)
@@ -261,10 +260,10 @@ def test_07_window_bounds_on_catalog_trajectories(catalog_runs):
                         )
                         assert rep.passed, (name, m, k_from, k_to, rep)
                         exponential += 1
-            short = traj.index_at_or_before(float(traj.times[0]) + 10.0)
+            short = int(np.searchsorted(traj.times, float(traj.times[0]) + 10.0, side="right") - 1)
             windows = [(0, short if short > 0 else last)]
             mid = last // 2
-            mid_end = traj.index_at_or_before(float(traj.times[mid]) + 5.0)
+            mid_end = int(np.searchsorted(traj.times, float(traj.times[mid]) + 5.0, side="right") - 1)
             if mid_end > mid:
                 windows.append((mid, mid_end))
             for src, m in sorted(net.arcs()):
@@ -340,7 +339,7 @@ def test_10_cut_balance_relation():
         A = float(rng.uniform(1.5, 4.0))
         aw = {a: Constant(float(rng.uniform(1.0, A))) for a in arcs}
         net = TimeVaryingNetwork(Digraph(n, frozenset(arcs)), aw, None, Mode.CONTINUOUS)
-        assert is_strongly_connected(net.graph)
+        assert all(len(reachable_set(net.graph, i)) == n for i in range(n))  # strongly connected
         assert check_arc_balance(net, A).passed
         result = check_cut_balance(net, A * n * n)
         assert result.passed, (n, A, result.detail)

@@ -10,12 +10,11 @@ from hypothesis import strategies as st
 
 from persistnet import (
     BeliefVector,
-    BoundReport,
+    BlockGap,
     CertificateDomainError,
     Constant,
     ContractionReport,
     Digraph,
-    EpsilonEstimate,
     ExponentialDecay,
     FloorUnavailableError,
     Mode,
@@ -27,12 +26,10 @@ from persistnet import (
     Trajectory,
     Zero,
     agreement_time_bound,
-    block_extremes,
     build_network,
     catalog,
     continuous_disagreement_floor,
     continuous_rate_bound,
-    detect_epsilon_agreement,
     discrete_disagreement_floor,
     discrete_rate_bound,
     find_window_violation,
@@ -41,12 +38,16 @@ from persistnet import (
     simulate,
     stochastic_network,
     verify_contraction,
-    verify_convexity_bound,
-    verify_influence_bound,
     window_violation_threshold,
 )
 from persistnet import analysis
 from persistnet.analysis import AGREEMENT_EPOCH_LIMIT
+from verifiers import (
+    BoundReport,
+    detect_epsilon_agreement,
+    verify_convexity_bound,
+    verify_influence_bound,
+)
 
 LN2 = math.log(2.0)
 
@@ -271,7 +272,7 @@ def reference_verify_contraction(traj, cert, tol=None):
             target = times[k] + cert.T0
             if target > times[-1]:
                 break
-            j = traj.index_at_or_before(target)
+            j = int(np.searchsorted(times, target, side="right") - 1)
             if j <= k:
                 continue
             margin = spreads[j] - cert.epsilon * spreads[k]
@@ -281,37 +282,6 @@ def reference_verify_contraction(traj, cert, tol=None):
     if windows == 0:
         return ContractionReport(True, True, cert.epsilon, cert.T0, 0, -math.inf, None)
     return ContractionReport(worst <= tol, False, cert.epsilon, cert.T0, windows, worst, witness)
-
-
-def reference_detect_epsilon_agreement(traj, T0):
-    """Per-sample loop the vectorized ``detect_epsilon_agreement`` must equal."""
-    spreads = traj.spreads()
-    times = traj.times
-    if np.all(spreads == 0.0):
-        return EpsilonEstimate(0.0, False, True, None)
-    best, where = -math.inf, None
-    for k in range(len(spreads)):
-        if spreads[k] == 0.0:
-            continue
-        if traj.mode is Mode.DISCRETE:
-            j = k + int(round(T0))
-            if j >= len(spreads):
-                break
-        else:
-            target = times[k] + T0
-            if target > times[-1]:
-                break
-            j = traj.index_at_or_before(target)
-            if j <= k:
-                continue
-        ratio = float(spreads[j] / spreads[k])
-        if ratio > best:
-            best, where = ratio, float(times[k])
-    if best == -math.inf:
-        return EpsilonEstimate(None, False, True, None)
-    if best >= 1.0:
-        return EpsilonEstimate(None, True, False, where)
-    return EpsilonEstimate(best, False, False, where)
 
 
 @st.composite
@@ -349,9 +319,8 @@ class TestVectorizedWindowScan:
         cert = RateCertificate(epsilon, T0, traj.mode)
         with pytest.MonkeyPatch.context() as mp:
             mp.setattr(analysis, "_WINDOW_CHUNK", chunk)  # window starts scanned at a time
-            rate, estimate = verify_contraction(traj, cert), detect_epsilon_agreement(traj, T0)
+            rate = verify_contraction(traj, cert)
         assert repr(rate) == repr(reference_verify_contraction(traj, cert))
-        assert repr(estimate) == repr(reference_detect_epsilon_agreement(traj, T0))
 
 
 class TestConvexityBound:
@@ -635,30 +604,25 @@ class TestContinuousFloor:
         with pytest.raises(NotSummableError):
             continuous_disagreement_floor(PowerDecay(1.0, 1.0), 0.0)
 
-    def test_seek_min_t0_lands_on_one_third_floor(self):
-        theta = ExponentialDecay(2.0, 1.0)  # tail integral 2 e^(-t)
-        cert = continuous_disagreement_floor(theta, 0.0, seek_min_t0=True)
-        assert cert.required_t0 == pytest.approx(math.log(2.0 / math.log(1.5)), rel=1e-9)
-        assert cert.floor == pytest.approx(1.0 / 3.0, abs=1e-9)
-        assert cert.floor >= 1.0 / 3.0 - 1e-9
 
-
-class TestBlockExtremes:
+class TestBlockGap:
     def test_split_start_values(self):
         traj = star5_trajectory(horizon=10)
-        low_max, high_min, gap = block_extremes(traj, [1, 3], [2, 4])
-        assert low_max[0] == 0.25 and high_min[0] == 0.75
-        assert gap[0] == 0.5
-        assert len(gap) == 11
+        gap = BlockGap([1, 3], [2, 4], traj.n)
+        assert gap.worst == math.inf
+        gap(traj.states[:1])  # low block 0.0, 0.25; high block 1.0, 0.75
+        assert gap.worst == 0.5
+        gap(traj.states[1:])
+        assert gap.worst == float(np.min(traj.states[:, [2, 4]].min(axis=1)
+                                         - traj.states[:, [1, 3]].max(axis=1)))
 
     def test_block_validation(self):
-        traj = star5_trajectory(horizon=2)
         with pytest.raises(ValueError):
-            block_extremes(traj, [], [1])
+            BlockGap([], [1], 5)
         with pytest.raises(ValueError):
-            block_extremes(traj, [0, 1], [1, 2])
+            BlockGap([0, 1], [1, 2], 5)
         with pytest.raises(ValueError):
-            block_extremes(traj, [0], [9])
+            BlockGap([0], [9], 5)
 
 
 class TestWindowViolation:

@@ -80,16 +80,20 @@ def reference_eval(w, t, left=False):
     elif isinstance(w, ExponentialDecay):
         vals = w.c * np.exp(-w.rate * arr)
     elif isinstance(w, PeriodicPulse):
+        # pulses start at the floats k * cycle, or at the running sums when
+        # gaps grow, and end at start + width: the family's breakpoints
+        tmax = float(np.max(arr)) if arr.size else 0.0
         if w.gap_growth == 1.0:
-            phase = np.mod(arr, w.width + w.period)
+            cycle = w.width + w.period
+            starts = np.arange(0.0, tmax // cycle + 2.0) * cycle
         else:
-            starts = _pulse_starts(w, float(np.max(arr)) if arr.size else 0.0)
-            idx = np.searchsorted(starts, arr, side="left" if left else "right") - 1
-            phase = arr - starts[np.clip(idx, 0, None)]
+            starts = _pulse_starts(w, tmax)
+        idx = np.searchsorted(starts, arr, side="left" if left else "right") - 1
+        start = starts[np.clip(idx, 0, None)]
         if left:
-            inside = (phase > 0) & (phase <= w.width) | (arr == 0.0)
+            inside = (arr > start) & (arr <= start + w.width) | (arr == 0.0)
         else:
-            inside = phase < w.width
+            inside = arr < start + w.width
         vals = np.where(inside, w.height, 0.0)
     elif isinstance(w, Tabulated):
         bps = np.asarray(w.breakpoints)

@@ -197,6 +197,27 @@ class TestRun:
         report = json.loads((tmp_path / "doc.report.json").read_text())
         assert report["certificates"][0]["passed"] is False
 
+    @pytest.mark.parametrize("cert", [
+        {"certificate": "discrete-rate", "eta": 0.2, "a_star": 0.2, "T_star": 1},
+        {"certificate": "discrete-floor", "low_nodes": [0], "high_nodes": [1]},
+    ])
+    def test_certificate_with_no_run_fails_with_report(self, tmp_path, capsys, cert):
+        # no quiet window within the scan, so window-violation makes no run
+        doc = next(d for d in _catalog_dicts() if d["name"] == "discrete-window-violation")
+        doc.update(t0=0, horizon=10)
+        doc["certificates"][0].update(scan_limit=0, T=1)
+        doc["certificates"].append(cert)
+        path = tmp_path / "no-run.json"
+        path.write_text(json.dumps(doc))
+        assert main(["run", str(path), "--out-dir", str(tmp_path)]) == 1
+        captured = capsys.readouterr()
+        assert "certificate window-violation: FAIL (no quiet window" in captured.out
+        assert f"certificate {cert['certificate']}: FAIL (no run to verify against" in captured.out
+        assert "Traceback" not in captured.err
+        report = json.loads((tmp_path / "discrete-window-violation.report.json").read_text())
+        assert [c["passed"] for c in report["certificates"]] == [False, False]
+        assert report["trajectory_rows"] == 0 and not list(tmp_path.glob("*.csv"))
+
     def test_floor_node_outside_the_network_exits_before_stepping(self, tmp_path, capsys):
         doc = next(d for d in _catalog_dicts() if d["name"] == "discrete-split-blocks-floor")
         doc["certificates"][0]["high_nodes"] = [2, 99]

@@ -7,7 +7,7 @@ from dataclasses import dataclass
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 import persistnet.scenarios as scenarios
@@ -270,9 +270,9 @@ def catalog_runs():
     """The arguments of every integration the catalog's continuous scenarios run."""
     runs = []
 
-    def recording(net, x0, t0, t_end, h_max=None):
+    def recording(net, x0, t0, t_end, h_max=None, **kw):
         runs.append((net, np.asarray(x0, dtype=float).copy(), t0, t_end, h_max))
-        return integrate(net, x0, t0, t_end, h_max=h_max)
+        return integrate(net, x0, t0, t_end, h_max=h_max, **kw)
 
     with pytest.MonkeyPatch.context() as mp:
         mp.setattr(scenarios, "integrate", recording)
@@ -285,6 +285,10 @@ def catalog_runs():
 class TestBlockSteppingMatchesReference:
     @settings(max_examples=60, deadline=None)
     @given(small_flows())
+    # steps land on pulse edges that are not exact multiples of the cycle
+    @example((continuous_net(2, {(0, 1): WeightSum((PeriodicPulse(1.0, 1.1882615113509412, 0.75),
+                                                    PeriodicPulse(2.0, 1.1882615113509412, 0.75)))}),
+              np.array([0.0, 1.0]), 1.0, 6.0, None))
     def test_random_networks(self, flow):
         assert_matches_reference(*flow)
 

@@ -20,7 +20,6 @@ from persistnet import (
     TimeVaryingNetwork,
     Trajectory,
     simulate,
-    step,
     stochastic_network,
 )
 
@@ -46,7 +45,7 @@ class TestStep:
     def test_worked_two_node_example(self):
         # rows [[0.5, 0.5], [0.25, 0.75]] acting on (0, 1)
         net = pair_net(w01=Constant(0.25), w10=Constant(0.5))
-        out = step(net, BeliefVector(np.array([0.0, 1.0]), 0))
+        out = simulate(net, BeliefVector(np.array([0.0, 1.0]), 0), 1).state_at(1)
         assert out.time == 1
         assert out.values == pytest.approx([0.5, 0.75], abs=0)
 
@@ -56,13 +55,13 @@ class TestStep:
             g, {}, {i: Constant(1.0) for i in range(3)}, Mode.DISCRETE
         )
         x = BeliefVector(np.array([0.3, -1.0, 2.5]), 5)
-        out = step(net, x)
+        out = simulate(net, x, 1).state_at(1)
         assert np.array_equal(out.values, x.values)
         assert out.time == 6
 
     def test_uniform_averaging_agrees_in_one_step(self):
         net = pair_net(Constant(0.5), Constant(0.5))
-        out = step(net, BeliefVector(np.array([0.0, 1.0]), 0))
+        out = simulate(net, BeliefVector(np.array([0.0, 1.0]), 0), 1).state_at(1)
         assert out.values == pytest.approx([0.5, 0.5], abs=0)
 
 
@@ -237,14 +236,12 @@ class TestTrajectoryType:
         assert bv.time == 5
         assert np.array_equal(bv.values, [0.25, 0.75])
 
-    def test_index_at_or_before_and_step_sizes(self):
+    def test_step_sizes_and_spreads(self):
         traj = Trajectory(
             np.array([0.0, 0.5, 1.0]),
             np.array([[0.0, 1.0], [0.2, 0.8], [0.4, 0.6]]),
             Mode.CONTINUOUS,
         )
-        assert traj.index_at_or_before(0.75) == 1
-        assert traj.index_at_or_before(1.0) == 2
         assert np.array_equal(traj.step_sizes, [0.5, 0.5])
         assert traj.spreads() == pytest.approx([1.0, 0.6, 0.2])
 

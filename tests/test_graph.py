@@ -8,10 +8,8 @@ from hypothesis import strategies as st
 
 from persistnet import (
     Digraph,
-    centers,
     diameter,
     is_quasi_strongly_connected,
-    is_strongly_connected,
     reachable_set,
     shortest_path_lengths,
     subgraph_with_arcs,
@@ -71,11 +69,6 @@ class TestConstruction:
         with pytest.raises(ValueError, match="elf-loop"):
             Digraph(3, frozenset({(1, 1)}))
 
-    def test_successors_sorted(self):
-        g = Digraph(4, frozenset({(0, 3), (0, 1), (0, 2)}))
-        assert g.successors(0) == (1, 2, 3)
-        assert g.successors(3) == ()
-
 
 class TestReachability:
     def test_single_node_reaches_itself(self):
@@ -119,34 +112,24 @@ class TestReachability:
             assert reachable_set(g, i) <= reachable_set(bigger, i)
 
 
-class TestCentersAndConnectivity:
-    def test_in_star_has_center_at_hub(self):
+class TestConnectivity:
+    def test_in_star_is_qsc(self):
         # hub 0 influences every leaf
         g = Digraph(5, frozenset((0, k) for k in range(1, 5)))
-        assert centers(g) == {0}
         assert is_quasi_strongly_connected(g)
-        assert not is_strongly_connected(g)
-
-    def test_cycle_strongly_connected(self):
-        g = Digraph(4, frozenset({(0, 1), (1, 2), (2, 3), (3, 0)}))
-        assert is_strongly_connected(g)
-        assert centers(g) == {0, 1, 2, 3}
 
     def test_two_components_not_qsc(self):
         g = Digraph(4, frozenset({(0, 1), (1, 0), (2, 3), (3, 2)}))
         assert not is_quasi_strongly_connected(g)
-        assert centers(g) == frozenset()
 
     def test_single_node_is_qsc(self):
         assert is_quasi_strongly_connected(Digraph(1))
 
     @given(arb_graph())
-    def test_centers_match_oracle(self, g):
+    def test_qsc_matches_oracle(self, g):
         reach = closure_oracle(g.n, g.arcs)
-        want = {i for i in range(g.n) if all(reach[i])}
-        assert centers(g) == want
-        assert is_quasi_strongly_connected(g) == bool(want)
-        assert is_strongly_connected(g) == (len(want) == g.n)
+        roots = {i for i in range(g.n) if all(reach[i])}
+        assert is_quasi_strongly_connected(g) == bool(roots)
 
     @given(arb_graph(max_n=5))
     def test_qsc_monotone_under_arc_addition(self, g):

@@ -343,18 +343,6 @@ class TestTrajectoryFiles:
         assert write_trajectory_csv(traj, path) == 1
         assert len(path.read_text().strip().split("\n")) == 2
 
-    def test_stride_thins_rows(self, tmp_path):
-        traj = self.make_traj()
-        path = tmp_path / "s.csv"
-        rows = write_trajectory_csv(traj, path, stride=5)
-        assert rows == 3  # samples 0, 5, 10
-        times, _, _, _, _ = read_trajectory_csv(path)
-        assert np.array_equal(times, [0.0, 5.0, 10.0])
-
-    def test_bad_stride_rejected(self, tmp_path):
-        with pytest.raises(ValueError):
-            write_trajectory_csv(self.make_traj(), tmp_path / "x.csv", stride=0)
-
     def test_reader_rejects_foreign_files(self, tmp_path):
         path = tmp_path / "junk.csv"
         path.write_text("a,b,c\n1,2,3\n")

@@ -150,6 +150,21 @@ class TestEval:
         assert copy == w
         assert copy.eval_left(2.0) == w.eval_left(2.0)
 
+    @pytest.mark.parametrize("w", [
+        PeriodicPulse(3.0, 1.1882615113509412, 0.75),
+        PeriodicPulse(1.0, 0.1, 0.2),
+        PeriodicPulse(1.0, 1.0 / 3.0, 0.7, gap_growth=1.3),
+    ], ids=["wide", "tenths", "growing"])
+    def test_pulse_edges_are_its_breakpoints(self, w):
+        # a step of the integrator lands on these floats: each must read as
+        # the edge it is, not as a time an ulp away; past 0 they alternate
+        # between the end of a pulse and the start of the next
+        edges = w.breakpoints_between(0.0, 60.0)
+        assert len(edges) >= 20
+        on = np.arange(len(edges)) % 2 == 1
+        assert np.array_equal(w.eval(edges), np.where(on, w.height, 0.0))
+        assert np.array_equal(w.eval_left(edges), np.where(on, 0.0, w.height))
+
     def test_pulse_left_limit_at_edges(self):
         w = PeriodicPulse(1.0, 1.0, 1.0)  # on [0,1), off [1,2), ...
         assert w.eval(1.0) == 0.0
