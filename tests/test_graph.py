@@ -118,6 +118,22 @@ class TestConnectivity:
         g = Digraph(5, frozenset((0, k) for k in range(1, 5)))
         assert is_quasi_strongly_connected(g)
 
+    def test_star_of_followers_not_qsc(self):
+        # every leaf influences hub 0, but no node reaches two leaves
+        g = Digraph(5, frozenset((k, 0) for k in range(1, 5)))
+        assert not is_quasi_strongly_connected(g)
+
+    def test_cycle_is_qsc_until_cut_twice(self):
+        cycle = frozenset({(0, 1), (1, 2), (2, 3), (3, 0)})
+        g = Digraph(4, cycle)
+        assert is_quasi_strongly_connected(g)
+        assert all(reachable_set(g, i) == frozenset(range(4)) for i in range(4))
+        for arc in cycle:  # one cut leaves a path, rooted where the cut arc pointed
+            cut = Digraph(4, cycle - {arc})
+            assert is_quasi_strongly_connected(cut)
+            assert reachable_set(cut, arc[1]) == frozenset(range(4))
+        assert not is_quasi_strongly_connected(Digraph(4, cycle - {(0, 1), (2, 3)}))
+
     def test_two_components_not_qsc(self):
         g = Digraph(4, frozenset({(0, 1), (1, 0), (2, 3), (3, 2)}))
         assert not is_quasi_strongly_connected(g)
