@@ -28,8 +28,10 @@ from scipy.optimize import brentq
 from .discrete import Trajectory
 from .weights import (
     Mode,
+    Tabulated,
     TimeVaryingNetwork,
     Weight,
+    WeightSum,
     aggregate_vanishing_weight,
     persistence_report,
 )
@@ -64,16 +66,8 @@ class RateCertificate:
     T0: float
     mode: Mode
     trivial: bool = False
-    eta: float | None = None
-    a_star: float | None = None
-    T_star: int | None = None
-    tau0: float | None = None
-    A: float | None = None
-    n: int | None = None
-    theta_integral: float | None = None
     omega0: float | None = None
     m0: float | None = None
-    d0: int = 0
 
 
 def discrete_rate_bound(eta: float, a_star: float, T_star: int, d0: int) -> RateCertificate:
@@ -105,15 +99,9 @@ def discrete_rate_bound(eta: float, a_star: float, T_star: int, d0: int) -> Rate
             "no stochastic row provides that much weight on one arc"
         )
     if d0 == 0:
-        return RateCertificate(
-            epsilon=0.0, T0=float(T_star), mode=Mode.DISCRETE, trivial=True,
-            eta=eta, a_star=a_star, T_star=int(T_star), d0=0,
-        )
+        return RateCertificate(epsilon=0.0, T0=float(T_star), mode=Mode.DISCRETE, trivial=True)
     epsilon = 1.0 - (eta ** (d0 * T_star) / 2.0) * (a_star / T_star) ** d0
-    return RateCertificate(
-        epsilon=epsilon, T0=float(d0 * T_star), mode=Mode.DISCRETE,
-        eta=eta, a_star=a_star, T_star=int(T_star), d0=int(d0),
-    )
+    return RateCertificate(epsilon=epsilon, T0=float(d0 * T_star), mode=Mode.DISCRETE)
 
 
 def continuous_rate_bound(
@@ -144,19 +132,13 @@ def continuous_rate_bound(
     if not (isinstance(d0, (int, np.integer)) and d0 >= 0):
         raise CertificateDomainError("d0 must be an integer >= 0")
     if d0 == 0:
-        return RateCertificate(
-            epsilon=0.0, T0=float(tau0), mode=Mode.CONTINUOUS, trivial=True,
-            A=A, n=int(n), theta_integral=theta_integral, a_star=a_star,
-            tau0=tau0, d0=0,
-        )
+        return RateCertificate(epsilon=0.0, T0=float(tau0), mode=Mode.CONTINUOUS, trivial=True)
     omega0 = math.exp(-theta_integral)
     m0 = (omega0 / 2.0) ** 2 / ((n - 1) * A)
     epsilon = 1.0 - m0**d0 / 2.0
     T0 = tau0 * math.ceil(d0 * math.log(2.0) / a_star)
     return RateCertificate(
-        epsilon=epsilon, T0=float(T0), mode=Mode.CONTINUOUS,
-        A=A, n=int(n), theta_integral=theta_integral, a_star=a_star, tau0=tau0,
-        omega0=omega0, m0=m0, d0=int(d0),
+        epsilon=epsilon, T0=float(T0), mode=Mode.CONTINUOUS, omega0=omega0, m0=m0
     )
 
 
@@ -261,28 +243,6 @@ class LowerBoundCertificate:
     required_t0: float
     tail_mass: float
     tail_product: float | None = None
-    note: str = ""
-
-
-def _first_quiet_time(theta: Weight) -> int:
-    """First integer from which the vanishing mass stays below 1.
-
-    Valid because every summable family here is non-increasing beyond its
-    last tabulated breakpoint; scanning forward from that point is enough.
-    """
-    from .weights import Tabulated, WeightSum
-
-    t_min = 0
-    parts = theta.parts if isinstance(theta, WeightSum) else (theta,)
-    for part in parts:
-        if isinstance(part, Tabulated):
-            t_min = max(t_min, int(math.ceil(part.breakpoints[-1])))
-    t = t_min
-    while t <= PRODUCT_HORIZON:
-        if float(theta.eval(float(t))) < 1.0:
-            return t
-        t += 1
-    raise NotSummableError("vanishing mass never drops below 1 within the scan horizon")
 
 
 def discrete_disagreement_floor(theta: Weight, t0: int = 0) -> LowerBoundCertificate:
@@ -297,9 +257,15 @@ def discrete_disagreement_floor(theta: Weight, t0: int = 0) -> LowerBoundCertifi
     """
     if theta.tail(0, Mode.DISCRETE) == math.inf:
         raise NotSummableError("vanishing mass diverges; no floor exists")
-    t1 = _first_quiet_time(theta)
-    ts = np.arange(t1, PRODUCT_HORIZON + 1, dtype=float)
-    vals = theta.eval(ts)
+    # From the last tabulated breakpoint on, every summable family here is
+    # non-increasing, so the first value below 1 there starts the quiet stretch.
+    parts = theta.parts if isinstance(theta, WeightSum) else (theta,)
+    t_min = max([math.ceil(p.breakpoints[-1]) for p in parts if isinstance(p, Tabulated)], default=0)
+    vals = theta.eval(np.arange(t_min, PRODUCT_HORIZON + 1, dtype=float))
+    below = np.flatnonzero(vals < 1.0)
+    if len(below) == 0:
+        raise NotSummableError("vanishing mass never drops below 1 within the scan horizon")
+    t1, vals = t_min + int(below[0]), vals[below[0]:]
     if np.any(vals >= 1.0):
         raise NotSummableError("vanishing mass returns to 1 after first dropping below")
     beyond = float(theta.eval(float(PRODUCT_HORIZON + 1)))
@@ -330,17 +296,8 @@ def discrete_disagreement_floor(theta: Weight, t0: int = 0) -> LowerBoundCertifi
             else:
                 hi = mid
         start = hi
-    return LowerBoundCertificate(
-        mode=Mode.DISCRETE,
-        floor=floor,
-        required_t0=float(start),
-        tail_mass=float(theta.tail(start, Mode.DISCRETE)),
-        tail_product=sigma,
-        note=(
-            f"survival product truncated at t={PRODUCT_HORIZON}, remainder covered "
-            f"by exp(-2 tail) = exp(-{tail_correction:.3e})"
-        ),
-    )
+    return LowerBoundCertificate(Mode.DISCRETE, floor, float(start),
+                                 float(theta.tail(start, Mode.DISCRETE)), tail_product=sigma)
 
 
 def continuous_disagreement_floor(theta: Weight, t0: float = 0.0) -> LowerBoundCertificate:
@@ -358,13 +315,7 @@ def continuous_disagreement_floor(theta: Weight, t0: float = 0.0) -> LowerBoundC
             f"vanishing mass {mass:.6g} from t0={start} is at least ln 2; floor would not be positive"
         )
     floor = 2.0 * math.exp(-mass) - 1.0
-    return LowerBoundCertificate(
-        mode=Mode.CONTINUOUS,
-        floor=floor,
-        required_t0=start,
-        tail_mass=float(mass),
-        note="floor = 2 exp(-tail integral) - 1",
-    )
+    return LowerBoundCertificate(Mode.CONTINUOUS, floor, start, float(mass))
 
 
 class BlockGap:
@@ -434,7 +385,6 @@ class AgreementHorizon:
     per_epoch_factor: float
     omega0: float
     m0: float
-    required_mass: float
 
 
 def agreement_time_bound(
@@ -503,11 +453,4 @@ def agreement_time_bound(
             "no persistent arc accumulates the required mass in finite time"
         )
     t_end = t_end * (1.0 + 1e-12)  # stay on the safe side of root-finder error
-    return AgreementHorizon(
-        t_end=t_end,
-        epochs=epochs,
-        per_epoch_factor=factor,
-        omega0=omega0,
-        m0=m0,
-        required_mass=mass,
-    )
+    return AgreementHorizon(t_end, epochs, factor, omega0, m0)

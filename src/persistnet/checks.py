@@ -91,15 +91,19 @@ def check_self_confidence(
     )
 
 
-def _balance_over_values(values: np.ndarray, A: float) -> tuple[bool, float]:
-    """Mutual-ratio test on one time slice; returns (ok, worst ratio)."""
-    mx = float(np.max(values))
-    mn = float(np.min(values))
-    if mx == 0.0:
-        return True, 1.0  # all arcs silent together
-    if mn == 0.0:
-        return False, math.inf
-    return mx / mn <= A, mx / mn
+def _ratio(hi: np.ndarray, lo: np.ndarray) -> np.ndarray:
+    """``hi / lo`` for ``hi >= lo >= 0``: 1 where both are zero, ``inf`` where only ``lo`` is."""
+    with np.errstate(divide="ignore", invalid="ignore"):
+        return np.where(hi == 0.0, 1.0, np.where(lo == 0.0, np.inf, hi / lo))
+
+
+def _balance_scan(values: np.ndarray, arcs: list, samples: list) -> tuple[float, tuple]:
+    """First largest max/min ratio over the rows of ``values`` (samples x
+    arcs), and its (max arc, min arc, sample)."""
+    ratio = _ratio(values.max(axis=1), values.min(axis=1))
+    k = int(np.argmax(ratio))
+    row = values[k]
+    return float(ratio[k]), (arcs[int(np.argmax(row))], arcs[int(np.argmin(row))], samples[k])
 
 
 def _arc_values(net: TimeVaryingNetwork, arcs: list, times: list[float]) -> np.ndarray:
@@ -122,15 +126,7 @@ def check_arc_balance(
     if not arcs:
         return CheckResult("arc-balance", True, vacuous=True, detail="no persistent arcs")
     times = _sample_times(times)
-    worst, where = 0.0, ()
-    for t, values in zip(times, _arc_values(net, arcs, times)):
-        ok, ratio = _balance_over_values(values, A)
-        if not ok or ratio > worst:
-            hi = arcs[int(np.argmax(values))]
-            lo = arcs[int(np.argmin(values))]
-            worst, where = ratio, (hi, lo, t)
-            if not ok and math.isinf(ratio):
-                break
+    worst, where = _balance_scan(_arc_values(net, arcs, times), arcs, times)
     return CheckResult(
         name="arc-balance",
         passed=worst <= A,
@@ -154,16 +150,9 @@ def check_integral_arc_balance(
         return CheckResult(
             "integral-arc-balance", True, vacuous=True, detail="no persistent arcs"
         )
-    worst, where = 0.0, ()
-    for a, b in intervals:
-        masses = np.asarray([net.weight(arc).mass(a, b, Mode.CONTINUOUS) for arc in arcs])
-        ok, ratio = _balance_over_values(masses, A)
-        if not ok or ratio > worst:
-            hi = arcs[int(np.argmax(masses))]
-            lo = arcs[int(np.argmin(masses))]
-            worst, where = ratio, (hi, lo, (a, b))
-            if not ok and math.isinf(ratio):
-                break
+    masses = np.asarray([[net.weight(arc).mass(a, b, Mode.CONTINUOUS) for arc in arcs]
+                         for a, b in intervals])
+    worst, where = _balance_scan(masses, arcs, [(a, b) for a, b in intervals])
     return CheckResult(
         name="integral-arc-balance",
         passed=worst <= A,
@@ -273,10 +262,7 @@ def check_cut_balance(
     for t, w in zip(times, _arc_values(net, arcs, times)):
         inflow_s = into_s @ w
         outflow_s = outof_s @ w
-        with np.errstate(divide="ignore", invalid="ignore"):
-            hi = np.maximum(inflow_s, outflow_s)
-            lo = np.minimum(inflow_s, outflow_s)
-            ratio = np.where(hi == 0.0, 1.0, np.where(lo == 0.0, np.inf, hi / lo))
+        ratio = _ratio(np.maximum(inflow_s, outflow_s), np.minimum(inflow_s, outflow_s))
         k = int(np.argmax(ratio))
         if ratio[k] > worst:
             subset = tuple(int(i) for i in range(n) if member[k, i])

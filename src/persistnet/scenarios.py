@@ -9,6 +9,8 @@ families, check names, certificate names, and non-finite numbers.
 ``CHECKS`` and ``CERTIFICATES`` are the one place a check or certificate
 kind is defined (its modes, parameters and runner); the parser, the run
 pipeline, ``persistnet check`` and ``--mode-override`` all read them.
+``WEIGHT_FAMILIES`` likewise ties each weight family's name to its class,
+whose dataclass fields are the family's parameters.
 
 Running a scenario performs, in order: build the network, classify arcs,
 run the required checks (a failure aborts before simulation), simulate or
@@ -193,83 +195,71 @@ _PARAMS = {
 }
 
 
-_WEIGHT_FIELDS = {
-    "constant": {"c"},
-    "power-decay": {"c", "p"},
-    "exponential-decay": {"c", "rate"},
-    "periodic-pulse": {"height", "width", "period", "gap_growth"},
-    "tabulated": {"breakpoints", "values", "persistent"},
-    "zero": set(),
+def _as_flag(v, path: str) -> bool | None:
+    if v is not None and not isinstance(v, bool):
+        raise ScenarioParseError(f"{path} must be a boolean or null")
+    return v
+
+
+def _as_numbers(v, path: str) -> tuple:
+    _NUMBERS(v, path)
+    return tuple(v)
+
+
+# A weight object is ``{"family": NAME, ...fields}``: a family's parameters are
+# its dataclass fields, and a field with a default may be left out.
+WEIGHT_FAMILIES = {
+    "constant": Constant,
+    "power-decay": PowerDecay,
+    "exponential-decay": ExponentialDecay,
+    "periodic-pulse": PeriodicPulse,
+    "tabulated": Tabulated,
+    "zero": Zero,
 }
+_FIELD_READERS = {"breakpoints": _as_numbers, "values": _as_numbers, "persistent": _as_flag}
+
+
+def _family(cls) -> tuple:
+    """A family's class, its ``(field, reader, required)`` triples and the keys its object may hold."""
+    fields = tuple((f.name, _FIELD_READERS.get(f.name, _as_float), f.default is dataclasses.MISSING)
+                   for f in dataclasses.fields(cls))
+    return cls, fields, {"family", *(name for name, _, _ in fields)}
+
+
+# worked out once, so that reading or writing a weight costs one lookup
+_FAMILY_FIELDS = {name: _family(cls) for name, cls in WEIGHT_FAMILIES.items()}
+_FAMILY_OF = {cls: (name, tuple(f for f, _, _ in fields)) for name, (cls, fields, _) in _FAMILY_FIELDS.items()}
 
 
 def parse_weight(spec, path: str) -> Weight:
     if not isinstance(spec, dict):
         raise ScenarioParseError(f"{path} must be a weight object")
     family = _as_str(_need(spec, "family", path), f"{path}.family")
-    if family not in _WEIGHT_FIELDS:
+    known = _FAMILY_FIELDS.get(family)
+    if known is None:
         raise ScenarioParseError(
             f"unknown weight family {family!r} at {path}; "
-            f"supported: {sorted(_WEIGHT_FIELDS)}"
+            f"supported: {sorted(WEIGHT_FAMILIES)}"
         )
-    _reject_unknown(spec, _WEIGHT_FIELDS[family] | {"family"}, path)
+    cls, fields, allowed = known
+    _reject_unknown(spec, allowed, path)
+    params = {name: read(_need(spec, name, path), f"{path}.{name}")
+              for name, read, required in fields if required or name in spec}
     try:
-        if family == "constant":
-            return Constant(_as_float(_need(spec, "c", path), f"{path}.c"))
-        if family == "power-decay":
-            return PowerDecay(
-                _as_float(_need(spec, "c", path), f"{path}.c"),
-                _as_float(_need(spec, "p", path), f"{path}.p"),
-            )
-        if family == "exponential-decay":
-            return ExponentialDecay(
-                _as_float(_need(spec, "c", path), f"{path}.c"),
-                _as_float(_need(spec, "rate", path), f"{path}.rate"),
-            )
-        if family == "periodic-pulse":
-            return PeriodicPulse(
-                _as_float(_need(spec, "height", path), f"{path}.height"),
-                _as_float(_need(spec, "width", path), f"{path}.width"),
-                _as_float(_need(spec, "period", path), f"{path}.period"),
-                _as_float(spec.get("gap_growth", 1.0), f"{path}.gap_growth"),
-            )
-        if family == "tabulated":
-            for key in ("breakpoints", "values"):
-                _NUMBERS(_need(spec, key, path), f"{path}.{key}")
-            persistent = spec.get("persistent")
-            if persistent is not None and not isinstance(persistent, bool):
-                raise ScenarioParseError(f"{path}.persistent must be a boolean or null")
-            return Tabulated(tuple(spec["breakpoints"]), tuple(spec["values"]), persistent)
-        return Zero()
+        return cls(**params)
     except ValueError as e:
         raise ScenarioParseError(f"invalid weight at {path}: {e}") from e
 
 
 def weight_to_spec(w: Weight) -> dict:
-    if isinstance(w, Constant):
-        return {"family": "constant", "c": w.c}
-    if isinstance(w, PowerDecay):
-        return {"family": "power-decay", "c": w.c, "p": w.p}
-    if isinstance(w, ExponentialDecay):
-        return {"family": "exponential-decay", "c": w.c, "rate": w.rate}
-    if isinstance(w, PeriodicPulse):
-        return {
-            "family": "periodic-pulse",
-            "height": w.height,
-            "width": w.width,
-            "period": w.period,
-            "gap_growth": w.gap_growth,
-        }
-    if isinstance(w, Tabulated):
-        return {
-            "family": "tabulated",
-            "breakpoints": list(w.breakpoints),
-            "values": list(w.values),
-            "persistent": w.persistent,
-        }
-    if isinstance(w, Zero):
-        return {"family": "zero"}
-    raise ScenarioValidationError(f"weight {type(w).__name__} has no file representation")
+    family = _FAMILY_OF.get(type(w))
+    if family is None:
+        raise ScenarioValidationError(f"weight {type(w).__name__} has no file representation")
+    spec = {"family": family[0]}
+    for name in family[1]:
+        v = getattr(w, name)
+        spec[name] = list(v) if isinstance(v, tuple) else v
+    return spec
 
 
 def _parse_specs(doc: dict, field: str, key: str, table: dict, spec_type, mode: Mode) -> tuple:
@@ -849,15 +839,16 @@ def _cut_balance_gap(kind: str, p: dict, ctx: RunContext, traj):
         ladder.append(K)
         K *= 10.0
     ladder.append(float(p["K_max"]))
-    cut_results = [checks.check_cut_balance(ctx.net, K, seed=ctx.seed) for K in ladder]
-    all_fail = all(not r.passed for r in cut_results)
+    # every rung is at most K_max, so the cuts fail at every rung exactly when they fail at K_max
+    cut = checks.check_cut_balance(ctx.net, ladder[-1], seed=ctx.seed)
+    all_fail = not cut.passed
     passed = balance.passed and all_fail
     values = {"A": p["A"], "K_ladder": ladder,
               "arc_balance_passed": balance.passed,
               "cut_balance_failed_all": all_fail}
     detail = (f"arc balance (A={p['A']!r}): {'pass' if balance.passed else 'FAIL'}; "
               f"cut balance fails for all K in {ladder!r}: "
-              f"{'yes' if all_fail else 'NO'}; worst cut witness: {cut_results[-1].detail}")
+              f"{'yes' if all_fail else 'NO'}; worst cut witness: {cut.detail}")
     return CertRecord(kind, passed, False, None, detail, values), None
 
 

@@ -276,7 +276,11 @@ class ExponentialDecay(Weight):
         if mode is Mode.CONTINUOUS:
             if r == 0.0:
                 return self.c * (b - a)
-            return self.c / r * (math.exp(-r * a) - math.exp(-r * b))
+            scale = self.c / r
+            if math.isinf(scale):  # a subnormal rate: c * (b - a) * expm1(-x) / -x, x = r * (b - a)
+                x = r * (b - a)
+                return self.c * math.exp(-r * a) * (b - a) * (math.expm1(-x) / -x if x else 1.0)
+            return scale * (math.exp(-r * a) - math.exp(-r * b))
         if a == b or self.c == 0.0:
             return 0.0
         if r == 0.0:

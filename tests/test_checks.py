@@ -3,7 +3,7 @@
 import math
 
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from persistnet import (
@@ -141,6 +141,26 @@ class TestArcBalance:
         assert not result.passed
         assert result.worst_value == pytest.approx(5.0)
 
+    # the ratio is 5 on [0, 1) and 2.5 after: a later, smaller failing ratio
+    # must not replace the larger one
+    UNEVEN = (Constant(1.0), Tabulated((0, 1), (0.2, 0.4), True))
+
+    def test_failing_check_reports_its_largest_ratio(self):
+        result = check_arc_balance(continuous_pair(*self.UNEVEN), A=2.0, times=[0, 1])
+        assert not result.passed
+        assert result.worst_value == 5.0
+        assert result.witness == ((0, 1), (1, 0), 0)
+        assert result.detail == (
+            "worst ratio = 5 (A = 2.0) at (max arc, min arc, t) = ((0, 1), (1, 0), 0)"
+        )
+
+    def test_failing_integral_check_reports_its_largest_ratio(self):
+        net = continuous_pair(*self.UNEVEN)
+        result = check_integral_arc_balance(net, A=2.0, intervals=[(0, 1), (1, 2)])
+        assert not result.passed
+        assert result.worst_value == 5.0
+        assert result.witness == ((0, 1), (1, 0), (0, 1))
+
 
 class TestWindowBound:
     def test_constant_floor_exact(self):
@@ -185,6 +205,7 @@ class TestWindowBound:
 
     @settings(max_examples=150, deadline=None)
     @given(WEIGHT_SPECS, st.integers(1, 40), st.floats(0.05, 40.0))
+    @example({"family": "exponential-decay", "c": 1.0, "rate": 5e-324}, 1, 1.0)  # c / rate overflows
     def test_infimum_bounds_every_default_start(self, spec, length, tau):
         # so samples cannot fail an arc its infimum passes, within their slack
         w = parse_weight(spec, "w")

@@ -228,6 +228,14 @@ class TestRun:
         assert "certificates[0].high_nodes[1] must be a node in 0..3, got 99" in err
         assert not list(tmp_path.glob("*.csv"))
 
+    def test_missing_weight_field_exits_2_naming_it(self, tmp_path, capsys):
+        doc = scenario_doc()
+        doc["arcs"][1]["weight"] = {"family": "power-decay", "c": 0.5}
+        path = tmp_path / "no-exponent.json"
+        path.write_text(json.dumps(doc))
+        assert main(["run", str(path), "--out-dir", str(tmp_path)]) == 2
+        assert "missing field 'p' at arcs[1].weight" in capsys.readouterr().err
+
     @pytest.mark.parametrize("stride", ["0", "-3"])
     def test_bad_stride_exits_2(self, pair_file, tmp_path, capsys, stride):
         assert main(["run", str(pair_file), "--out-dir", str(tmp_path), "--stride", stride]) == 2

@@ -1,12 +1,13 @@
 """Scenario documents: parsing, strict validation, runs, and file outputs."""
 
+import inspect
 import json
 import sys
 
 import numpy as np
 import pytest
 
-from persistnet import graph
+from persistnet import graph, weights
 from persistnet import (
     Constant,
     ExponentialDecay,
@@ -16,7 +17,10 @@ from persistnet import (
     RunReport,
     ScenarioParseError,
     ScenarioValidationError,
+    StochasticComplement,
     Tabulated,
+    Weight,
+    WeightSum,
     Zero,
     ZeroOneSplit,
     build_network,
@@ -34,6 +38,7 @@ from persistnet import (
     weight_to_spec,
     write_trajectory_csv,
 )
+from persistnet.scenarios import WEIGHT_FAMILIES
 from persistnet import BeliefVector
 
 
@@ -78,6 +83,22 @@ class TestWeightSpecs:
     )
     def test_round_trip(self, w):
         assert parse_weight(weight_to_spec(w), "w") == w
+
+    @pytest.mark.parametrize("spec, w", [
+        ({"family": "periodic-pulse", "height": 0.5, "width": 1.0, "period": 2.0},
+         PeriodicPulse(0.5, 1.0, 2.0, gap_growth=1.0)),
+        ({"family": "tabulated", "breakpoints": [0.0, 2.0], "values": [0.3, 0.0]},
+         Tabulated((0.0, 2.0), (0.3, 0.0), persistent=None)),
+    ])
+    def test_optional_field_left_out_takes_the_default(self, spec, w):
+        assert parse_weight(spec, "w") == w
+
+    def test_every_family_has_a_table_entry(self):
+        # every concrete family a file can name; sums and complements are built, not read
+        families = {getattr(weights, name) for name in weights.__all__}
+        families = {cls for cls in families if isinstance(cls, type) and issubclass(cls, Weight)
+                    and not inspect.isabstract(cls)} - {WeightSum, StochasticComplement}
+        assert families == set(WEIGHT_FAMILIES.values())
 
     def test_unknown_family(self):
         with pytest.raises(ScenarioParseError, match="family"):

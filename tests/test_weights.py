@@ -255,6 +255,12 @@ class TestWindows:
         assert big > small
         assert math.isfinite(big)
 
+    def test_subnormal_rate_integral_is_finite(self):
+        # c / rate overflows to inf, and exp(-rate * a) - exp(-rate * b) is 0
+        w = ExponentialDecay(1.0, 5e-324)
+        assert math.isfinite(w.mass(0.0, 1.0, Mode.CONTINUOUS))
+        assert w.mass(0.0, 1.0, Mode.CONTINUOUS) == w.mass(0, 1, Mode.DISCRETE) == 1.0
+
     def test_window_rejects_negative_or_reversed(self):
         w = Constant(1.0)
         with pytest.raises(ValueError):
