@@ -23,7 +23,6 @@ import math
 from dataclasses import dataclass
 
 import numpy as np
-from scipy.optimize import brentq
 
 from .discrete import Trajectory
 from .weights import (
@@ -37,6 +36,7 @@ from .weights import (
 )
 
 PRODUCT_HORIZON = 10**6  # truncation point for infinite products over integer times
+_FLOOR_CHUNK = 1 << 16  # theta values the discrete floor evaluates at a time
 # Most epochs an agreement horizon may take.  The catalog's takes 72; a factor
 # just below 1 can ask for about 3e15 (t_end near 4e15), which no run could reach.
 AGREEMENT_EPOCH_LIMIT = 10**6
@@ -261,19 +261,28 @@ def discrete_disagreement_floor(theta: Weight, t0: int = 0) -> LowerBoundCertifi
     # non-increasing, so the first value below 1 there starts the quiet stretch.
     parts = theta.parts if isinstance(theta, WeightSum) else (theta,)
     t_min = max([math.ceil(p.breakpoints[-1]) for p in parts if isinstance(p, Tabulated)], default=0)
-    vals = theta.eval(np.arange(t_min, PRODUCT_HORIZON + 1, dtype=float))
-    below = np.flatnonzero(vals < 1.0)
-    if len(below) == 0:
+    # Evaluated a chunk at a time; log1p(-theta) from t1 on fills one array summed once,
+    # so the product's bits do not depend on the chunk size.
+    logs, t1, filled = np.empty(max(0, PRODUCT_HORIZON + 1 - t_min)), None, 0
+    for lo in range(t_min, PRODUCT_HORIZON + 1, _FLOOR_CHUNK):
+        vals = theta.eval(np.arange(lo, min(lo + _FLOOR_CHUNK, PRODUCT_HORIZON + 1), dtype=float))
+        if t1 is None:
+            below = np.flatnonzero(vals < 1.0)
+            if len(below) == 0:
+                continue
+            t1, vals = lo + int(below[0]), vals[below[0]:]
+        if np.any(vals >= 1.0):
+            raise NotSummableError("vanishing mass returns to 1 after first dropping below")
+        np.log1p(-vals, out=logs[filled : filled + len(vals)])
+        filled += len(vals)
+    if t1 is None:
         raise NotSummableError("vanishing mass never drops below 1 within the scan horizon")
-    t1, vals = t_min + int(below[0]), vals[below[0]:]
-    if np.any(vals >= 1.0):
-        raise NotSummableError("vanishing mass returns to 1 after first dropping below")
     beyond = float(theta.eval(float(PRODUCT_HORIZON + 1)))
     if beyond > 0.5:
         raise NotSummableError(
             "vanishing mass still exceeds 1/2 beyond the truncation horizon"
         )
-    log_product = float(np.sum(np.log1p(-vals)))
+    log_product = float(np.sum(logs[:filled]))
     tail_correction = 2.0 * theta.tail(PRODUCT_HORIZON + 1, Mode.DISCRETE)
     sigma = math.exp(log_product - tail_correction)
     floor = sigma / 2.0
@@ -433,6 +442,7 @@ def agreement_time_bound(
             f"more than the {AGREEMENT_EPOCH_LIMIT} a run may take"
         )
     mass = epochs * d0 * math.log(2.0) * A  # per reference arc, mutual bound applied
+    from scipy.optimize import brentq  # here, so ``import persistnet`` does not load scipy.optimize
 
     t_end = math.inf
     for arc in sorted(rep.persistent_arcs):

@@ -107,9 +107,9 @@ def _balance_scan(values: np.ndarray, arcs: list, samples: list) -> tuple[float,
 
 
 def _arc_values(net: TimeVaryingNetwork, arcs: list, times: list[float]) -> np.ndarray:
-    """Weights of ``arcs`` (a sorted subset of ``net.arcs()``) at each time, ``(k, len(arcs))``."""
-    keys = net.tails * net.n + net.heads  # increasing, since arcs() is sorted
-    cols = np.searchsorted(keys, [tail * net.n + head for tail, head in arcs])
+    """Weights of ``arcs`` (arcs of ``net``, in any order) at each time, ``(k, len(arcs))``."""
+    keys = net.heads * net.n + net.tails  # increasing, since arcs() is head-major
+    cols = np.searchsorted(keys, [head * net.n + tail for tail, head in arcs])
     return net.bank.values(np.asarray(times, dtype=float))[:, cols]
 
 

@@ -23,6 +23,7 @@ from dataclasses import dataclass, field
 from typing import Callable
 
 import numpy as np
+from scipy.sparse._sparsetools import csr_matvec  # private; pyproject.toml pins scipy for it
 
 from .checks import ROW_SUM_TOLERANCE
 from .weights import Mode, TimeVaryingNetwork
@@ -278,8 +279,14 @@ def _step_block(net: TimeVaryingNetwork, rows: np.ndarray, t: int) -> None:
         k, i = (int(v) for v in np.argwhere(bad)[0])
         raise RowSumViolation(i, t + k, float(sums[k, i]))
     del sums, off, bad
-    tails, heads = net.tails, net.heads
-    for k in range(count):
-        x, nxt = rows[k], rows[k + 1]
-        np.multiply(self_block[k], x, out=nxt)
-        np.add.at(nxt, heads, arc_block[k] * x[tails])
+    _step_rows(net, rows, arc_block, self_block)
+
+
+def _step_rows(net: TimeVaryingNetwork, rows, arc_block, self_block) -> None:
+    """``rows[k + 1] = self_block[k] * rows[k]``, then each head's row of the
+    CSR mat-vec adds its in-arc terms in ascending tail order: the sums, and
+    so the bits, of a scatter-add over the arcs in tail-major order."""
+    n, indptr, tails = net.n, net.indptr, net.tails
+    for x, nxt, w, s in zip(rows[:-1], rows[1:], arc_block, self_block):
+        np.multiply(s, x, out=nxt)
+        csr_matvec(n, n, indptr, tails, w, x, nxt)

@@ -717,8 +717,10 @@ class TimeVaryingNetwork:
     ``arc_weights`` must cover exactly the graph's arcs.  Discrete networks
     carry a self-weight per node (the diagonal of the update rule);
     continuous networks must not, since the flow only reads arc weights.
-    ``tails`` and ``heads`` index the arcs in ``arcs()`` order, the order of
-    the columns of ``bank.values``.
+    ``arcs()`` is head-major, sorted by ``(head, tail)``; ``tails`` and
+    ``heads`` index the arcs in that order, the order of the columns of
+    ``bank.values``.  So the arcs form one CSR row per head: ``indptr[i]`` to
+    ``indptr[i + 1]`` are node ``i``'s in-arcs, in ascending tail order.
     """
 
     graph: Digraph
@@ -729,6 +731,7 @@ class TimeVaryingNetwork:
     _arcs_sorted: tuple = field(init=False, repr=False, compare=False, default=())
     tails: np.ndarray = field(init=False, repr=False, compare=False, default=None)
     heads: np.ndarray = field(init=False, repr=False, compare=False, default=None)
+    indptr: np.ndarray = field(init=False, repr=False, compare=False, default=None)
 
     def __post_init__(self):
         aw = {(int(t), int(h)): w for (t, h), w in dict(self.arc_weights).items()}
@@ -749,7 +752,7 @@ class TimeVaryingNetwork:
             if self.self_weights is not None:
                 raise ValueError("continuous networks take no self-weights")
         object.__setattr__(self, "arc_weights", aw)
-        arcs_sorted = tuple(sorted(aw))
+        arcs_sorted = tuple(sorted(aw, key=lambda a: (a[1], a[0])))
         object.__setattr__(self, "_arcs_sorted", arcs_sorted)
         in_by_node: list[list[tuple[int, Weight]]] = [[] for _ in range(self.graph.n)]
         for tail, head in arcs_sorted:
@@ -758,6 +761,8 @@ class TimeVaryingNetwork:
         ends = np.asarray(arcs_sorted, dtype=np.intp).reshape(-1, 2).T.copy()
         object.__setattr__(self, "tails", ends[0])
         object.__setattr__(self, "heads", ends[1])
+        counts = np.bincount(ends[1], minlength=self.graph.n)
+        object.__setattr__(self, "indptr", np.concatenate(([0], np.cumsum(counts))).astype(np.intp))
 
     @property
     def n(self) -> int:

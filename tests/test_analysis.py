@@ -2,6 +2,10 @@
 
 import dataclasses
 import math
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -23,8 +27,12 @@ from persistnet import (
     PowerDecay,
     RateCertificate,
     TimeVaryingNetwork,
+    Tabulated,
     Trajectory,
+    Weight,
+    WeightSum,
     Zero,
+    aggregate_vanishing_weight,
     agreement_time_bound,
     build_network,
     catalog,
@@ -585,6 +593,80 @@ class TestDiscreteFloor:
         assert cert.required_t0 == 7.0
 
 
+def whole_array_product(theta):
+    """``(t1, log product)`` of the floor, from every value up to the horizon at once."""
+    parts = theta.parts if isinstance(theta, WeightSum) else (theta,)
+    t_min = max([math.ceil(p.breakpoints[-1]) for p in parts if isinstance(p, Tabulated)], default=0)
+    vals = theta.eval(np.arange(t_min, analysis.PRODUCT_HORIZON + 1, dtype=float))
+    below = np.flatnonzero(vals < 1.0)
+    if len(below) == 0:
+        raise NotSummableError("vanishing mass never drops below 1 within the scan horizon")
+    t1, vals = t_min + int(below[0]), vals[below[0]:]
+    if np.any(vals >= 1.0):
+        raise NotSummableError("vanishing mass returns to 1 after first dropping below")
+    return t1, float(np.sum(np.log1p(-vals)))
+
+
+@dataclasses.dataclass(frozen=True)
+class Blip(Weight):
+    """Test-only summable weight ``c * 2**-t`` that is ``high`` at the one time ``at``."""
+
+    c: float
+    at: float
+    high: float
+
+    def _values(self, ts, left):
+        return np.where(ts == self.at, self.high, self.c * 0.5**ts)
+
+    def _mass(self, a, b, mode):
+        return 2.0 * self.c + self.high
+
+    def tail(self, start, mode):
+        return 2.0 * self.c * 0.5**start + (self.high if start <= self.at else 0.0)
+
+
+class TestChunkedDiscreteFloor:
+    """The floor is evaluated a chunk at a time and keeps the bits of the
+    whole-array formula, wherever ``t1`` or a return to 1 falls."""
+
+    def assert_same_floor(self, theta):
+        t1, log_product = whole_array_product(theta)
+        cert = discrete_disagreement_floor(theta, 0)
+        tail = 2.0 * theta.tail(analysis.PRODUCT_HORIZON + 1, Mode.DISCRETE)
+        assert cert.tail_product == math.exp(log_product - tail)
+        assert cert.required_t0 >= t1
+        return t1
+
+    def test_catalog_floor_network(self):
+        s = next(s for s in catalog() if s.name == "discrete-split-blocks-floor")
+        assert self.assert_same_floor(aggregate_vanishing_weight(build_network(s))) == 0
+
+    @pytest.mark.parametrize("tabulated_until", [1.0, 3.0, 70_001.0])
+    def test_first_value_below_one_past_the_first_chunk(self, tabulated_until):
+        # exp(700 - t/100) drops below 1 at t = 70001, after the first chunk
+        theta = WeightSum((ExponentialDecay(math.exp(700.0), 0.01),
+                           Tabulated((0.0, tabulated_until), (0.5, 0.0), persistent=False)))
+        t1 = self.assert_same_floor(theta)
+        assert t1 > analysis._FLOOR_CHUNK
+
+    @pytest.mark.parametrize("at", [5.0, 65_535.0, 65_536.0, 200_003.0, 1e6])
+    def test_return_to_one_anywhere_has_the_same_message(self, at):
+        theta = Blip(0.25, at, 1.0)
+        with pytest.raises(NotSummableError, match="returns to 1") as whole:
+            whole_array_product(theta)
+        with pytest.raises(NotSummableError, match="returns to 1") as chunked:
+            discrete_disagreement_floor(theta, 0)
+        assert str(chunked.value) == str(whole.value)
+
+    def test_never_below_one_has_the_same_message(self):
+        theta = Tabulated((0.0, 2e6), (1.5, 0.0), persistent=False)
+        with pytest.raises(NotSummableError) as whole:
+            whole_array_product(theta)
+        with pytest.raises(NotSummableError) as chunked:
+            discrete_disagreement_floor(theta, 0)
+        assert str(chunked.value) == str(whole.value) != ""
+
+
 class TestContinuousFloor:
     def test_no_mass_gives_one(self):
         cert = continuous_disagreement_floor(Zero(), 0.0)
@@ -724,3 +806,11 @@ class TestAgreementTimeBound:
         net = TimeVaryingNetwork(Digraph(2, frozenset(aw)), aw, None, Mode.CONTINUOUS)
         with pytest.raises(CertificateDomainError):
             agreement_time_bound(net, 1.0, 0.1)
+
+    def test_package_import_leaves_scipy_optimize_out(self):
+        # brentq is imported by the call, so ``import persistnet`` stays light
+        code = "import sys, persistnet; print('scipy.optimize' in sys.modules)"
+        env = {**os.environ, "PYTHONPATH": str(Path(analysis.__file__).parents[1])}
+        out = subprocess.run([sys.executable, "-c", code], env=env, capture_output=True,
+                             text=True, check=True)
+        assert out.stdout.strip() == "False"

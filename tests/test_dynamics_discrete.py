@@ -7,6 +7,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from persistnet import discrete
 from persistnet import (
     BeliefVector,
     Constant,
@@ -194,6 +195,86 @@ class TestSimulate:
         scale = max(1.0, float(np.max(np.abs(x0))))
         assert np.all(np.diff(traj.maxima()) <= 1e-14 * scale)
         assert np.all(np.diff(traj.minima()) >= -1e-14 * scale)
+
+
+def add_at_rows(net, x0, arc_block, self_block):
+    """Reference stepper: the self term, then ``np.add.at`` over the arcs in
+    tail-major order; the columns of ``arc_block`` follow ``net.arcs()``."""
+    order = np.lexsort((net.heads, net.tails))  # by tail, then head
+    tails, heads = net.tails[order], net.heads[order]
+    rows = [np.asarray(x0, dtype=float)]
+    for w, s in zip(arc_block, self_block):
+        x = rows[-1]
+        nxt = s * x
+        np.add.at(nxt, heads, w[order] * x[tails])
+        rows.append(nxt)
+    return np.array(rows)
+
+
+def stepping_case(seed):
+    """An arbitrary arc set on up to 8 nodes and up to 3 steps of weights that
+    need not make rows stochastic: zeros, subnormals, values in [0, 1) and
+    values up to 1e300 (less over several steps, so no state overflows);
+    states mix signed zeros with values of either sign."""
+    rng = np.random.default_rng(seed)
+    n, steps = int(rng.integers(1, 9)), int(rng.integers(1, 4))
+    arcs = [(i, j) for i in range(n) for j in range(n) if i != j and rng.random() < 0.5]
+    top = 300 // steps
+
+    def weights(*shape):
+        kinds = [np.zeros(shape), rng.uniform(5e-324, 2.2250738585072014e-308, shape),
+                 rng.random(shape), 10.0 ** rng.uniform(-300, top, shape)]
+        return np.choose(rng.choice(4, shape, p=[0.1, 0.1, 0.6, 0.2]), kinds)
+
+    x0 = np.choose(rng.choice(3, n, p=[0.1, 0.1, 0.8]),
+                   [np.zeros(n), np.full(n, -0.0), rng.uniform(-1e3, 1e3, n)])
+    return n, arcs, weights(steps, len(arcs)), weights(steps, n), x0
+
+
+class TestCsrStep:
+    """The CSR stepping loop keeps every bit of the ``np.add.at`` step."""
+
+    @given(st.integers(0, 2**32 - 1))
+    @settings(max_examples=300, deadline=None)
+    def test_loop_matches_add_at_bitwise(self, seed):
+        n, arcs, arc_block, self_block, x0 = stepping_case(seed)
+        aw = {a: Constant(1.0) for a in arcs}  # the loop only reads the arc order
+        net = TimeVaryingNetwork(Digraph(n, frozenset(arcs)), aw, None, Mode.CONTINUOUS)
+        rows = np.empty((len(arc_block) + 1, n))
+        rows[0] = x0
+        discrete._step_rows(net, rows, arc_block, self_block)
+        assert rows.tobytes() == add_at_rows(net, x0, arc_block, self_block).tobytes()
+
+    @given(st.integers(0, 2**32 - 1))
+    @settings(max_examples=40, deadline=None)
+    def test_simulate_matches_add_at_bitwise(self, seed):
+        rng = np.random.default_rng(seed)
+        n = int(rng.integers(1, 9))
+        pairs = [(i, j) for i in range(n) for j in range(n) if i != j]
+        arcs = [p for p in pairs if rng.random() < 0.4]
+        families = (lambda c: Constant(c), lambda c: ExponentialDecay(c, 0.1),
+                    lambda c: PowerDecay(c, 1.5), lambda c: PeriodicPulse(c, 1.0, 2.0))
+        aw = {a: families[int(rng.integers(4))](float(rng.uniform(0.0, 0.9 / n))) for a in arcs}
+        net = stochastic_network(Digraph(n, frozenset(arcs)), aw)
+        x0 = rng.uniform(-5.0, 5.0, size=n) * (rng.random(n) < 0.8)  # some zeros
+        x0[rng.random(n) < 0.2] = -0.0
+        traj = simulate(net, BeliefVector(x0, 0), 50)
+        ts = np.arange(50.0)
+        arc_block = net.bank.values(ts)
+        expected = add_at_rows(net, x0, arc_block, net.self_values(ts, net.head_sums(arc_block)))
+        assert traj.states.tobytes() == expected.tobytes()
+
+    def test_arcless_network_steps(self):
+        net = TimeVaryingNetwork(Digraph(3), {}, {i: Constant(0.5) for i in range(3)}, Mode.DISCRETE)
+        assert np.array_equal(net.indptr, [0, 0, 0, 0])
+        rows = np.empty((4, 3))
+        rows[0] = [2.0, -0.0, -4.0]
+        discrete._step_rows(net, rows, np.empty((3, 0)), np.full((3, 3), 0.5))
+        assert rows.tobytes() == np.array([[2.0, -0.0, -4.0], [1.0, -0.0, -2.0],
+                                           [0.5, -0.0, -1.0], [0.25, -0.0, -0.5]]).tobytes()
+        identity = TimeVaryingNetwork(Digraph(3), {}, {i: Constant(1.0) for i in range(3)}, Mode.DISCRETE)
+        traj = simulate(identity, BeliefVector(rows[0], 0), 5000)  # past one block
+        assert traj.states.tobytes() == np.tile(rows[0], (5001, 1)).tobytes()
 
 
 class TestTrajectoryType:

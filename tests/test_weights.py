@@ -522,6 +522,21 @@ class TestNetworks:
         assert persistent[2] == 0.0  # only a vanishing arc arrives
         assert aggregate_vanishing_weight(net).eval(0.0) == pytest.approx(0.3)
 
+    def test_arcs_are_head_major_rows(self):
+        arcs = {(2, 0), (0, 1), (3, 1), (1, 3), (0, 3), (2, 3), (3, 2)}
+        aw = {a: Constant(0.01 * (1 + a[0] + 4 * a[1])) for a in arcs}
+        net = stochastic_network(Digraph(4, frozenset(arcs)), aw)
+        assert net.arcs() == tuple(sorted(arcs, key=lambda a: (a[1], a[0])))
+        assert list(zip(net.tails, net.heads)) == list(net.arcs())
+        for i in range(net.n):
+            row = slice(net.indptr[i], net.indptr[i + 1])
+            assert list(net.tails[row]) == [tail for tail, _ in net.in_arcs(i)]
+            assert set(net.heads[row]) <= {i}
+        assert net.indptr[-1] == len(arcs)
+        # bank columns follow arcs(), as head_sums and the steppers rely on
+        values = net.bank.values(np.array([0.0, 3.0]))
+        assert np.array_equal(values[1], [aw[a].eval(3.0) for a in net.arcs()])
+
     def test_aggregate_vanishing_weight(self):
         net = self.make_star()
         theta = aggregate_vanishing_weight(net)
