@@ -232,7 +232,8 @@ def check_cut_balance(
     factor ``K``.
 
     Exhaustive over subsets up to n = 12; beyond that, 4096 random subsets
-    drawn from the given seed (noted in the detail string).
+    drawn from the given seed (noted in the detail string), less repeats up
+    to n = 64 and less the empty and the full set beyond.
     """
     if K < 1.0:
         raise ValueError("cut balance factor K must be >= 1")
@@ -244,17 +245,15 @@ def check_cut_balance(
     tails = np.asarray([a[0] for a in arcs])
     heads = np.asarray([a[1] for a in arcs])
 
-    if n <= 12:
-        masks = np.arange(1, 2**n - 1, dtype=np.uint64)
-        exhaustive = True
-    else:
-        rng = np.random.default_rng(seed)
-        raw = rng.integers(1, 2**n - 1, size=_MAX_SUBSETS, dtype=np.uint64)
-        masks = np.unique(raw)
-        exhaustive = False
     # membership matrix: member[s, i] == node i in subset s
-    member = (masks[:, None] >> np.arange(n, dtype=np.uint64)[None, :]) & 1
-    member = member.astype(bool)
+    rng = np.random.default_rng(seed)
+    if n <= 64:  # from bit masks, bit i for node i
+        masks = (np.arange(1, 2**n - 1, dtype=np.uint64) if n <= 12 else
+                 np.unique(rng.integers(1, 2**n - 1, size=_MAX_SUBSETS, dtype=np.uint64)))
+        member = ((masks[:, None] >> np.arange(n, dtype=np.uint64)[None, :]) & 1).astype(bool)
+    else:  # no mask holds node 64: draw the rows, less the empty and the full set
+        member = rng.integers(0, 2, size=(_MAX_SUBSETS, n), dtype=bool)
+        member = member[member.any(axis=1) & ~member.all(axis=1)]
     into_s = member[:, heads] & ~member[:, tails]   # arcs crossing into S
     outof_s = member[:, tails] & ~member[:, heads]  # arcs crossing out of S
 
@@ -269,7 +268,7 @@ def check_cut_balance(
             worst, where = float(ratio[k]), (subset, t, float(inflow_s[k]), float(outflow_s[k]))
             if math.isinf(worst):
                 break
-    scope = "exhaustive subsets" if exhaustive else f"{len(masks)} sampled subsets (seed {seed})"
+    scope = "exhaustive subsets" if n <= 12 else f"{len(member)} sampled subsets (seed {seed})"
     return CheckResult(
         name="cut-balance",
         passed=worst <= K,

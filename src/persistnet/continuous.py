@@ -56,13 +56,6 @@ class StepSizeUnderflow(RuntimeError):
         self.h = h
 
 
-def derivative(net: TimeVaryingNetwork, x: np.ndarray, t: float) -> np.ndarray:
-    """Right-hand side of the flow at time ``t``."""
-    if net.mode is not Mode.CONTINUOUS:
-        raise ValueError("derivative() needs a continuous-mode network")
-    return _flow(net, np.asarray(x, dtype=float), net.bank.values(t))
-
-
 def _flow(net: TimeVaryingNetwork, x: np.ndarray, w: np.ndarray) -> np.ndarray:
     """Right-hand side from arc weight values ``w`` in ``net.arcs()`` order."""
     return np.bincount(net.heads, w * (x[net.tails] - x[net.heads]), minlength=net.n)

@@ -23,7 +23,6 @@ from dataclasses import dataclass, field
 from typing import Callable
 
 import numpy as np
-from scipy.sparse._sparsetools import csr_matvec  # private; pyproject.toml pins scipy for it
 
 from .checks import ROW_SUM_TOLERANCE
 from .weights import Mode, TimeVaryingNetwork
@@ -228,6 +227,9 @@ def simulate(
     if horizon < 0:
         raise ValueError("horizon must be >= 0")
     check_stride(stride)
+    # private, so pyproject.toml pins scipy; here, so ``import persistnet`` loads no scipy
+    from scipy.sparse._sparsetools import csr_matvec
+
     block = block_steps(net)
     t0 = int(x0.time)
 
@@ -249,7 +251,7 @@ def simulate(
     done = 0
     while done < horizon:
         count = min(block, horizon - done)
-        _step_block(net, buffer[: count + 1], t0 + done)
+        _step_block(net, buffer[: count + 1], t0 + done, csr_matvec)
         fold(buffer[1 : count + 1], done + 1)
         buffer[0] = buffer[count]
         done += count
@@ -258,7 +260,7 @@ def simulate(
     return Trajectory(times, kept, Mode.DISCRETE, stride, (minima, maxima))
 
 
-def _step_block(net: TimeVaryingNetwork, rows: np.ndarray, t: int) -> None:
+def _step_block(net: TimeVaryingNetwork, rows: np.ndarray, t: int, csr_matvec) -> None:
     """Step ``rows[0]``, the state at time ``t``, into the rows after it.
 
     The weights of all the block's steps come from one bank call, and every
@@ -279,10 +281,10 @@ def _step_block(net: TimeVaryingNetwork, rows: np.ndarray, t: int) -> None:
         k, i = (int(v) for v in np.argwhere(bad)[0])
         raise RowSumViolation(i, t + k, float(sums[k, i]))
     del sums, off, bad
-    _step_rows(net, rows, arc_block, self_block)
+    _step_rows(net, rows, arc_block, self_block, csr_matvec)
 
 
-def _step_rows(net: TimeVaryingNetwork, rows, arc_block, self_block) -> None:
+def _step_rows(net: TimeVaryingNetwork, rows, arc_block, self_block, csr_matvec) -> None:
     """``rows[k + 1] = self_block[k] * rows[k]``, then each head's row of the
     CSR mat-vec adds its in-arc terms in ascending tail order: the sums, and
     so the bits, of a scatter-add over the arcs in tail-major order."""

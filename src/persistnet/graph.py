@@ -10,17 +10,19 @@ diameter here is the longest shortest path over ordered pairs that are
 actually connected; unreachable pairs are ignored, and a graph with no arcs
 has diameter 0.
 
-Reachability, connectivity and distances run in C through ``scipy.sparse.csgraph``.
+Quasi-strong connectivity and the diameter come from one breadth-first sweep
+from every source at once, cached on the graph.  The sweep packs the sources
+64 to a ``uint64`` word and runs them ``_BFS_SOURCES`` at a time, so its
+memory is O(n * batch / 64) words, whatever the graph's size.
 """
 
 from __future__ import annotations
 
+import functools
 from dataclasses import dataclass
 from typing import Iterable
 
 import numpy as np
-from scipy.sparse import csr_matrix
-from scipy.sparse.csgraph import connected_components, shortest_path
 
 Arc = tuple[int, int]
 
@@ -43,40 +45,15 @@ class Digraph:
                 raise ValueError(f"self-loop {(tail, head)} is not allowed")
         object.__setattr__(self, "arcs", arcs)
 
-
-def _adjacency(g: Digraph) -> csr_matrix:
-    tails, heads = np.asarray(sorted(g.arcs), dtype=np.int32).reshape(-1, 2).T
-    return csr_matrix((np.ones(len(tails)), (tails, heads)), shape=(g.n, g.n))
-
-
-def shortest_path_lengths(g: Digraph, i: int) -> dict[int, int]:
-    """BFS hop counts from ``i`` to each reachable node."""
-    if not (0 <= i < g.n):
-        raise ValueError(f"node {i} outside 0..{g.n - 1}")
-    dist = shortest_path(_adjacency(g), directed=True, unweighted=True, indices=i)
-    return {int(j): int(dist[j]) for j in np.flatnonzero(np.isfinite(dist))}
-
-
-def reachable_set(g: Digraph, i: int) -> frozenset[int]:
-    """All nodes reachable from ``i`` along arc direction, including ``i``."""
-    return frozenset(shortest_path_lengths(g, i))
+    @functools.cached_property
+    def _sweep(self) -> tuple[bool, int]:
+        """Quasi-strongly connected, and the diameter: one sweep answers both."""
+        return _bfs_sweep(self)
 
 
 def is_quasi_strongly_connected(g: Digraph) -> bool:
-    """True when at least one node reaches all nodes.
-
-    Equivalently, the condensation (one node per strongly connected
-    component) has exactly one source: a component no arc enters from
-    another component (Tarjan 1972).
-    """
-    adj = _adjacency(g)
-    count, label = connected_components(adj, directed=True, connection="strong")
-    tails, heads = adj.nonzero()
-    entered = np.unique(label[heads][label[tails] != label[heads]])
-    return count - len(entered) == 1
-
-
-_BFS_SOURCES = 256  # sources per breadth-first batch: memory O(batch * n)
+    """True when at least one node reaches all nodes."""
+    return g._sweep[0]
 
 
 def diameter(g: Digraph) -> int:
@@ -85,13 +62,43 @@ def diameter(g: Digraph) -> int:
     Unreachable pairs do not contribute.  An arcless graph therefore has
     diameter 0.
     """
-    adj = _adjacency(g)
-    best = 0
-    for start in range(0, g.n, _BFS_SOURCES):
-        sources = np.arange(start, min(start + _BFS_SOURCES, g.n))
-        dist = shortest_path(adj, directed=True, unweighted=True, indices=sources)
-        best = max(best, int(dist[np.isfinite(dist)].max()))
-    return best
+    return g._sweep[1]
+
+
+_BFS_SOURCES = 1024  # sources per sweep batch: the reached sets take n * batch / 8 bytes
+
+
+def _bfs_sweep(g: Digraph) -> tuple[bool, int]:
+    """Whether some node reaches every node, and the diameter, from BFS run
+    from every source at once, one batch of sources at a time.
+
+    Row v of ``reach`` holds the batch's sources that have reached node v,
+    source k as bit ``k % 64`` of word ``k // 64``.  Each level ORs together
+    the frontier rows of every node's in-neighbors, over the arcs sorted by
+    head, and keeps the bits that are new; so the last level that adds a
+    bit is the largest finite distance.
+    """
+    arcs = np.array(list(g.arcs), dtype=np.intp).reshape(-1, 2)
+    arcs = arcs[np.argsort(arcs[:, 1], kind="stable")]
+    tails = arcs[:, 0]
+    heads, starts = np.unique(arcs[:, 1], return_index=True)
+    qsc, depth = False, 0
+    for first in range(0, g.n, _BFS_SOURCES):
+        batch = np.arange(min(_BFS_SOURCES, g.n - first))
+        reach = np.zeros((g.n, -(-len(batch) // 64)), dtype=np.uint64)
+        reach[first + batch, batch >> 6] = np.uint64(1) << (batch & 63).astype(np.uint64)
+        frontier, level = reach, 0
+        while True:
+            new = np.zeros_like(reach)
+            new[heads] = np.bitwise_or.reduceat(frontier[tails], starts, axis=0)
+            new &= ~reach
+            if not new.any():
+                break
+            reach |= new
+            frontier, level = new, level + 1
+        depth = max(depth, level)
+        qsc = qsc or bool(np.bitwise_and.reduce(reach, axis=0).any())
+    return qsc, depth
 
 
 def subgraph_with_arcs(g: Digraph, arcs: Iterable[Arc]) -> Digraph:

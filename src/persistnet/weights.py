@@ -43,7 +43,6 @@ from dataclasses import dataclass, field
 from typing import Mapping, Sequence
 
 import numpy as np
-from scipy.special import digamma, zeta
 
 from .graph import (
     Arc,
@@ -230,6 +229,8 @@ class PowerDecay(Weight):
             return self.c / q * ((1.0 + b) ** q - (1.0 + a) ** q)
         if a == b or self.c == 0.0:
             return 0.0
+        from scipy.special import digamma, zeta  # here, so ``import persistnet`` loads no scipy
+
         if self.p == 1.0:
             return self.c * float(digamma(b + 1) - digamma(a + 1))
         if self.p > 1.0:
@@ -242,6 +243,8 @@ class PowerDecay(Weight):
         if self.p <= 1.0:
             return math.inf
         if mode is Mode.DISCRETE:
+            from scipy.special import zeta
+
             return self.c * float(zeta(self.p, start + 1))
         return self.c * (1.0 + start) ** (1.0 - self.p) / (self.p - 1.0)
 

@@ -16,7 +16,7 @@ from test_weights import (
     divergence_oracle_discrete,
     draw_weight,
 )
-from verifiers import verify_convexity_bound, verify_influence_bound
+from verifiers import reachable_set, verify_convexity_bound, verify_influence_bound
 
 from persistnet import (
     BeliefVector,
@@ -40,7 +40,6 @@ from persistnet import (
     discrete_rate_bound,
     find_window_violation,
     integrate,
-    reachable_set,
     resolve_x0,
     run_scenario,
     simulate,

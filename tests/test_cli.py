@@ -1,9 +1,14 @@
 """Exercise the CLI through main(argv) and check exit codes and outputs."""
 
 import json
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import pytest
 
+import persistnet
 from persistnet import catalog, save_scenario, scenario_to_dict
 from persistnet.cli import main
 from persistnet.scenarios import CERTIFICATES, CHECKS, _catalog_dicts
@@ -248,6 +253,53 @@ class TestRun:
         )
         assert code == 0
         assert (tmp_path / "continuous-out-star-cut-imbalance.report.json").exists()
+
+    @pytest.mark.parametrize("n, chords, K, code", [
+        (65, (), 1.5, 0),  # a ring: every cut crosses as many arcs in as out
+        (500, ((0, 250), (100, 400)), 1.0, 1),  # a cut through a chord is unbalanced
+    ])
+    def test_cut_balance_past_64_nodes(self, tmp_path, capsys, n, chords, K, code):
+        # a uint64 mask cannot hold node 64, so these subsets are drawn row by row
+        ring = [(i, (i + 1) % n, 0.3) for i in range(n)] + [(t, h, 0.1) for t, h in chords]
+        doc = scenario_doc(
+            nodes=n,
+            arcs=[{"tail": t, "head": h, "weight": {"family": "constant", "c": c}}
+                  for t, h, c in ring],
+            x0=[k / n for k in range(n)],
+            horizon=3,
+            seed=4,
+            required_checks=[{"check": "cut-balance", "K": K, "times": [0.0, 1.0]}],
+        )
+        path = tmp_path / "ring.json"
+        path.write_text(json.dumps(doc))
+        lines = []
+        for _ in range(2):  # one seed, one verdict
+            assert main(["run", str(path), "--out-dir", str(tmp_path)]) == code
+            lines.append([ln for ln in capsys.readouterr().out.splitlines() if "cut-balance" in ln])
+        assert lines[0] == lines[1]
+        assert ("PASS" if code == 0 else "FAIL") in lines[0][0]
+        assert "sampled subsets (seed 4)" in lines[0][0]
+
+
+class TestStartup:
+    """What a fresh process loads: scipy only on the paths that call it."""
+
+    def loaded_scipy(self, code):
+        env = {**os.environ, "PYTHONPATH": str(Path(persistnet.__file__).parents[1])}
+        code += "; print(sorted(m for m in sys.modules if m.split('.')[0] == 'scipy'))"
+        out = subprocess.run([sys.executable, "-c", code], env=env, capture_output=True,
+                             text=True, check=True)
+        return out.stdout.splitlines()[-1]
+
+    def test_import_loads_no_scipy(self):
+        assert self.loaded_scipy("import sys, persistnet") == "[]"
+
+    def test_continuous_run_without_power_decay_loads_no_scipy(self, tmp_path):
+        code = ("import sys; from persistnet.cli import main; "
+                "assert main(['run', '--catalog', 'continuous-star-contraction', "
+                f"'--out-dir', {str(tmp_path)!r}]) == 0")
+        assert self.loaded_scipy(code) == "[]"
+        assert (tmp_path / "continuous-star-contraction.report.json").exists()
 
 
 class TestCatalog:

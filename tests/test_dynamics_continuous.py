@@ -23,13 +23,13 @@ from persistnet import (
     WeightSum,
     Zero,
     catalog,
-    derivative,
     integrate,
 )
 from persistnet.continuous import MIN_STEP
 from persistnet.scenarios import parse_weight
 from persistnet.weights import Weight
 from test_bank import WEIGHT_SPECS
+from verifiers import derivative
 
 
 def continuous_net(n, arc_weights):

@@ -6,6 +6,7 @@ import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
+from scipy.sparse._sparsetools import csr_matvec
 
 from persistnet import discrete
 from persistnet import (
@@ -242,7 +243,7 @@ class TestCsrStep:
         net = TimeVaryingNetwork(Digraph(n, frozenset(arcs)), aw, None, Mode.CONTINUOUS)
         rows = np.empty((len(arc_block) + 1, n))
         rows[0] = x0
-        discrete._step_rows(net, rows, arc_block, self_block)
+        discrete._step_rows(net, rows, arc_block, self_block, csr_matvec)
         assert rows.tobytes() == add_at_rows(net, x0, arc_block, self_block).tobytes()
 
     @given(st.integers(0, 2**32 - 1))
@@ -269,7 +270,7 @@ class TestCsrStep:
         assert np.array_equal(net.indptr, [0, 0, 0, 0])
         rows = np.empty((4, 3))
         rows[0] = [2.0, -0.0, -4.0]
-        discrete._step_rows(net, rows, np.empty((3, 0)), np.full((3, 3), 0.5))
+        discrete._step_rows(net, rows, np.empty((3, 0)), np.full((3, 3), 0.5), csr_matvec)
         assert rows.tobytes() == np.array([[2.0, -0.0, -4.0], [1.0, -0.0, -2.0],
                                            [0.5, -0.0, -1.0], [0.25, -0.0, -0.5]]).tobytes()
         identity = TimeVaryingNetwork(Digraph(3), {}, {i: Constant(1.0) for i in range(3)}, Mode.DISCRETE)

@@ -1,19 +1,22 @@
-"""Connectivity queries against brute-force oracles on small graphs."""
+"""Connectivity queries against brute-force oracles on small graphs, and
+the bit-parallel sweep against ``scipy.sparse.csgraph`` on larger ones."""
 
 import itertools
 
+import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
+from scipy.sparse.csgraph import connected_components, shortest_path
 
 from persistnet import (
     Digraph,
     diameter,
+    graph,
     is_quasi_strongly_connected,
-    reachable_set,
-    shortest_path_lengths,
     subgraph_with_arcs,
 )
+from verifiers import adjacency, reachable_set, shortest_path_lengths
 
 
 def closure_oracle(n, arcs):
@@ -206,3 +209,61 @@ class TestSubgraph:
         g = Digraph(3, frozenset({(0, 1)}))
         with pytest.raises(ValueError):
             subgraph_with_arcs(g, [(1, 2)])
+
+
+def csgraph_qsc(g):
+    """The condensation has exactly one source component (Tarjan 1972)."""
+    count, label = connected_components(adjacency(g), directed=True, connection="strong")
+    entered = {label[h] for t, h in g.arcs if label[t] != label[h]}
+    return count - len(entered) == 1
+
+
+def csgraph_diameter(g):
+    dist = shortest_path(adjacency(g), directed=True, unweighted=True)
+    return int(dist[np.isfinite(dist)].max())
+
+
+def random_digraph(n, seed, shape, per_node):
+    """About ``per_node * n`` random arcs; a "dag" points them all from lower
+    to higher nodes, so it is not strongly connected; a "ring" adds the
+    cycle through every node, so it is."""
+    rng = np.random.default_rng(seed)
+    tails, heads = rng.integers(n, size=(2, int(per_node * n)))
+    if shape == "dag":
+        tails, heads = np.minimum(tails, heads), np.maximum(tails, heads)
+    arcs = {(int(t), int(h)) for t, h in zip(tails, heads) if t != h}
+    if shape == "ring" and n > 1:
+        arcs |= {(i, (i + 1) % n) for i in range(n)}
+    return Digraph(n, frozenset(arcs))
+
+
+class TestSweep:
+    """QSC and the diameter from one sweep, against ``scipy.sparse.csgraph``."""
+
+    @pytest.mark.parametrize("batch", [1024, 64, 7])  # 64 and 7 cross batch edges
+    @given(n=st.integers(1, 300), seed=st.integers(0, 2**32 - 1),
+           shape=st.sampled_from(["random", "dag", "ring"]), per_node=st.floats(0.0, 3.0))
+    @example(n=1, seed=0, shape="random", per_node=0.0)
+    @example(n=5, seed=0, shape="dag", per_node=0.0)  # arcless
+    @example(n=63, seed=1, shape="ring", per_node=0.2)
+    @example(n=64, seed=2, shape="dag", per_node=2.0)
+    @example(n=65, seed=3, shape="random", per_node=1.5)
+    @settings(max_examples=100, deadline=None)
+    def test_matches_csgraph(self, batch, n, seed, shape, per_node):
+        g = random_digraph(n, seed, shape, per_node)
+        with pytest.MonkeyPatch.context() as mp:
+            mp.setattr(graph, "_BFS_SOURCES", batch)
+            assert graph._bfs_sweep(g) == (csgraph_qsc(g), csgraph_diameter(g))
+
+    @pytest.mark.parametrize("n, shape", [(1025, "ring"), (1025, "dag"), (1100, "random")])
+    def test_past_one_batch(self, n, shape):
+        g = random_digraph(n, n, shape, 2.0)
+        assert n > graph._BFS_SOURCES
+        assert (is_quasi_strongly_connected(g), diameter(g)) == (csgraph_qsc(g), csgraph_diameter(g))
+
+    def test_one_sweep_answers_both(self, monkeypatch):
+        calls = []
+        monkeypatch.setattr(graph, "_bfs_sweep", lambda g: calls.append(g) or (True, 3))
+        g = Digraph(4, frozenset({(0, 1), (1, 2), (2, 3)}))
+        assert (is_quasi_strongly_connected(g), diameter(g), diameter(g)) == (True, 3, 3)
+        assert calls == [g]

@@ -328,6 +328,17 @@ class TestRunScenario:
         assert [c.kind for c in report.certificates] == ["agreement-ratio"]
         assert calls == {"is_quasi_strongly_connected": 1, "diameter": 1}
 
+    def test_graph_sweep_runs_once_per_run(self, monkeypatch):
+        # QSC, d0 and every check and certificate share the persistent graph's sweep
+        sweeps = []
+        original = graph._bfs_sweep
+        monkeypatch.setattr(graph, "_bfs_sweep", lambda g: sweeps.append(g) or original(g))
+        for s in catalog():
+            sweeps.clear()
+            report, _ = run_scenario(s)
+            assert report.passed
+            assert len(sweeps) == 1, s.name
+
     def test_deterministic_outputs(self, tmp_path):
         fast = [s for s in catalog() if s.name in
                 ("discrete-star-contraction", "continuous-out-star-cut-imbalance")]

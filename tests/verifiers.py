@@ -1,9 +1,11 @@
-"""Trajectory verifiers that no ``persistnet run`` certificate uses.
+"""Verifiers and oracles that no ``persistnet run`` uses.
 
 The acceptance suite and the unit tests check runs against them: the
 convexity and influence bounds the rate proofs rest on, and an estimate of
 the contraction factor a run shows.  They read a ``persistnet.Trajectory``
-and a network through the library's public API only.
+and a network through the library's public API only.  Beside them sit the
+oracles the unit tests compare the library with: hop counts and reached
+sets from ``scipy.sparse.csgraph``, and the right-hand side of the flow.
 """
 
 from __future__ import annotations
@@ -13,8 +15,35 @@ from dataclasses import dataclass
 
 import numpy as np
 from scipy.integrate import quad
+from scipy.sparse import csr_matrix
+from scipy.sparse.csgraph import shortest_path
 
-from persistnet import Mode, TimeVaryingNetwork, Trajectory
+from persistnet import Digraph, Mode, TimeVaryingNetwork, Trajectory
+from persistnet.continuous import _flow
+
+
+def adjacency(g: Digraph) -> csr_matrix:
+    """The graph's arcs as a sparse 0/1 matrix, row tail, column head."""
+    tails, heads = np.asarray(sorted(g.arcs), dtype=np.int32).reshape(-1, 2).T
+    return csr_matrix((np.ones(len(tails)), (tails, heads)), shape=(g.n, g.n))
+
+
+def shortest_path_lengths(g: Digraph, i: int) -> dict[int, int]:
+    """BFS hop counts from ``i`` to each reachable node."""
+    dist = shortest_path(adjacency(g), directed=True, unweighted=True, indices=i)
+    return {int(j): int(dist[j]) for j in np.flatnonzero(np.isfinite(dist))}
+
+
+def reachable_set(g: Digraph, i: int) -> frozenset[int]:
+    """All nodes reachable from ``i`` along arc direction, including ``i``."""
+    return frozenset(shortest_path_lengths(g, i))
+
+
+def derivative(net: TimeVaryingNetwork, x: np.ndarray, t: float) -> np.ndarray:
+    """Right-hand side of the continuous flow at time ``t``."""
+    if net.mode is not Mode.CONTINUOUS:
+        raise ValueError("derivative() needs a continuous-mode network")
+    return _flow(net, np.asarray(x, dtype=float), net.bank.values(t))
 
 
 @dataclass(frozen=True)
