@@ -10,10 +10,11 @@ diameter here is the longest shortest path over ordered pairs that are
 actually connected; unreachable pairs are ignored, and a graph with no arcs
 has diameter 0.
 
-Quasi-strong connectivity and the diameter come from one breadth-first sweep
-from every source at once, cached on the graph.  The sweep packs the sources
-64 to a ``uint64`` word and runs them ``_BFS_SOURCES`` at a time, so its
-memory is O(n * batch / 64) words, whatever the graph's size.
+QSC and the diameter come from one BFS sweep from every source at once, cached
+on the graph.  It packs the sources 64 to a ``uint64`` word, ``_BFS_SOURCES``
+to a batch, in O((n + m) * batch / 64) words.  It takes one numpy pass per
+level and batch, so it is fast while d0 is small; on a bare cycle or path
+(d0 = n - 1) it is several times slower than a scalar BFS from each source.
 """
 
 from __future__ import annotations
@@ -57,11 +58,8 @@ def is_quasi_strongly_connected(g: Digraph) -> bool:
 
 
 def diameter(g: Digraph) -> int:
-    """Largest BFS distance over ordered pairs that are connected at all.
-
-    Unreachable pairs do not contribute.  An arcless graph therefore has
-    diameter 0.
-    """
+    """Largest BFS distance over ordered pairs that are connected at all;
+    unreachable pairs do not contribute, so an arcless graph has diameter 0."""
     return g._sweep[1]
 
 
@@ -69,33 +67,37 @@ _BFS_SOURCES = 1024  # sources per sweep batch: the reached sets take n * batch 
 
 
 def _bfs_sweep(g: Digraph) -> tuple[bool, int]:
-    """Whether some node reaches every node, and the diameter, from BFS run
-    from every source at once, one batch of sources at a time.
+    """QSC and the diameter, from BFS run from every source at once in batches.
 
     Row v of ``reach`` holds the batch's sources that have reached node v,
-    source k as bit ``k % 64`` of word ``k // 64``.  Each level ORs together
-    the frontier rows of every node's in-neighbors, over the arcs sorted by
-    head, and keeps the bits that are new; so the last level that adds a
-    bit is the largest finite distance.
+    source k as bit ``k % 64`` of word ``k // 64``.  Each level ORs the new
+    bits of the frontier ``nodes`` (their ``rows``) along the arcs that leave
+    it, grouped by head, and keeps the bits that are new; so the last level
+    that adds a bit is the largest finite distance.
     """
     arcs = np.array(list(g.arcs), dtype=np.intp).reshape(-1, 2)
-    arcs = arcs[np.argsort(arcs[:, 1], kind="stable")]
-    tails = arcs[:, 0]
-    heads, starts = np.unique(arcs[:, 1], return_index=True)
+    tails, heads = arcs[np.argsort(arcs[:, 1], kind="stable")].T
+    row_of = np.full(g.n, -1)  # frontier row of each node, -1 off the frontier
     qsc, depth = False, 0
     for first in range(0, g.n, _BFS_SOURCES):
         batch = np.arange(min(_BFS_SOURCES, g.n - first))
         reach = np.zeros((g.n, -(-len(batch) // 64)), dtype=np.uint64)
         reach[first + batch, batch >> 6] = np.uint64(1) << (batch & 63).astype(np.uint64)
-        frontier, level = reach, 0
-        while True:
-            new = np.zeros_like(reach)
-            new[heads] = np.bitwise_or.reduceat(frontier[tails], starts, axis=0)
-            new &= ~reach
-            if not new.any():
-                break
-            reach |= new
-            frontier, level = new, level + 1
+        nodes, rows, level = first + batch, reach[first + batch], -1
+        while len(nodes):
+            level += 1
+            row_of[nodes] = np.arange(len(nodes))
+            src = row_of[tails]
+            row_of[nodes] = -1
+            src, head = src[src >= 0], heads[src >= 0]  # arcs out of the frontier
+            starts = np.flatnonzero(np.diff(head, prepend=-1))
+            got = rows[src]
+            if len(starts) < len(src):  # some head has two frontier in-neighbors
+                got = np.bitwise_or.reduceat(got, starts, axis=0)
+            got &= ~reach[head[starts]]
+            keep = got.any(axis=1)
+            nodes, rows = head[starts[keep]], got[keep]
+            reach[nodes] |= rows
         depth = max(depth, level)
         qsc = qsc or bool(np.bitwise_and.reduce(reach, axis=0).any())
     return qsc, depth

@@ -225,13 +225,16 @@ def csgraph_diameter(g):
 
 def random_digraph(n, seed, shape, per_node):
     """About ``per_node * n`` random arcs; a "dag" points them all from lower
-    to higher nodes, so it is not strongly connected; a "ring" adds the
-    cycle through every node, so it is."""
+    to higher nodes, so it is not strongly connected; a "path" is a dag with
+    the path through every node, so d0 = n - 1 when it has no other arc; a
+    "ring" adds the cycle through every node, so it is strongly connected."""
     rng = np.random.default_rng(seed)
     tails, heads = rng.integers(n, size=(2, int(per_node * n)))
-    if shape == "dag":
+    if shape in ("dag", "path"):
         tails, heads = np.minimum(tails, heads), np.maximum(tails, heads)
     arcs = {(int(t), int(h)) for t, h in zip(tails, heads) if t != h}
+    if shape == "path":
+        arcs |= {(i, i + 1) for i in range(n - 1)}
     if shape == "ring" and n > 1:
         arcs |= {(i, (i + 1) % n) for i in range(n)}
     return Digraph(n, frozenset(arcs))
@@ -242,12 +245,14 @@ class TestSweep:
 
     @pytest.mark.parametrize("batch", [1024, 64, 7])  # 64 and 7 cross batch edges
     @given(n=st.integers(1, 300), seed=st.integers(0, 2**32 - 1),
-           shape=st.sampled_from(["random", "dag", "ring"]), per_node=st.floats(0.0, 3.0))
+           shape=st.sampled_from(["random", "dag", "path", "ring"]), per_node=st.floats(0.0, 3.0))
     @example(n=1, seed=0, shape="random", per_node=0.0)
     @example(n=5, seed=0, shape="dag", per_node=0.0)  # arcless
     @example(n=63, seed=1, shape="ring", per_node=0.2)
     @example(n=64, seed=2, shape="dag", per_node=2.0)
     @example(n=65, seed=3, shape="random", per_node=1.5)
+    @example(n=150, seed=4, shape="ring", per_node=0.0)  # a bare cycle: d0 = n - 1
+    @example(n=150, seed=5, shape="path", per_node=0.0)  # a bare path
     @settings(max_examples=100, deadline=None)
     def test_matches_csgraph(self, batch, n, seed, shape, per_node):
         g = random_digraph(n, seed, shape, per_node)
@@ -255,9 +260,10 @@ class TestSweep:
             mp.setattr(graph, "_BFS_SOURCES", batch)
             assert graph._bfs_sweep(g) == (csgraph_qsc(g), csgraph_diameter(g))
 
-    @pytest.mark.parametrize("n, shape", [(1025, "ring"), (1025, "dag"), (1100, "random")])
-    def test_past_one_batch(self, n, shape):
-        g = random_digraph(n, n, shape, 2.0)
+    @pytest.mark.parametrize("n, shape, per_node", [(1025, "ring", 2.0), (1025, "dag", 2.0),
+                                                    (1100, "random", 2.0), (1100, "ring", 0.0)])
+    def test_past_one_batch(self, n, shape, per_node):
+        g = random_digraph(n, n, shape, per_node)
         assert n > graph._BFS_SOURCES
         assert (is_quasi_strongly_connected(g), diameter(g)) == (csgraph_qsc(g), csgraph_diameter(g))
 
