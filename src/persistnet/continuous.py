@@ -26,11 +26,8 @@ limits at all ends.  Each row's step size is still worked out from that
 row's inflow, and the block ends at the first row whose step differs from
 ``h``, so a weight that rose between breakpoints shortens a block instead of
 breaking the guarantee.  Only the Heun updates run one step at a time; the
-trajectory equals that of the step-by-step loop bit for bit.
-
-Each finished block is folded into the trajectory and then dropped: every
-sample's time and extremes are kept, but states only every ``stride``-th
-sample.
+trajectory equals that of the step-by-step loop bit for bit.  Each finished
+block goes through the ``Fold`` both steppers use, and is then dropped.
 
 Raises ``StepSizeUnderflow`` if the cap drives a step below 1e-12 while real
 time still remains.
@@ -43,7 +40,7 @@ from typing import Callable
 
 import numpy as np
 
-from .discrete import Trajectory, block_steps, check_stride, kept_rows
+from .discrete import Fold, Trajectory, block_steps
 from .weights import Mode, TimeVaryingNetwork
 
 MIN_STEP = 1e-12
@@ -75,9 +72,8 @@ def integrate(
 
     The step is the smallest of: ``h_max``, the distance to the next weight
     discontinuity, half the reciprocal of the largest current inflow, and the
-    remaining span.  The trajectory keeps the states of every ``stride``-th
-    sample; ``on_block`` sees every block of states (the initial state first
-    on its own) before it is dropped.
+    remaining span.  Each block goes through a ``Fold`` with ``stride`` and
+    ``on_block`` (the initial state first on its own).
     """
     if net.mode is not Mode.CONTINUOUS:
         raise ValueError("integrate() needs a continuous-mode network")
@@ -90,32 +86,15 @@ def integrate(
         raise ValueError("need 0 <= t0 <= t_end")
     if h_max is not None and h_max <= 0:
         raise ValueError("h_max must be positive when given")
-    check_stride(stride)
+    fold = Fold(net.n, stride, on_block)
 
-    wfs = [net.weight(a) for a in net.arcs()]
-    bps = (
-        np.unique(np.concatenate([w.breakpoints_between(t0, t_end) for w in wfs]))
-        if wfs
-        else np.empty(0)
-    )
+    breaks = [net.weight(a).breakpoints_between(t0, t_end) for a in net.arcs()]
+    bps = np.unique(np.concatenate(breaks)) if breaks else np.empty(0)
     next_bp = np.append(bps, math.inf)  # by searchsorted index; inf past the last
     h_cap = math.inf if h_max is None else h_max
     limit = block_steps(net)
 
-    samples = 0
-    times, minima, maxima, kept = [], [], [], []
-
-    def fold(ts: np.ndarray, rows: np.ndarray) -> None:
-        nonlocal samples
-        times.append(ts)
-        minima.append(rows.min(axis=1))
-        maxima.append(rows.max(axis=1))
-        kept.append(kept_rows(rows, samples, stride).copy())  # so ``rows`` can go
-        samples += len(ts)
-        if on_block is not None:
-            on_block(rows)
-
-    fold(np.array([t0]), x[None, :])
+    fold.add(x[None, :], np.array([t0]))
     # Blocks grow from one step, doubling, so runs of short blocks waste few rows.
     t, size, h_plan = t0, 1, h_cap
     while t < t_end:
@@ -159,10 +138,7 @@ def integrate(
             dx1 = _flow(net, x, w1[i])
             dx2 = _flow(net, x + hi * dx1, w2[i])
             x = out[i] = x + 0.5 * hi * (dx1 + dx2)
-        fold(ends, out)
+        fold.add(out, ends)
         t, size, h_plan = float(ends[j]), min(limit, 2 * k), float(h[j])
 
-    states = np.vstack(kept)
-    del kept
-    extremes = (np.concatenate(minima), np.concatenate(maxima))
-    return Trajectory(np.concatenate(times), states, Mode.CONTINUOUS, stride, extremes)
+    return fold.trajectory(Mode.CONTINUOUS)

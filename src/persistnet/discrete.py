@@ -9,12 +9,7 @@ Rows must sum to one within 1e-12 at every visited time; a violation aborts
 the run with ``RowSumViolation`` identifying the node and step.  Because each
 step is then a convex combination, trajectories stay inside the initial value
 hull, the running minimum never decreases, and the running maximum never
-increases (up to rounding).
-
-A run is stepped in blocks, and each block is folded into the trajectory as
-soon as it is done: every sample's time and extremes are kept, but states
-only every ``stride``-th sample, so a strided run's memory does not grow
-with horizon times nodes.
+increases (up to rounding).  Both steppers keep their run through ``Fold``.
 """
 
 from __future__ import annotations
@@ -198,9 +193,59 @@ def check_stride(stride) -> None:
         raise ValueError(f"stride must be an integer >= 1, got {stride!r}")
 
 
-def kept_rows(rows: np.ndarray, first: int, stride: int) -> np.ndarray:
-    """The rows, of samples ``first, first + 1, ...``, that ``stride`` keeps."""
-    return rows[-first % stride :: stride]
+_CHUNK_VALUES = 1 << 12  # values in one part of a run whose length is not known ahead
+
+
+class _Chunks:
+    """An array grown along its first axis in parts of fixed shape, joined once at the end."""
+
+    def __init__(self, *shape: int):
+        self.shape, self.parts, self.free = shape, [], 0  # free: unfilled rows of the last part
+
+    def put(self, values: np.ndarray) -> None:
+        while len(values):
+            if not self.free:
+                self.parts.append(np.empty(self.shape))
+                self.free = self.shape[0]
+            k = min(self.free, len(values))
+            self.parts[-1][self.shape[0] - self.free :][:k] = values[:k]
+            values, self.free = values[k:], self.free - k
+
+    def array(self) -> np.ndarray:
+        *full, last = self.parts
+        last = last[: len(last) - self.free]
+        return np.concatenate(full + [last]) if full else last
+
+
+class Fold:
+    """What a run keeps, folded in one block of samples at a time: each block's
+    rows of states (one per sample) give every sample's extremes and the rows of
+    samples 0, ``stride``, 2 * ``stride``, ...; ``on_block`` then sees the block
+    before the stepper drops it.  A run of ``samples`` known ahead is kept in
+    arrays allocated once, else in parts of fixed size: a strided run's memory
+    does not grow with horizon times nodes."""
+
+    def __init__(self, n: int, stride: int, on_block: Callable | None, samples: int | None = None):
+        check_stride(stride)
+        self.stride, self.on_block, self.samples = stride, on_block, 0
+        self.times, self.minima, self.maxima = (_Chunks(samples or _CHUNK_VALUES) for _ in range(3))
+        self.kept = _Chunks(-(-samples // stride) if samples else max(1, _CHUNK_VALUES // n), n)
+
+    def add(self, rows: np.ndarray, times: np.ndarray | None = None) -> None:
+        """Fold in the next samples' rows, and their times unless given at the end."""
+        if times is not None:
+            self.times.put(times)
+        self.minima.put(rows.min(axis=1))
+        self.maxima.put(rows.max(axis=1))
+        self.kept.put(rows[-self.samples % self.stride :: self.stride])
+        self.samples += len(rows)
+        if self.on_block is not None:
+            self.on_block(rows)
+
+    def trajectory(self, mode: Mode, times: np.ndarray | None = None) -> Trajectory:
+        """The run folded so far, at ``times`` or else at the times folded in."""
+        return Trajectory(self.times.array() if times is None else times, self.kept.array(),
+                          mode, self.stride, (self.minima.array(), self.maxima.array()))
 
 
 def simulate(
@@ -215,10 +260,8 @@ def simulate(
 
     Weight values are evaluated in blocks of steps through the network's
     weight bank, and every row sum in a block is validated before any step
-    of that block is applied.  Each finished block is folded into the
-    trajectory, which keeps the states of every ``stride``-th sample, and
-    handed to ``on_block`` (rows of states, one per sample, the initial
-    state first on its own) before it is dropped.
+    of that block is applied.  Each finished block goes through a ``Fold``
+    with ``stride`` and ``on_block`` (the initial state first on its own).
     """
     if net.mode is not Mode.DISCRETE:
         raise ValueError("simulate() needs a discrete-mode network")
@@ -226,38 +269,25 @@ def simulate(
         raise ValueError(f"state has {x0.n} entries, network has {net.n} nodes")
     if horizon < 0:
         raise ValueError("horizon must be >= 0")
-    check_stride(stride)
+    fold = Fold(net.n, stride, on_block, horizon + 1)
     # private, so pyproject.toml pins scipy; here, so ``import persistnet`` loads no scipy
     from scipy.sparse._sparsetools import csr_matvec
 
     block = block_steps(net)
     t0 = int(x0.time)
-
-    minima, maxima = np.empty(horizon + 1), np.empty(horizon + 1)
-    kept = np.empty((horizon // stride + 1, net.n))
     # A block's rows: the state it starts from, then one per step.
     buffer = np.empty((min(block, horizon) + 1, net.n))
     buffer[0] = x0.values
-
-    def fold(rows: np.ndarray, first: int) -> None:
-        end = first + len(rows)
-        rows.min(axis=1, out=minima[first:end])
-        rows.max(axis=1, out=maxima[first:end])
-        kept[-(-first // stride) : (end - 1) // stride + 1] = kept_rows(rows, first, stride)
-        if on_block is not None:
-            on_block(rows)
-
-    fold(buffer[:1], 0)
+    fold.add(buffer[:1])
     done = 0
     while done < horizon:
         count = min(block, horizon - done)
         _step_block(net, buffer[: count + 1], t0 + done, csr_matvec)
-        fold(buffer[1 : count + 1], done + 1)
+        fold.add(buffer[1 : count + 1])
         buffer[0] = buffer[count]
         done += count
     del buffer
-    times = np.arange(t0, t0 + horizon + 1, dtype=float)
-    return Trajectory(times, kept, Mode.DISCRETE, stride, (minima, maxima))
+    return fold.trajectory(Mode.DISCRETE, np.arange(t0, t0 + horizon + 1, dtype=float))
 
 
 def _step_block(net: TimeVaryingNetwork, rows: np.ndarray, t: int, csr_matvec) -> None:

@@ -655,9 +655,9 @@ def _check_record(r: CheckResult) -> CheckRecord:
 class RunContext:
     """What every check and certificate runner reads, computed once per run.
 
-    A run keeps the states of every ``stride``-th sample, and ``fold``
-    feeds each block of its states, as it is produced, to the floors'
-    ``gaps`` (keyed by their node lists).
+    ``_run`` steps every trajectory of the run, keeping the states of every
+    ``stride``-th sample, and hands each block of states to ``fold``, which
+    feeds the floors' ``gaps`` (keyed by their node lists).
     """
 
     scenario: Scenario
@@ -732,6 +732,21 @@ FLOOR_TOLERANCE = 1e-9
 _NO_RUN = "no run to verify against: the certificate that drives the run made none"
 
 
+def _run(ctx: RunContext, t0, t_end) -> Trajectory:
+    """Step the scenario from its initial state at ``t0`` to ``t_end``: the one place
+    the pipeline runs a stepper.  Every block goes through ``ctx.fold``, and a
+    stepper's refusal is a ``ScenarioValidationError`` (``simulation failed``)."""
+    s = ctx.scenario
+    try:
+        if s.mode is Mode.DISCRETE:
+            return simulate(ctx.net, BeliefVector(resolve_x0(s), int(t0)), int(t_end) - int(t0),
+                            stride=ctx.stride, on_block=ctx.fold)
+        return integrate(ctx.net, resolve_x0(s), float(t0), t_end, h_max=s.h_max,
+                         stride=ctx.stride, on_block=ctx.fold)
+    except (ValueError, RuntimeError) as e:
+        raise ScenarioValidationError(f"simulation failed: {e}") from e
+
+
 def _failed(kind: str, detail: str, values: dict | None = None, traj=None):
     return CertRecord(kind, False, False, None, detail, values or {}), traj
 
@@ -792,8 +807,7 @@ def _window_violation(kind: str, p: dict, ctx: RunContext, traj):
     if found is None:
         return _failed(kind, f"no quiet window of {p['T']} steps within scan limit {p['scan_limit']}")
     t_star, threshold = found
-    x0 = BeliefVector(resolve_x0(ctx.scenario), t_star)
-    wtraj = simulate(ctx.net, x0, int(p["T"]), stride=ctx.stride, on_block=ctx.fold)
+    wtraj = _run(ctx, t_star, t_star + int(p["T"]))
     spreads = wtraj.spreads()
     if spreads[0] <= 0.0:
         return _failed(kind, "initial spread is zero; nothing to preserve", traj=wtraj)
@@ -814,8 +828,7 @@ def _agreement_ratio(kind: str, p: dict, ctx: RunContext, traj):
         hz = analysis.agreement_time_bound(ctx.net, p["A"], p["target"], t0=float(s.t0))
     except analysis.CertificateDomainError as e:
         return _failed(kind, f"no horizon: {e}")
-    atraj = integrate(ctx.net, resolve_x0(s), float(s.t0), hz.t_end, h_max=s.h_max,
-                      stride=ctx.stride, on_block=ctx.fold)
+    atraj = _run(ctx, s.t0, hz.t_end)
     spreads = atraj.spreads()
     if spreads[0] <= 0.0:
         return _failed(kind, "initial spread is zero; ratio undefined", traj=atraj)
@@ -922,18 +935,8 @@ def run_scenario(
     if not all(c.passed for c in check_records):
         return report([], None, aborted=True, passed=False), None
 
-    traj: Trajectory | None = None
-    if not any(CERTIFICATES[c.kind].drives for c in s.certificates):
-        x0 = resolve_x0(s)
-        try:
-            if s.mode is Mode.DISCRETE:
-                traj = simulate(ctx.net, BeliefVector(x0, int(s.t0)), int(s.horizon),
-                                stride=ctx.stride, on_block=ctx.fold)
-            else:
-                traj = integrate(ctx.net, x0, float(s.t0), float(s.t0) + float(s.horizon),
-                                 h_max=s.h_max, stride=ctx.stride, on_block=ctx.fold)
-        except (ValueError, RuntimeError) as e:
-            raise ScenarioValidationError(f"simulation failed: {e}") from e
+    driven = any(CERTIFICATES[c.kind].drives for c in s.certificates)
+    traj = None if driven else _run(ctx, s.t0, float(s.t0) + float(s.horizon))
 
     # A trajectory-driving certificate runs first, so the others read its run;
     # the report keeps file order.

@@ -33,6 +33,10 @@ def scenario_doc(mode="discrete", **over):
     return doc
 
 
+DECAY = {"family": "exponential-decay", "c": 0.5, "rate": 1.0}
+HUGE = {"family": "constant", "c": 1e12}
+
+
 @pytest.fixture
 def pair_file(tmp_path):
     doc = {
@@ -246,6 +250,30 @@ class TestRun:
         assert main(["run", str(pair_file), "--out-dir", str(tmp_path), "--stride", stride]) == 2
         assert "stride must be an integer >= 1" in capsys.readouterr().err
 
+    # Each run is refused by its stepper, whether the base run or a certificate
+    # drives it: the discrete rows sum to 0.9 + 0.5 e^-t, never 1; the
+    # continuous inflow of 1e12 caps every step below the smallest allowed.
+    @pytest.mark.parametrize("family, cert, why", [
+        (DECAY, {"certificate": "window-violation", "epsilon": 0.5, "T": 5, "A": 1.0,
+                 "scan_limit": 10}, "row of node 0 sums to 0.967"),
+        (DECAY, {"certificate": "discrete-rate", "eta": 0.5, "a_star": 0.5, "T_star": 1},
+         "row of node 0 sums to 1.4 at t=0"),
+        (HUGE, {"certificate": "agreement-ratio", "target": 0.01, "A": 1.0},
+         "step size underflow at t=0.0"),
+        (HUGE, {"certificate": "continuous-rate", "A": 1.0, "a_star": 0.5, "tau0": 1.0},
+         "step size underflow at t=0.0"),
+    ], ids=["window-violation", "discrete-rate", "agreement-ratio", "continuous-rate"])
+    def test_stepper_refusal_exits_2(self, tmp_path, capsys, family, cert, why):
+        mode = CERTIFICATES[cert["certificate"]].modes[0].value
+        arcs = [{"tail": 0, "head": 1, "weight": family}, {"tail": 1, "head": 0, "weight": family}]
+        doc = scenario_doc(mode, arcs=arcs, certificates=[cert])
+        if mode == "discrete":
+            doc["self_weights"] = [{"family": "constant", "c": 0.9}] * 2
+        path = tmp_path / "refused.json"
+        path.write_text(json.dumps(doc))
+        assert main(["run", str(path), "--out-dir", str(tmp_path)]) == 2
+        assert capsys.readouterr().err.startswith(f"error: simulation failed: {why}")
+
     def test_catalog_run_by_name(self, tmp_path):
         code = main(
             ["run", "--catalog", "continuous-out-star-cut-imbalance",
@@ -309,8 +337,9 @@ class TestCatalog:
         for s in catalog():
             assert s.name in out
 
-    def test_run_all(self, tmp_path, capsys):
-        assert main(["catalog", "--run-all", "--out-dir", str(tmp_path)]) == 0
+    @pytest.mark.parametrize("flag", ["--run-all", "--run"])  # argparse takes the prefix
+    def test_run_all(self, tmp_path, capsys, flag):
+        assert main(["catalog", flag, "--out-dir", str(tmp_path)]) == 0
         out = capsys.readouterr().out
         for s in catalog():
             assert f"{s.name}: PASS" in out
