@@ -32,7 +32,6 @@ from .weights import (
     Weight,
     WeightSum,
     aggregate_vanishing_weight,
-    persistence_report,
 )
 
 PRODUCT_HORIZON = 10**6  # truncation point for infinite products over integer times
@@ -104,6 +103,15 @@ def discrete_rate_bound(eta: float, a_star: float, T_star: int, d0: int) -> Rate
     return RateCertificate(epsilon=epsilon, T0=float(d0 * T_star), mode=Mode.DISCRETE)
 
 
+def _contraction_factor(theta: float, n: int, A: float, d0: int) -> tuple[float, float, float]:
+    """``(omega0, m0, 1 - m0**d0 / 2)``, with ``omega0 = exp(-theta)`` and
+    ``m0 = (omega0 / 2)**2 / ((n - 1) * A)``: the per-span factor of the
+    continuous certificates, from vanishing mass ``theta``."""
+    omega0 = math.exp(-theta)
+    m0 = (omega0 / 2.0) ** 2 / ((n - 1) * A)
+    return omega0, m0, 1.0 - m0**d0 / 2.0
+
+
 def continuous_rate_bound(
     A: float, n: int, theta_integral: float, a_star: float, tau0: float, d0: int
 ) -> RateCertificate:
@@ -133,9 +141,7 @@ def continuous_rate_bound(
         raise CertificateDomainError("d0 must be an integer >= 0")
     if d0 == 0:
         return RateCertificate(epsilon=0.0, T0=float(tau0), mode=Mode.CONTINUOUS, trivial=True)
-    omega0 = math.exp(-theta_integral)
-    m0 = (omega0 / 2.0) ** 2 / ((n - 1) * A)
-    epsilon = 1.0 - m0**d0 / 2.0
+    omega0, m0, epsilon = _contraction_factor(theta_integral, n, A, d0)
     T0 = tau0 * math.ceil(d0 * math.log(2.0) / a_star)
     return RateCertificate(
         epsilon=epsilon, T0=float(T0), mode=Mode.CONTINUOUS, omega0=omega0, m0=m0
@@ -417,7 +423,7 @@ def agreement_time_bound(
         raise CertificateDomainError("target ratio must lie in (0, 1)")
     if A < 1.0:
         raise CertificateDomainError("need A >= 1")
-    rep = persistence_report(net)
+    rep = net.persistence
     if not rep.qsc:
         raise CertificateDomainError("persistent graph must be quasi-strongly connected")
     d0 = rep.d0
@@ -427,9 +433,7 @@ def agreement_time_bound(
     theta_int = aggregate_vanishing_weight(net).tail(0.0, Mode.CONTINUOUS)
     if theta_int == math.inf:
         raise CertificateDomainError("vanishing mass must be integrable")
-    omega0 = math.exp(-theta_int)
-    m0 = (omega0 / 2.0) ** 2 / ((n - 1) * A)
-    factor = 1.0 - m0**d0 / 2.0
+    omega0, m0, factor = _contraction_factor(theta_int, n, A, d0)
     if factor == 1.0:  # m0**d0 is below half an ulp of 1: no epoch count is finite
         raise CertificateDomainError(
             f"vanishing mass {theta_int!r} is too large: "

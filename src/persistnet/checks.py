@@ -15,7 +15,7 @@ from typing import Sequence
 
 import numpy as np
 
-from .weights import Mode, TimeVaryingNetwork, persistence_report
+from .weights import Mode, TimeVaryingNetwork
 
 ROW_SUM_TOLERANCE = 1e-12
 
@@ -121,8 +121,7 @@ def check_arc_balance(
     with the other positive fails outright."""
     if A < 1.0:
         raise ValueError("balance factor A must be >= 1")
-    rep = persistence_report(net)
-    arcs = sorted(rep.persistent_arcs)
+    arcs = sorted(net.persistence.persistent_arcs)
     if not arcs:
         return CheckResult("arc-balance", True, vacuous=True, detail="no persistent arcs")
     times = _sample_times(times)
@@ -144,8 +143,7 @@ def check_integral_arc_balance(
         raise ValueError("balance factor A must be >= 1")
     if not intervals:
         raise ValueError("intervals must not be empty")
-    rep = persistence_report(net)
-    arcs = sorted(rep.persistent_arcs)
+    arcs = sorted(net.persistence.persistent_arcs)
     if not arcs:
         return CheckResult(
             "integral-arc-balance", True, vacuous=True, detail="no persistent arcs"
@@ -182,8 +180,7 @@ def check_window_bound(
         raise ValueError("window mass floor a_star must be positive")
     if window <= 0:
         raise ValueError("window must be positive")
-    rep = persistence_report(net)
-    arcs = sorted(rep.persistent_arcs)
+    arcs = sorted(net.persistence.persistent_arcs)
     if not arcs:
         return CheckResult("window-bound", True, vacuous=True, detail="no persistent arcs")
     starts, span = _sample_times(starts, WINDOW_STARTS, "starts"), window
@@ -237,7 +234,7 @@ def check_cut_balance(
     """
     if K < 1.0:
         raise ValueError("cut balance factor K must be >= 1")
-    arcs = sorted(persistence_report(net).persistent_arcs)
+    arcs = sorted(net.persistence.persistent_arcs)
     if not arcs:
         return CheckResult("cut-balance", True, vacuous=True, detail="no arcs to balance")
     times = _sample_times(times)

@@ -115,15 +115,15 @@ def _add_scenario_args(p: argparse.ArgumentParser) -> None:
 
 def _cmd_classify(args: argparse.Namespace) -> int:
     s = _load_scenario(args)
-    ctx = run_context(s)
-    persistent = ctx.persistence.persistent_arcs
+    rep = run_context(s).net.persistence
+    persistent = rep.persistent_arcs
     print(f"scenario: {s.name} ({s.mode.value}, {s.nodes} nodes, {len(s.arcs)} arcs)")
     for tail, head, w in sorted(s.arcs, key=lambda a: (a[0], a[1])):
         kind = "persistent" if (tail, head) in persistent else "vanishing"
         print(f"  arc {tail} -> {head}: {type(w).__name__}  {kind}")
     print(
         f"persistent subgraph: {len(persistent)} arcs, "
-        f"qsc={'yes' if ctx.qsc else 'no'}, diameter={ctx.d0}"
+        f"qsc={'yes' if rep.qsc else 'no'}, diameter={rep.d0}"
     )
     return 0
 

@@ -48,14 +48,12 @@ from .weights import (
     ExponentialDecay,
     Mode,
     PeriodicPulse,
-    PersistenceReport,
     PowerDecay,
     Tabulated,
     TimeVaryingNetwork,
     Weight,
     Zero,
     aggregate_vanishing_weight,
-    persistence_report,
     stochastic_network,
 )
 
@@ -160,9 +158,11 @@ def _freeze(v):
 
 
 def _bounded(ok, what: str, as_type=_as_float):
-    def read(v, path: str) -> None:
-        if not ok(as_type(v, path)):
+    def read(v, path: str):
+        x = as_type(v, path)
+        if not ok(x):
             raise ScenarioParseError(f"{path} must be {what}, got {v!r}")
+        return x
     return read
 
 
@@ -181,6 +181,7 @@ _FACTOR = _bounded(lambda x: x >= 1.0, ">= 1")
 _POSITIVE = _bounded(lambda x: x > 0.0, "positive")
 _FRACTION = _bounded(lambda x: 0.0 < x < 1.0, "in (0, 1)")
 _STEPS = _bounded(lambda x: x >= 1, "an integer >= 1", _as_int)
+_COUNT = _bounded(lambda x: x >= 0, "an integer >= 0", _as_int)
 _NUMBERS = _list_of(_as_float)
 # One reader per parameter name: a name means the same thing in every kind.
 _PARAMS = {
@@ -188,7 +189,7 @@ _PARAMS = {
     "A": _FACTOR, "K": _FACTOR, "K_max": _FACTOR,
     "a_star": _POSITIVE, "tau0": _POSITIVE, "window": _POSITIVE,
     "epsilon": _FRACTION, "target": _FRACTION,
-    "T_star": _STEPS, "T": _STEPS, "scan_limit": _bounded(lambda x: x >= 0, "an integer >= 0", _as_int),
+    "T_star": _STEPS, "T": _STEPS, "scan_limit": _COUNT,
     "times": _NUMBERS, "starts": _NUMBERS,
     "intervals": _list_of(_list_of(_as_float, 2)),
     "low_nodes": _list_of(_as_int), "high_nodes": _list_of(_as_int),
@@ -444,7 +445,7 @@ def parse_scenario_dict(doc: dict) -> Scenario:
     stride = _as_int(doc.get("stride", 1), "stride")
     if stride < 1:
         raise ScenarioParseError("stride must be >= 1")
-    seed = _as_int(doc.get("seed", 0), "seed")
+    seed = _COUNT(doc.get("seed", 0), "seed")
     description = _as_str(doc.get("description", ""), "description")
 
     return Scenario(
@@ -580,6 +581,14 @@ def status_word(passed: bool, vacuous: bool) -> str:
 
 @dataclass(frozen=True)
 class RunReport:
+    """A run's verdicts and the facts they rest on, rendered as text or JSON.
+
+    ``trajectory_rows`` counts every sample of the run in the report
+    ``run_scenario`` returns, but the CSV's rows (the kept samples) in the
+    report ``run_and_write`` writes, so a strided run's written report does
+    not say how many steps it took.
+    """
+
     scenario_name: str
     mode: str
     seed: int
@@ -653,18 +662,16 @@ def _check_record(r: CheckResult) -> CheckRecord:
 
 @dataclass(frozen=True)
 class RunContext:
-    """What every check and certificate runner reads, computed once per run.
+    """What every check and certificate runner reads, built once per run.
 
-    ``_run`` steps every trajectory of the run, keeping the states of every
-    ``stride``-th sample, and hands each block of states to ``fold``, which
-    feeds the floors' ``gaps`` (keyed by their node lists).
+    Runners read the arc split, QSC and d0 from ``net.persistence``, which
+    computes each once.  ``_run`` steps every trajectory of the run, keeping
+    the states of every ``stride``-th sample, and hands each block of states
+    to ``fold``, which feeds the floors' ``gaps`` (keyed by their node lists).
     """
 
     scenario: Scenario
     net: TimeVaryingNetwork
-    persistence: PersistenceReport
-    qsc: bool
-    d0: int
     seed: int
     stride: int = 1
     gaps: dict = dataclasses.field(default_factory=dict)
@@ -675,13 +682,14 @@ class RunContext:
 
 
 def run_context(s: Scenario, seed: int | None = None) -> RunContext:
-    """Build the network and its persistent graph; ``seed`` overrides the scenario's."""
+    """Build the network and split its arcs; ``seed`` overrides the scenario's."""
+    seed = s.seed if seed is None else _COUNT(seed, "seed")
     net = build_network(s)
     try:
-        rep = persistence_report(net)
+        net.persistence  # split the arcs now, so an unclassifiable one exits 2 here
     except ValueError as e:
         raise ScenarioValidationError(f"cannot classify arcs: {e}") from e
-    return RunContext(s, net, rep, rep.qsc, rep.d0, s.seed if seed is None else int(seed))
+    return RunContext(s, net, seed)
 
 
 @dataclass(frozen=True)
@@ -701,10 +709,11 @@ class Kind:
 
 
 def _qsc_persistent(p: dict, ctx: RunContext) -> CheckResult:
-    verdict = "is" if ctx.qsc else "is NOT"
-    arcs = len(ctx.persistence.persistent_arcs)
+    rep = ctx.net.persistence
+    verdict = "is" if rep.qsc else "is NOT"
+    arcs = len(rep.persistent_arcs)
     detail = f"persistent graph {verdict} quasi-strongly connected ({arcs} persistent arcs)"
-    return CheckResult(name="qsc-persistent", passed=ctx.qsc, detail=detail)
+    return CheckResult(name="qsc-persistent", passed=rep.qsc, detail=detail)
 
 
 _DISCRETE, _CONTINUOUS = (Mode.DISCRETE,), (Mode.CONTINUOUS,)
@@ -752,19 +761,20 @@ def _failed(kind: str, detail: str, values: dict | None = None, traj=None):
 
 
 def _rate(kind: str, p: dict, ctx: RunContext, traj):
-    if not ctx.qsc:
+    rep = ctx.net.persistence
+    if not rep.qsc:
         return _failed(kind, "persistent graph not quasi-strongly connected")
     if ctx.scenario.mode is Mode.DISCRETE:
-        cert = analysis.discrete_rate_bound(p["eta"], p["a_star"], int(p["T_star"]), ctx.d0)
+        cert = analysis.discrete_rate_bound(p["eta"], p["a_star"], int(p["T_star"]), rep.d0)
     else:
         theta_int = aggregate_vanishing_weight(ctx.net).tail(0.0, Mode.CONTINUOUS)
         cert = analysis.continuous_rate_bound(
-            p["A"], ctx.net.n, theta_int, p["a_star"], p["tau0"], ctx.d0
+            p["A"], ctx.net.n, theta_int, p["a_star"], p["tau0"], rep.d0
         )
     if traj is None:
         return _failed(kind, _NO_RUN)
     rr = analysis.verify_contraction(traj, cert)
-    values = {"epsilon": cert.epsilon, "T0": cert.T0, "d0": ctx.d0,
+    values = {"epsilon": cert.epsilon, "T0": cert.T0, "d0": rep.d0,
               "windows": rr.windows, "worst_margin": rr.worst_margin}
     if cert.mode is Mode.CONTINUOUS:
         values.update(m0=cert.m0, omega0=cert.omega0)
@@ -908,6 +918,7 @@ def run_scenario(
     except ValueError as e:
         raise ScenarioValidationError(str(e)) from e
     ctx = dataclasses.replace(run_context(s, seed), stride=stride, gaps=gaps)
+    rep = ctx.net.persistence
     check_records = [_check_record(run_check(spec, ctx)) for spec in s.required_checks]
 
     def report(certs, traj, aborted, passed):
@@ -917,10 +928,10 @@ def run_scenario(
             seed=ctx.seed,
             nodes=s.nodes,
             arc_count=len(s.arcs),
-            persistent_count=len(ctx.persistence.persistent_arcs),
-            vanishing_count=len(ctx.persistence.vanishing_arcs),
-            qsc_persistent=ctx.qsc,
-            persistent_diameter=ctx.d0,
+            persistent_count=len(rep.persistent_arcs),
+            vanishing_count=len(rep.vanishing_arcs),
+            qsc_persistent=rep.qsc,
+            persistent_diameter=rep.d0,
             checks=tuple(check_records),
             certificates=tuple(certs),
             aborted=aborted,

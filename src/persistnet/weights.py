@@ -12,8 +12,9 @@ closed form where one exists:
   span over all window placements, where the family admits one,
 * its own discontinuity points, so integrators can align steps to them.
 
-Persistence is the paper's definition: a weight is persistent when its total
-mass ``tail(0, mode)`` is infinite, and vanishing when it is finite; the mode
+The classification is the paper's, and ``Weight.is_persistent(mode)`` is the
+one question that asks it: a weight is persistent when its total mass
+``tail(0, mode)`` is infinite, and vanishing when it is finite; the mode
 changes the norm and nothing else.  A finite table says nothing about
 divergence, so tabulated weights declare their class instead.  The test
 suite cross-checks the classification against direct numerical accumulation
@@ -27,8 +28,9 @@ runs it once per family over every arc of that family.  Growing-gap pulses,
 sums and complements are evaluated weight by weight.
 
 ``TimeVaryingNetwork`` pairs a static digraph with one weight function per
-arc, and holds the bank of its arc weights.  Discrete networks also carry
-one self-weight per node; the usual way to build those is
+arc.  It holds the bank of its arc weights and, as ``persistence``, the split
+of its arcs into persistent and vanishing, each computed once.  Discrete
+networks also carry one self-weight per node; the usual way to build those is
 ``stochastic_network``, which assigns each node the complement
 ``1 - (incoming weight)`` so that rows sum to one identically.
 """
@@ -54,7 +56,6 @@ from .graph import (
 
 __all__ = [
     "Mode",
-    "Persistence",
     "Weight",
     "Constant",
     "PowerDecay",
@@ -66,7 +67,6 @@ __all__ = [
     "WeightSum",
     "WeightBank",
     "UndeclaredPersistenceError",
-    "classify_arc",
     "TimeVaryingNetwork",
     "PersistenceReport",
     "persistence_report",
@@ -78,11 +78,6 @@ __all__ = [
 class Mode(enum.Enum):
     DISCRETE = "discrete"
     CONTINUOUS = "continuous"
-
-
-class Persistence(enum.Enum):
-    PERSISTENT = "persistent"
-    VANISHING = "vanishing"
 
 
 class UndeclaredPersistenceError(ValueError):
@@ -691,11 +686,6 @@ class WeightBank:
         return out[0] if ts.ndim == 0 else out
 
 
-def classify_arc(w: Weight, mode: Mode) -> Persistence:
-    """Persistent (divergent total mass) or vanishing (finite total mass)."""
-    return Persistence.PERSISTENT if w.is_persistent(mode) else Persistence.VANISHING
-
-
 @dataclass(frozen=True)
 class PersistenceReport:
     persistent_arcs: frozenset[Arc]
@@ -730,7 +720,6 @@ class TimeVaryingNetwork:
     arc_weights: Mapping[Arc, Weight]
     self_weights: Mapping[int, Weight] | None
     mode: Mode
-    _in_by_node: tuple = field(init=False, repr=False, compare=False, default=())
     _arcs_sorted: tuple = field(init=False, repr=False, compare=False, default=())
     tails: np.ndarray = field(init=False, repr=False, compare=False, default=None)
     heads: np.ndarray = field(init=False, repr=False, compare=False, default=None)
@@ -757,10 +746,6 @@ class TimeVaryingNetwork:
         object.__setattr__(self, "arc_weights", aw)
         arcs_sorted = tuple(sorted(aw, key=lambda a: (a[1], a[0])))
         object.__setattr__(self, "_arcs_sorted", arcs_sorted)
-        in_by_node: list[list[tuple[int, Weight]]] = [[] for _ in range(self.graph.n)]
-        for tail, head in arcs_sorted:
-            in_by_node[head].append((tail, aw[(tail, head)]))
-        object.__setattr__(self, "_in_by_node", tuple(tuple(x) for x in in_by_node))
         ends = np.asarray(arcs_sorted, dtype=np.intp).reshape(-1, 2).T.copy()
         object.__setattr__(self, "tails", ends[0])
         object.__setattr__(self, "heads", ends[1])
@@ -775,7 +760,9 @@ class TimeVaryingNetwork:
         return self._arcs_sorted
 
     def in_arcs(self, node: int) -> tuple[tuple[int, Weight], ...]:
-        return self._in_by_node[node]
+        """``(tail, weight)`` of each arc into ``node``: its CSR row of ``arcs()``."""
+        row = self._arcs_sorted[self.indptr[node] : self.indptr[node + 1]]
+        return tuple((tail, self.arc_weights[(tail, head)]) for tail, head in row)
 
     def weight(self, arc: Arc) -> Weight:
         return self.arc_weights[arc]
@@ -784,6 +771,11 @@ class TimeVaryingNetwork:
     def bank(self) -> WeightBank:
         """The arc weights in ``arcs()`` order, evaluated together."""
         return WeightBank([self.arc_weights[a] for a in self._arcs_sorted])
+
+    @functools.cached_property
+    def persistence(self) -> PersistenceReport:
+        """The arcs split by ``Weight.is_persistent``, and the persistent graph."""
+        return persistence_report(self)
 
     def head_sums(self, arc_values) -> np.ndarray:
         """Total arc value entering each node: ``(m,) -> (n,)``, ``(k, m) -> (k, n)``,
@@ -825,29 +817,19 @@ _SUM_ROWS = 128  # rows of an arc-value block summed per bincount
 
 
 def persistence_report(net: TimeVaryingNetwork) -> PersistenceReport:
-    """Classify every arc and assemble the subgraph of persistent arcs."""
-    cached = getattr(net, "_persistence_cache", None)
-    if cached is not None:
-        return cached
-    persistent, vanishing = set(), set()
-    for arc in net.arcs():
-        if classify_arc(net.weight(arc), net.mode) is Persistence.PERSISTENT:
-            persistent.add(arc)
-        else:
-            vanishing.add(arc)
-    report = PersistenceReport(
-        persistent_arcs=frozenset(persistent),
-        vanishing_arcs=frozenset(vanishing),
+    """Classify every arc and assemble the subgraph of persistent arcs;
+    ``net.persistence`` keeps the answer, so read that instead."""
+    persistent = frozenset(a for a in net.arcs() if net.weight(a).is_persistent(net.mode))
+    return PersistenceReport(
+        persistent_arcs=persistent,
+        vanishing_arcs=frozenset(net.arcs()) - persistent,
         persistent_graph=subgraph_with_arcs(net.graph, persistent),
     )
-    object.__setattr__(net, "_persistence_cache", report)
-    return report
 
 
 def aggregate_vanishing_weight(net: TimeVaryingNetwork) -> Weight:
     """The vanishing arcs' total as a single weight function."""
-    rep = persistence_report(net)
-    parts = tuple(net.weight(a) for a in sorted(rep.vanishing_arcs))
+    parts = tuple(net.weight(a) for a in sorted(net.persistence.vanishing_arcs))
     return WeightSum(parts) if parts else Zero()
 
 

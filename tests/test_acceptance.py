@@ -33,7 +33,6 @@ from persistnet import (
     catalog,
     check_arc_balance,
     check_cut_balance,
-    classify_arc,
     continuous_disagreement_floor,
     continuous_rate_bound,
     discrete_disagreement_floor,
@@ -287,9 +286,9 @@ def test_08_classification_matches_divergence_oracle():
         for i in range(100):
             w = draw_weight(rng, family, persistent=bool(i % 2))
             draws += 1
-            if classify_arc(w, Mode.DISCRETE) != divergence_oracle_discrete(w):
+            if w.is_persistent(Mode.DISCRETE) != divergence_oracle_discrete(w):
                 disagreements += 1
-            if classify_arc(w, Mode.CONTINUOUS) != divergence_oracle_continuous(w):
+            if w.is_persistent(Mode.CONTINUOUS) != divergence_oracle_continuous(w):
                 disagreements += 1
     emit(8, disagreements == 0,
          f"{draws} seeded draws across {len(families)} families, "

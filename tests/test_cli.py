@@ -282,6 +282,24 @@ class TestRun:
         assert code == 0
         assert (tmp_path / "continuous-out-star-cut-imbalance.report.json").exists()
 
+    # a negative seed is refused by name, whether a sampled check would read it or not
+    @pytest.mark.parametrize("checks", [[], [{"check": "cut-balance", "K": 2.0}]],
+                             ids=["no-checks", "cut-balance"])
+    @pytest.mark.parametrize("command", ["run", "check"])
+    @pytest.mark.parametrize("field, option, shown", [
+        (-1, [], "-1"), (0, ["--seed", "-3"], "-3"),
+    ], ids=["field", "option"])
+    def test_negative_seed_exits_2_naming_seed(self, tmp_path, capsys, checks, command,
+                                               field, option, shown):
+        path = tmp_path / "seeded.json"
+        path.write_text(json.dumps(scenario_doc(seed=field, required_checks=checks)))
+        extra = ["--out-dir", str(tmp_path)] if command == "run" else []
+        assert main([command, str(path)] + option + extra) == 2
+        err = capsys.readouterr().err
+        assert err.startswith(f"error: seed must be an integer >= 0, got {shown}")
+        assert "cut-balance" not in err
+        assert not list(tmp_path.glob("*.csv"))
+
     @pytest.mark.parametrize("n, chords, K, code", [
         (65, (), 1.5, 0),  # a ring: every cut crosses as many arcs in as out
         (500, ((0, 250), (100, 400)), 1.0, 1),  # a cut through a chord is unbalanced

@@ -38,6 +38,7 @@ from persistnet import (
     weight_to_spec,
     write_trajectory_csv,
 )
+from persistnet.cli import main
 from persistnet.scenarios import WEIGHT_FAMILIES
 from persistnet import BeliefVector
 
@@ -158,6 +159,7 @@ class TestParseValidation:
             (base_doc(t0=0.5), "integer"),
             (base_doc(horizon=2.5), "integer"),
             (base_doc(h_max=0.1), "h_max"),
+            (base_doc(seed=-1), "seed must be an integer >= 0, got -1"),
             (base_doc(stride=0), "stride"),
             (base_doc(self_weights=None), "self_weights"),
             (base_doc(required_checks=[{"check": "levitation"}]), "unknown check"),
@@ -338,6 +340,35 @@ class TestRunScenario:
             report, _ = run_scenario(s)
             assert report.passed
             assert len(sweeps) == 1, s.name
+
+    def test_check_without_a_graph_query_runs_no_sweep(self, monkeypatch, capsys):
+        # only qsc-persistent, the rate certificates and the report ask for QSC or d0
+        sweeps = []
+        original = graph._bfs_sweep
+        monkeypatch.setattr(graph, "_bfs_sweep", lambda g: sweeps.append(g) or original(g))
+        assert main(["check", "--catalog", "discrete-split-blocks-floor"]) == 0
+        assert "stochasticity: PASS" in capsys.readouterr().out
+        assert sweeps == []
+
+    def test_arcs_classified_once_per_network(self, monkeypatch):
+        # every check, certificate and report reads the split from net.persistence
+        nets = []
+        original = weights.persistence_report
+        monkeypatch.setattr(weights, "persistence_report", lambda net: nets.append(net) or original(net))
+        for s in catalog():
+            nets.clear()
+            report, _ = run_scenario(s)
+            assert report.passed
+            assert len(nets) == 1, s.name
+            for command in ("classify", "check"):
+                nets.clear()
+                assert main([command, "--catalog", s.name]) == 0
+                assert len(nets) == 1, (command, s.name)
+
+    @pytest.mark.parametrize("seed", [-1, -3.0])
+    def test_negative_seed_override_is_refused(self, seed):
+        with pytest.raises(ScenarioParseError, match="seed must be an integer >= 0"):
+            run_scenario(parse_scenario_dict(base_doc()), seed=seed)
 
     def test_deterministic_outputs(self, tmp_path):
         fast = [s for s in catalog() if s.name in

@@ -17,7 +17,6 @@ from persistnet import (
     ExponentialDecay,
     Mode,
     PeriodicPulse,
-    Persistence,
     PowerDecay,
     StochasticComplement,
     Tabulated,
@@ -26,7 +25,6 @@ from persistnet import (
     WeightSum,
     Zero,
     aggregate_vanishing_weight,
-    classify_arc,
     persistence_report,
     stochastic_network,
 )
@@ -364,16 +362,16 @@ def divergence_oracle_discrete(w, budget=10**6):
     s_small = w.mass(0, 10**3, Mode.DISCRETE)
     s_big = s_small + w.mass(10**3, budget, Mode.DISCRETE)
     if s_big == 0.0:
-        return Persistence.VANISHING
-    return Persistence.PERSISTENT if s_big >= 1.5 * s_small else Persistence.VANISHING
+        return False
+    return s_big >= 1.5 * s_small
 
 
 def divergence_oracle_continuous(w, budget=10**6):
     s_small = w.mass(0.0, 10.0**3, Mode.CONTINUOUS)
     s_big = s_small + w.mass(10.0**3, float(budget), Mode.CONTINUOUS)
     if s_big == 0.0:
-        return Persistence.VANISHING
-    return Persistence.PERSISTENT if s_big >= 1.5 * s_small else Persistence.VANISHING
+        return False
+    return s_big >= 1.5 * s_small
 
 
 def draw_weight(rng, family, persistent):
@@ -408,20 +406,17 @@ def draw_weight(rng, family, persistent):
 
 class TestClassification:
     def test_fixed_examples(self):
-        assert classify_arc(Constant(0.2), Mode.DISCRETE) is Persistence.PERSISTENT
-        assert classify_arc(Zero(), Mode.DISCRETE) is Persistence.VANISHING
-        assert classify_arc(PowerDecay(1.0, 1.0), Mode.CONTINUOUS) is Persistence.PERSISTENT
-        assert classify_arc(PowerDecay(1.0, 3.0), Mode.CONTINUOUS) is Persistence.VANISHING
-        assert classify_arc(ExponentialDecay(5.0, 0.01), Mode.DISCRETE) is Persistence.VANISHING
-        assert (
-            classify_arc(PeriodicPulse(0.5, 1.0, 2.0, gap_growth=1.5), Mode.DISCRETE)
-            is Persistence.PERSISTENT
-        )
+        assert Constant(0.2).is_persistent(Mode.DISCRETE) is True
+        assert Zero().is_persistent(Mode.DISCRETE) is False
+        assert PowerDecay(1.0, 1.0).is_persistent(Mode.CONTINUOUS) is True
+        assert PowerDecay(1.0, 3.0).is_persistent(Mode.CONTINUOUS) is False
+        assert ExponentialDecay(5.0, 0.01).is_persistent(Mode.DISCRETE) is False
+        assert PeriodicPulse(0.5, 1.0, 2.0, gap_growth=1.5).is_persistent(Mode.DISCRETE) is True
 
     def test_undeclared_tabulated_raises(self):
         w = Tabulated((0.0, 1.0), (0.5, 0.0))
         with pytest.raises(UndeclaredPersistenceError):
-            classify_arc(w, Mode.DISCRETE)
+            w.is_persistent(Mode.DISCRETE)
 
     @pytest.mark.parametrize(
         "family", ["constant", "power", "exponential", "pulse", "tabulated"]
@@ -431,8 +426,8 @@ class TestClassification:
         for i in range(100):
             persistent = bool(i % 2)
             w = draw_weight(rng, family, persistent)
-            got_d = classify_arc(w, Mode.DISCRETE)
-            got_c = classify_arc(w, Mode.CONTINUOUS)
+            got_d = w.is_persistent(Mode.DISCRETE)
+            got_c = w.is_persistent(Mode.CONTINUOUS)
             assert got_d == divergence_oracle_discrete(w), (family, i, w)
             assert got_c == divergence_oracle_continuous(w), (family, i, w)
 
