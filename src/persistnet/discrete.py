@@ -10,10 +10,15 @@ the run with ``RowSumViolation`` identifying the node and step.  Because each
 step is then a convex combination, trajectories stay inside the initial value
 hull, the running minimum never decreases, and the running maximum never
 increases (up to rounding).  Both steppers keep their run through ``Fold``.
+
+A block of steps is one sparse matrix over its rows of states; ``csr_matvec``
+reads each row as it reaches it, so a step reads the row written one step
+before.  Each row's sum starts at -0.0, so states keep a tail-major scatter-add's bits.
 """
 
 from __future__ import annotations
 
+import functools
 from dataclasses import dataclass, field
 from typing import Callable
 
@@ -24,6 +29,7 @@ from .weights import Mode, TimeVaryingNetwork
 
 _BLOCK = 4096  # steps of weight values precomputed at a time, at most
 _BLOCK_VALUES = 1 << 17  # and at most this many values (steps times arcs or nodes), 1 MB
+_SUB_STEPS = 128  # steps per csr_matvec call, and so per copy of the matrix indices
 
 
 def block_steps(net: TimeVaryingNetwork) -> int:
@@ -270,10 +276,8 @@ def simulate(
     if horizon < 0:
         raise ValueError("horizon must be >= 0")
     fold = Fold(net.n, stride, on_block, horizon + 1)
-    # private, so pyproject.toml pins scipy; here, so ``import persistnet`` loads no scipy
-    from scipy.sparse._sparsetools import csr_matvec
-
-    block = block_steps(net)
+    block, csr_matvec = block_steps(net), _csr_matvec()
+    layout = _layout(net, min(_SUB_STEPS, block, horizon))
     t0 = int(x0.time)
     # A block's rows: the state it starts from, then one per step.
     buffer = np.empty((min(block, horizon) + 1, net.n))
@@ -282,26 +286,30 @@ def simulate(
     done = 0
     while done < horizon:
         count = min(block, horizon - done)
-        _step_block(net, buffer[: count + 1], t0 + done, csr_matvec)
+        _step_block(net, layout, buffer[: count + 1], t0 + done, csr_matvec)
         fold.add(buffer[1 : count + 1])
         buffer[0] = buffer[count]
         done += count
-    del buffer
+    del buffer, layout
     return fold.trajectory(Mode.DISCRETE, np.arange(t0, t0 + horizon + 1, dtype=float))
 
 
-def _step_block(net: TimeVaryingNetwork, rows: np.ndarray, t: int, csr_matvec) -> None:
+def _step_block(net: TimeVaryingNetwork, layout, rows: np.ndarray, t: int, csr_matvec) -> None:
     """Step ``rows[0]``, the state at time ``t``, into the rows after it.
 
     The weights of all the block's steps come from one bank call, and every
     row sum is validated before the first step; they are dropped on return.
+    They fill the block's matrix, m + n slots a step: node i's self-weight at
+    ``indptr[i] + i``, then its in-arc weights by ascending tail, arc j at
+    ``j + heads[j] + 1``; step k reads columns ``k * n + node``.  A row's sum
+    starts at -0.0, the additive identity: exactly ``self * x_i``, even for -0.0.
     """
     count = len(rows) - 1
     ts = np.arange(t, t + count, dtype=float)
-    arc_block = net.bank.values(ts)  # (count, m)
-    sums = net.head_sums(arc_block)
-    self_block = net.self_values(ts, sums)  # (count, n)
-    if np.any(arc_block < 0) or np.any(self_block < 0):
+    weights = net.bank._evaluate(ts, False, layout[0])  # (count, m + n), 0 at the self slots
+    sums = _steps(layout, weights, np.ones_like(rows[1:]), np.empty_like(rows[1:]), csr_matvec)
+    self_block = weights[:, layout[1]] = net.self_values(ts, sums)  # (count, n)
+    if np.any(weights < 0):
         raise ValueError("negative weight encountered")
     sums += self_block  # the row sums, in place
     off = sums - 1.0
@@ -311,14 +319,40 @@ def _step_block(net: TimeVaryingNetwork, rows: np.ndarray, t: int, csr_matvec) -
         k, i = (int(v) for v in np.argwhere(bad)[0])
         raise RowSumViolation(i, t + k, float(sums[k, i]))
     del sums, off, bad
-    _step_rows(net, rows, arc_block, self_block, csr_matvec)
+    _steps(layout, weights, rows[:-1], rows[1:], csr_matvec)
 
 
-def _step_rows(net: TimeVaryingNetwork, rows, arc_block, self_block, csr_matvec) -> None:
-    """``rows[k + 1] = self_block[k] * rows[k]``, then each head's row of the
-    CSR mat-vec adds its in-arc terms in ascending tail order: the sums, and
-    so the bits, of a scatter-add over the arcs in tail-major order."""
-    n, indptr, tails = net.n, net.indptr, net.tails
-    for x, nxt, w, s in zip(rows[:-1], rows[1:], arc_block, self_block):
-        np.multiply(s, x, out=nxt)
-        csr_matvec(n, n, indptr, tails, w, x, nxt)
+def _steps(layout, weights: np.ndarray, x: np.ndarray, out: np.ndarray, csr_matvec) -> np.ndarray:
+    """``out[k]`` = step k's matrix times ``x[k]``, from -0.0, a call per ``layout``'s steps.
+    Over ones, with 0 in the self slots, it is ``net.head_sums`` of the arcs, bit for bit."""
+    indptr, columns, n = layout[2], layout[3], x.shape[1]  # columns: one row per step
+    out[...] = -0.0
+    for s in range(0, len(weights), len(columns)):
+        c = min(len(columns), len(weights) - s)
+        csr_matvec(c * n, c * n, indptr[: c * n + 1], columns[:c].ravel(),
+                   weights[s : s + c].ravel(), x[s : s + c].ravel(), out[s : s + c].ravel())
+    return out
+
+
+def _layout(net: TimeVaryingNetwork, steps: int) -> tuple:
+    """``_step_block``'s matrix for ``steps`` steps: each slot's bank column (m reads 0),
+    the self slots, and the row pointers and column indices, int32 if they fit."""
+    n, m = net.n, len(net.heads)
+    selves = net.indptr[:-1] + np.arange(n)
+    slots = np.insert(np.arange(m), net.indptr[:-1], m)
+    column = np.insert(net.tails, net.indptr[:-1], np.arange(n))  # a self slot reads its own node
+    k = np.arange(steps)[:, None]
+    index = np.int32 if (steps + 1) * (m + n) < 2**31 else np.intp
+    indptr = np.append(selves + (m + n) * k, steps * (m + n)).astype(index)
+    return slots, selves, indptr, (column + n * k).astype(index)
+
+
+@functools.cache
+def _csr_matvec():
+    """scipy's ``csr_matvec``, once three in-place halvings of 1 give 0.5, 0.25, 0.125."""
+    import scipy.sparse._sparsetools  # private: pyproject.toml pins scipy
+    chain, ix = np.array([1.0, -0.0, -0.0, -0.0]), np.arange(4, dtype=np.int32)
+    scipy.sparse._sparsetools.csr_matvec(3, 3, ix, ix[:3], np.full(3, 0.5), chain[:3], chain[1:])
+    if chain.tolist() != [1.0, 0.5, 0.25, 0.125]:
+        raise RuntimeError(f"scipy {scipy.__version__}: csr_matvec does not step in place")
+    return scipy.sparse._sparsetools.csr_matvec

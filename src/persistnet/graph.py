@@ -64,6 +64,7 @@ def diameter(g: Digraph) -> int:
 
 
 _BFS_SOURCES = 1024  # sources per sweep batch: the reached sets take n * batch / 8 bytes
+_GATHER_ARCS = 1 << 15  # frontier arcs whose rows are gathered at a time, give or take one head's
 
 
 def _bfs_sweep(g: Digraph) -> tuple[bool, int]:
@@ -91,9 +92,13 @@ def _bfs_sweep(g: Digraph) -> tuple[bool, int]:
             row_of[nodes] = -1
             src, head = src[src >= 0], heads[src >= 0]  # arcs out of the frontier
             starts = np.flatnonzero(np.diff(head, prepend=-1))
-            got = rows[src]
-            if len(starts) < len(src):  # some head has two frontier in-neighbors
-                got = np.bitwise_or.reduceat(got, starts, axis=0)
+            if len(starts) == len(src):  # no head has two frontier in-neighbors
+                got = rows[src]
+            else:  # OR the rows of whole heads, about _GATHER_ARCS arcs at a time
+                first = starts.searchsorted(np.arange(0, len(src), _GATHER_ARCS), "right") - 1
+                cuts = np.unique(first)[1:]  # the heads that start a chunk, after head 0
+                got = np.concatenate([np.bitwise_or.reduceat(rows[s], t - t[0], axis=0) for s, t in
+                                      zip(np.split(src, starts[cuts]), np.split(starts, cuts))])
             got &= ~reach[head[starts]]
             keep = got.any(axis=1)
             nodes, rows = head[starts[keep]], got[keep]

@@ -665,8 +665,8 @@ class WeightBank:
                 f = family._formula([weights[j] for j in part])
                 self._groups.append((len(grouped), len(grouped) + len(part), f))
                 grouped += part
-        # Groups fill contiguous column ranges; one take restores the given order.
-        self._order = np.argsort(np.asarray(grouped, dtype=np.intp))
+        # Groups fill contiguous column ranges, then a 0 column; one take restores the given order.
+        self._order = np.argsort(np.asarray(grouped + [len(grouped)], dtype=np.intp))
 
     def values(self, t) -> np.ndarray:
         """Every weight at ``t`` (a scalar or a 1-d array of times)."""
@@ -676,13 +676,14 @@ class WeightBank:
         """Every weight's left limit at ``t``, shaped as ``values``."""
         return self._evaluate(t, True)
 
-    def _evaluate(self, t, left: bool) -> np.ndarray:
+    def _evaluate(self, t, left: bool, slots=None) -> np.ndarray:
+        """In the given order, or weight ``slots[c]`` in column ``c`` (0 past the last)."""
         ts = _as_times(t)
         col = ts.reshape(-1, 1)
-        grouped = np.empty((len(col), len(self._order)))
+        grouped = np.zeros((len(col), len(self._order)))
         for lo, hi, f in self._groups:
             grouped[:, lo:hi] = f(col, left)
-        out = grouped.take(self._order, axis=1)
+        out = grouped.take(self._order[:-1] if slots is None else self._order[slots], axis=1)
         return out[0] if ts.ndim == 0 else out
 
 

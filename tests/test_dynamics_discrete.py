@@ -4,6 +4,8 @@ import tracemalloc
 
 import numpy as np
 import pytest
+import scipy
+import scipy.sparse._sparsetools as sparsetools
 from hypothesis import given, settings
 from hypothesis import strategies as st
 from scipy.sparse._sparsetools import csr_matvec
@@ -21,6 +23,7 @@ from persistnet import (
     Tabulated,
     TimeVaryingNetwork,
     Trajectory,
+    WeightSum,
     simulate,
     stochastic_network,
 )
@@ -232,50 +235,82 @@ def stepping_case(seed):
     return n, arcs, weights(steps, len(arcs)), weights(steps, n), x0
 
 
+def laid_out(layout, arc_block, self_block):
+    """The weights as the block kernel reads them: each arc and self-weight in its slot."""
+    weights = np.concatenate([arc_block, np.zeros((len(arc_block), 1))], axis=1)[:, layout[0]]
+    weights[:, layout[1]] = self_block
+    return weights
+
+
 class TestCsrStep:
-    """The CSR stepping loop keeps every bit of the ``np.add.at`` step."""
+    """The block kernel keeps every bit of the ``np.add.at`` step and of ``head_sums``."""
 
     @given(st.integers(0, 2**32 - 1))
     @settings(max_examples=300, deadline=None)
     def test_loop_matches_add_at_bitwise(self, seed):
         n, arcs, arc_block, self_block, x0 = stepping_case(seed)
-        aw = {a: Constant(1.0) for a in arcs}  # the loop only reads the arc order
+        aw = {a: Constant(1.0) for a in arcs}  # the kernel only reads the arc order
         net = TimeVaryingNetwork(Digraph(n, frozenset(arcs)), aw, None, Mode.CONTINUOUS)
-        rows = np.empty((len(arc_block) + 1, n))
+        steps = len(arc_block)
+        layout = discrete._layout(net, 1 + seed % steps)  # and fewer steps per call
+        rows = np.empty((steps + 1, n))
         rows[0] = x0
-        discrete._step_rows(net, rows, arc_block, self_block, csr_matvec)
+        discrete._steps(layout, laid_out(layout, arc_block, self_block), rows[:-1], rows[1:], csr_matvec)
         assert rows.tobytes() == add_at_rows(net, x0, arc_block, self_block).tobytes()
+        sums = np.empty((steps, n))
+        discrete._steps(layout, laid_out(layout, arc_block, np.zeros((steps, n))),
+                        np.ones((steps, n)), sums, csr_matvec)
+        assert sums.tobytes() == net.head_sums(arc_block).tobytes()
 
     @given(st.integers(0, 2**32 - 1))
     @settings(max_examples=40, deadline=None)
     def test_simulate_matches_add_at_bitwise(self, seed):
         rng = np.random.default_rng(seed)
         n = int(rng.integers(1, 9))
-        pairs = [(i, j) for i in range(n) for j in range(n) if i != j]
+        sources = rng.random(n) < 0.25  # nodes with no in-arcs
+        pairs = [(i, j) for i in range(n) for j in range(n) if i != j and not sources[j]]
         arcs = [p for p in pairs if rng.random() < 0.4]
         families = (lambda c: Constant(c), lambda c: ExponentialDecay(c, 0.1),
                     lambda c: PowerDecay(c, 1.5), lambda c: PeriodicPulse(c, 1.0, 2.0))
         aw = {a: families[int(rng.integers(4))](float(rng.uniform(0.0, 0.9 / n))) for a in arcs}
         net = stochastic_network(Digraph(n, frozenset(arcs)), aw)
+        if seed % 2:  # the same self-weights, but evaluated through their own bank
+            sw = {i: WeightSum((w,)) for i, w in net.self_weights.items()}
+            net = TimeVaryingNetwork(net.graph, aw, sw, Mode.DISCRETE)
+            assert not net._complement_rows
         x0 = rng.uniform(-5.0, 5.0, size=n) * (rng.random(n) < 0.8)  # some zeros
         x0[rng.random(n) < 0.2] = -0.0
-        traj = simulate(net, BeliefVector(x0, 0), 50)
-        ts = np.arange(50.0)
+        block = discrete.block_steps(net)
+        horizons = (0, 1, 127, 128, 129, block - 1, block, block + 1)
+        ts = np.arange(float(max(horizons)))
         arc_block = net.bank.values(ts)
         expected = add_at_rows(net, x0, arc_block, net.self_values(ts, net.head_sums(arc_block)))
-        assert traj.states.tobytes() == expected.tobytes()
+        for horizon in horizons:
+            traj = simulate(net, BeliefVector(x0, 0), horizon)
+            assert traj.states.tobytes() == expected[: horizon + 1].tobytes(), horizon
 
     def test_arcless_network_steps(self):
         net = TimeVaryingNetwork(Digraph(3), {}, {i: Constant(0.5) for i in range(3)}, Mode.DISCRETE)
         assert np.array_equal(net.indptr, [0, 0, 0, 0])
         rows = np.empty((4, 3))
         rows[0] = [2.0, -0.0, -4.0]
-        discrete._step_rows(net, rows, np.empty((3, 0)), np.full((3, 3), 0.5), csr_matvec)
+        discrete._steps(discrete._layout(net, 3), np.full((3, 3), 0.5), rows[:-1], rows[1:], csr_matvec)
         assert rows.tobytes() == np.array([[2.0, -0.0, -4.0], [1.0, -0.0, -2.0],
                                            [0.5, -0.0, -1.0], [0.25, -0.0, -0.5]]).tobytes()
         identity = TimeVaryingNetwork(Digraph(3), {}, {i: Constant(1.0) for i in range(3)}, Mode.DISCRETE)
         traj = simulate(identity, BeliefVector(rows[0], 0), 5000)  # past one block
         assert traj.states.tobytes() == np.tile(rows[0], (5001, 1)).tobytes()
+
+    def test_in_place_probe(self, monkeypatch):
+        assert discrete._csr_matvec() is csr_matvec
+
+        def copying(*args):  # a csr_matvec that steps from a copy of its input
+            *head, x, y = args
+            csr_matvec(*head, x.copy(), y)
+
+        monkeypatch.setattr(sparsetools, "csr_matvec", copying)
+        with pytest.raises(RuntimeError, match=f"scipy {scipy.__version__}: csr_matvec"):
+            discrete._csr_matvec.__wrapped__()
 
 
 class TestTrajectoryType:
