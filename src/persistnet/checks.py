@@ -251,8 +251,10 @@ def check_cut_balance(
     else:  # no mask holds node 64: draw the rows, less the empty and the full set
         member = rng.integers(0, 2, size=(_MAX_SUBSETS, n), dtype=bool)
         member = member[member.any(axis=1) & ~member.all(axis=1)]
-    into_s = member[:, heads] & ~member[:, tails]   # arcs crossing into S
-    outof_s = member[:, tails] & ~member[:, heads]  # arcs crossing out of S
+    # Arcs crossing into S and out of S, cast to float once for all times.  C order is
+    # the copy numpy's matmul would cast a bool matrix to, so every sum keeps its bits.
+    into_s = np.ascontiguousarray(member[:, heads] & ~member[:, tails], dtype=float)
+    outof_s = np.ascontiguousarray(member[:, tails] & ~member[:, heads], dtype=float)
 
     worst, where = 1.0, ()
     for t, w in zip(times, _arc_values(net, arcs, times)):

@@ -21,7 +21,6 @@ from __future__ import annotations
 
 import functools
 from dataclasses import dataclass
-from typing import Iterable
 
 import numpy as np
 
@@ -106,12 +105,3 @@ def _bfs_sweep(g: Digraph) -> tuple[bool, int]:
         depth = max(depth, level)
         qsc = qsc or bool(np.bitwise_and.reduce(reach, axis=0).any())
     return qsc, depth
-
-
-def subgraph_with_arcs(g: Digraph, arcs: Iterable[Arc]) -> Digraph:
-    """Same node set, restricted arc set (arcs must belong to ``g``)."""
-    keep = frozenset(arcs)
-    missing = keep - g.arcs
-    if missing:
-        raise ValueError(f"arcs {sorted(missing)} are not in the graph")
-    return Digraph(g.n, keep)

@@ -42,7 +42,6 @@ from . import analysis, checks
 from .checks import CheckResult
 from .continuous import integrate
 from .discrete import BeliefVector, Trajectory, check_stride, simulate
-from .graph import Digraph
 from .weights import (
     Constant,
     ExponentialDecay,
@@ -54,7 +53,6 @@ from .weights import (
     Weight,
     Zero,
     aggregate_vanishing_weight,
-    stochastic_network,
 )
 
 SCHEMA_VERSION = 1
@@ -536,16 +534,9 @@ def save_scenario(s: Scenario, path: str | Path) -> None:
 
 
 def build_network(s: Scenario) -> TimeVaryingNetwork:
-    graph = Digraph(s.nodes, frozenset((t, h) for t, h, _ in s.arcs))
-    aw = {(t, h): w for t, h, w in s.arcs}
+    self_weights = dict(enumerate(s.self_weights)) if isinstance(s.self_weights, tuple) else None
     try:
-        if s.mode is Mode.CONTINUOUS:
-            return TimeVaryingNetwork(graph, aw, None, Mode.CONTINUOUS)
-        if s.self_weights == STOCHASTIC_COMPLEMENT:
-            return stochastic_network(graph, aw)
-        return TimeVaryingNetwork(
-            graph, aw, dict(enumerate(s.self_weights)), Mode.DISCRETE
-        )
+        return TimeVaryingNetwork(s.nodes, {(t, h): w for t, h, w in s.arcs}, s.mode, self_weights)
     except ValueError as e:
         raise ScenarioValidationError(f"cannot build network: {e}") from e
 

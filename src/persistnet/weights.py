@@ -24,15 +24,16 @@ Each family writes its values once, as ``_formula``: a function of the
 family's parameters held as arrays, which evaluates a group of weights at a
 block of times.  ``Weight.eval`` runs it on one weight.  A ``WeightBank``,
 which the hot paths (the stepper, the integrator, the sampled checks) use,
-runs it once per family over every arc of that family.  Growing-gap pulses,
-sums and complements are evaluated weight by weight.
+runs it once per family over every arc of that family.  Growing-gap pulses
+and sums are evaluated weight by weight.
 
-``TimeVaryingNetwork`` pairs a static digraph with one weight function per
-arc.  It holds the bank of its arc weights and, as ``persistence``, the split
-of its arcs into persistent and vanishing, each computed once.  Discrete
-networks also carry one self-weight per node; the usual way to build those is
-``stochastic_network``, which assigns each node the complement
-``1 - (incoming weight)`` so that rows sum to one identically.
+``TimeVaryingNetwork(n, arc_weights, mode, self_weights=None)`` is the one
+network constructor: one weight function per arc, its digraph built from the
+arcs.  It holds the bank of its arc weights and, as ``persistence``, the split
+of its arcs into persistent and vanishing, each computed once.  A discrete
+network given no self-weights is the stochastic complement: each node keeps
+``1 - (incoming weight)``, so rows sum to one identically.  It may instead
+carry one explicit self-weight per node.
 """
 
 from __future__ import annotations
@@ -46,13 +47,7 @@ from typing import Mapping, Sequence
 
 import numpy as np
 
-from .graph import (
-    Arc,
-    Digraph,
-    diameter,
-    is_quasi_strongly_connected,
-    subgraph_with_arcs,
-)
+from .graph import Arc, Digraph, diameter, is_quasi_strongly_connected
 
 __all__ = [
     "Mode",
@@ -63,7 +58,6 @@ __all__ = [
     "PeriodicPulse",
     "Tabulated",
     "Zero",
-    "StochasticComplement",
     "WeightSum",
     "WeightBank",
     "UndeclaredPersistenceError",
@@ -71,7 +65,6 @@ __all__ = [
     "PersistenceReport",
     "persistence_report",
     "aggregate_vanishing_weight",
-    "stochastic_network",
 ]
 
 
@@ -140,8 +133,8 @@ class Weight(abc.ABC):
     def mass(self, a, b, mode: Mode) -> float:
         """Mass over ``[a, b)``: the sum of the values at the whole times
         a, ..., b-1 in discrete mode, the integral in continuous mode."""
-        if not 0 <= a <= b:
-            raise ValueError(f"window [{a}, {b}) must satisfy 0 <= a <= b")
+        if not 0 <= a <= b < math.inf:
+            raise ValueError(f"window [{a}, {b}) must satisfy 0 <= a <= b < inf")
         if mode is Mode.DISCRETE:
             if a != int(a) or b != int(b):
                 raise ValueError(f"discrete window [{a}, {b}) must start and end at whole times")
@@ -271,14 +264,9 @@ class ExponentialDecay(Weight):
 
     def _mass(self, a, b, mode):
         r = self.rate
-        if mode is Mode.CONTINUOUS:
-            if r == 0.0:
-                return self.c * (b - a)
-            scale = self.c / r
-            if math.isinf(scale):  # a subnormal rate: c * (b - a) * expm1(-x) / -x, x = r * (b - a)
-                x = r * (b - a)
-                return self.c * math.exp(-r * a) * (b - a) * (math.expm1(-x) / -x if x else 1.0)
-            return scale * (math.exp(-r * a) - math.exp(-r * b))
+        if mode is Mode.CONTINUOUS:  # c e^(-ra) (b - a) (1 - e^(-x)) / x, x = r (b - a): this
+            x = r * (b - a)  # does not cancel at small x, nor overflow in c (b - a) at large c
+            return self.c * math.exp(-r * a) * ((b - a) * (-math.expm1(-x) / x if x else 1.0))
         if a == b or self.c == 0.0:
             return 0.0
         if r == 0.0:
@@ -574,33 +562,6 @@ class Zero(Weight):
 
 
 @dataclass(frozen=True)
-class StochasticComplement(Weight):
-    """Self-weight ``1 - sum(parts)``, keeping a row sum of exactly one.
-
-    Only meaningful while the summed in-weights stay at or below 1; values
-    below ``-1e-9`` raise, smaller negative rounding residue clamps to 0.
-    Never classified (self-influence is not an arc).
-    """
-
-    parts: tuple[Weight, ...]
-
-    def _values(self, ts, left):
-        evals = [w.eval_left(ts) if left else w.eval(ts) for w in self.parts]
-        return _one_minus(np.sum(evals, axis=0) if evals else np.zeros(len(ts)))
-
-    def _mass(self, a, b, mode):
-        return float(b - a) - sum(w.mass(a, b, mode) for w in self.parts)
-
-    def is_persistent(self, mode):
-        raise TypeError("self-weights are not classified")
-
-    def breakpoints_between(self, a, b):
-        if not self.parts:
-            return np.empty(0)
-        return np.unique(np.concatenate([w.breakpoints_between(a, b) for w in self.parts]))
-
-
-@dataclass(frozen=True)
 class WeightSum(Weight):
     """Pointwise sum of weights (used to aggregate the vanishing arcs)."""
 
@@ -644,8 +605,8 @@ class WeightBank:
     Weights are grouped by family, and each group runs its family's
     ``_formula`` over their parameters as arrays, so one evaluation costs a
     few numpy calls per family.  Tabulated weights are read from a value
-    table over their merged breakpoints; growing-gap pulses, sums and
-    complements are evaluated one by one.
+    table over their merged breakpoints; growing-gap pulses and sums are
+    evaluated one by one.
 
     ``values(t)`` has shape ``(m,)`` for a scalar ``t`` and ``(k, m)`` for
     ``k`` times, one row per time, with columns in the order the weights were
@@ -706,21 +667,26 @@ class PersistenceReport:
 
 @dataclass(frozen=True, eq=False)
 class TimeVaryingNetwork:
-    """A digraph whose arc weights vary with time.
+    """A digraph on nodes ``0 .. n-1`` whose arc weights vary with time.
 
-    ``arc_weights`` must cover exactly the graph's arcs.  Discrete networks
-    carry a self-weight per node (the diagonal of the update rule);
-    continuous networks must not, since the flow only reads arc weights.
+    ``graph`` is built from the keys of ``arc_weights``.  A discrete network
+    reads a self-weight per node (the diagonal of the update rule).  Given no
+    ``self_weights``, each node keeps the stochastic complement ``1 -
+    (incoming weight)``, and construction refuses an inflow above 1 at any of
+    the times 0..127 and a coarse geometric sweep out to 1e6.  Otherwise
+    ``self_weights`` gives one weight per node.  Continuous networks take no
+    self-weights, since the flow only reads arc weights.
     ``arcs()`` is head-major, sorted by ``(head, tail)``; ``tails`` and
     ``heads`` index the arcs in that order, the order of the columns of
     ``bank.values``.  So the arcs form one CSR row per head: ``indptr[i]`` to
     ``indptr[i + 1]`` are node ``i``'s in-arcs, in ascending tail order.
     """
 
-    graph: Digraph
+    n: int
     arc_weights: Mapping[Arc, Weight]
-    self_weights: Mapping[int, Weight] | None
     mode: Mode
+    self_weights: Mapping[int, Weight] | None = None
+    graph: Digraph = field(init=False, repr=False, compare=False, default=None)
     _arcs_sorted: tuple = field(init=False, repr=False, compare=False, default=())
     tails: np.ndarray = field(init=False, repr=False, compare=False, default=None)
     heads: np.ndarray = field(init=False, repr=False, compare=False, default=None)
@@ -728,42 +694,34 @@ class TimeVaryingNetwork:
 
     def __post_init__(self):
         aw = {(int(t), int(h)): w for (t, h), w in dict(self.arc_weights).items()}
-        if set(aw) != set(self.graph.arcs):
-            extra = sorted(set(aw) - set(self.graph.arcs))
-            missing = sorted(set(self.graph.arcs) - set(aw))
-            raise ValueError(
-                f"arc weights must cover the graph exactly; extra={extra} missing={missing}"
-            )
-        if self.mode is Mode.DISCRETE:
-            if self.self_weights is None:
-                raise ValueError("discrete networks need a self-weight per node")
+        object.__setattr__(self, "graph", Digraph(self.n, frozenset(aw)))
+        object.__setattr__(self, "arc_weights", aw)
+        if self.self_weights is not None:
+            if self.mode is not Mode.DISCRETE:
+                raise ValueError("continuous networks take no self-weights")
             sw = {int(i): w for i, w in dict(self.self_weights).items()}
-            if set(sw) != set(range(self.graph.n)):
+            if set(sw) != set(range(self.n)):
                 raise ValueError("self-weights must cover every node exactly once")
             object.__setattr__(self, "self_weights", sw)
-        else:
-            if self.self_weights is not None:
-                raise ValueError("continuous networks take no self-weights")
-        object.__setattr__(self, "arc_weights", aw)
         arcs_sorted = tuple(sorted(aw, key=lambda a: (a[1], a[0])))
         object.__setattr__(self, "_arcs_sorted", arcs_sorted)
         ends = np.asarray(arcs_sorted, dtype=np.intp).reshape(-1, 2).T.copy()
         object.__setattr__(self, "tails", ends[0])
         object.__setattr__(self, "heads", ends[1])
-        counts = np.bincount(ends[1], minlength=self.graph.n)
+        counts = np.bincount(ends[1], minlength=self.n)
         object.__setattr__(self, "indptr", np.concatenate(([0], np.cumsum(counts))).astype(np.intp))
-
-    @property
-    def n(self) -> int:
-        return self.graph.n
+        if self.mode is Mode.DISCRETE and self.self_weights is None:
+            over = self.head_sums(self.bank.values(_INFLOW_CHECK_TIMES)) > 1.0 + 1e-12
+            if np.any(over):
+                i = int(np.argmax(over.any(axis=0)))
+                t_bad = float(_INFLOW_CHECK_TIMES[int(np.argmax(over[:, i]))])
+                raise ValueError(
+                    f"incoming weight of node {i} exceeds 1 at t={t_bad}; "
+                    "scale the arc weights down before building a stochastic network"
+                )
 
     def arcs(self) -> tuple[Arc, ...]:
         return self._arcs_sorted
-
-    def in_arcs(self, node: int) -> tuple[tuple[int, Weight], ...]:
-        """``(tail, weight)`` of each arc into ``node``: its CSR row of ``arcs()``."""
-        row = self._arcs_sorted[self.indptr[node] : self.indptr[node + 1]]
-        return tuple((tail, self.arc_weights[(tail, head)]) for tail, head in row)
 
     def weight(self, arc: Arc) -> Weight:
         return self.arc_weights[arc]
@@ -796,18 +754,13 @@ class TimeVaryingNetwork:
     def self_values(self, t, inflow) -> np.ndarray:
         """Self-weights at ``t`` (discrete networks), shaped like ``inflow``.
 
-        ``inflow`` is ``head_sums`` of the arc values at the same times.  A
-        network whose self-weights are the stochastic complements of its
-        in-arcs gets ``1 - inflow``, without evaluating the arcs again.
+        ``inflow`` is ``head_sums`` of the arc values at the same times.  The
+        stochastic complement is ``1 - inflow``, without evaluating the arcs
+        again.
         """
-        if self._complement_rows:
+        if self.self_weights is None:
             return _one_minus(inflow)
         return self._self_bank.values(t)
-
-    @functools.cached_property
-    def _complement_rows(self) -> bool:
-        return all(type(w) is StochasticComplement and w.parts == tuple(q for _, q in self.in_arcs(i))
-                   for i, w in self.self_weights.items())
 
     @functools.cached_property
     def _self_bank(self) -> WeightBank:
@@ -815,6 +768,7 @@ class TimeVaryingNetwork:
 
 
 _SUM_ROWS = 128  # rows of an arc-value block summed per bincount
+_INFLOW_CHECK_TIMES = np.concatenate([np.arange(128.0), 2.0 ** np.arange(8, 21)])  # 0..127, 256..2**20
 
 
 def persistence_report(net: TimeVaryingNetwork) -> PersistenceReport:
@@ -824,7 +778,7 @@ def persistence_report(net: TimeVaryingNetwork) -> PersistenceReport:
     return PersistenceReport(
         persistent_arcs=persistent,
         vanishing_arcs=frozenset(net.arcs()) - persistent,
-        persistent_graph=subgraph_with_arcs(net.graph, persistent),
+        persistent_graph=Digraph(net.n, persistent),
     )
 
 
@@ -832,30 +786,3 @@ def aggregate_vanishing_weight(net: TimeVaryingNetwork) -> Weight:
     """The vanishing arcs' total as a single weight function."""
     parts = tuple(net.weight(a) for a in sorted(net.persistence.vanishing_arcs))
     return WeightSum(parts) if parts else Zero()
-
-
-_INFLOW_CHECK_TIMES = np.concatenate([np.arange(128.0), 2.0 ** np.arange(8, 21)])  # 0..127, 256..2**20
-
-
-def stochastic_network(graph: Digraph, arc_weights: Mapping[Arc, Weight]) -> TimeVaryingNetwork:
-    """Discrete network with each self-weight set to one minus the inflow.
-
-    Rows then sum to one identically.  Raises if the incoming weight of any
-    node exceeds 1 at any of the sampled times (0..127 plus a coarse
-    geometric sweep out to 1e6).
-    """
-    aw = {(int(t), int(h)): w for (t, h), w in dict(arc_weights).items()}
-    in_parts: list[list[Weight]] = [[] for _ in range(graph.n)]
-    for (tail, head), w in sorted(aw.items()):
-        in_parts[head].append(w)
-    self_weights = {i: StochasticComplement(tuple(parts)) for i, parts in enumerate(in_parts)}
-    net = TimeVaryingNetwork(graph, aw, self_weights, Mode.DISCRETE)
-    over = net.head_sums(net.bank.values(_INFLOW_CHECK_TIMES)) > 1.0 + 1e-12
-    if np.any(over):
-        i = int(np.argmax(over.any(axis=0)))
-        t_bad = float(_INFLOW_CHECK_TIMES[int(np.argmax(over[:, i]))])
-        raise ValueError(
-            f"incoming weight of node {i} exceeds 1 at t={t_bad}; "
-            "scale the arc weights down before building a stochastic network"
-        )
-    return net

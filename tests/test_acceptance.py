@@ -21,7 +21,6 @@ from verifiers import reachable_set, verify_convexity_bound, verify_influence_bo
 from persistnet import (
     BeliefVector,
     Constant,
-    Digraph,
     ExponentialDecay,
     Mode,
     PeriodicPulse,
@@ -42,7 +41,6 @@ from persistnet import (
     resolve_x0,
     run_scenario,
     simulate,
-    stochastic_network,
     verify_contraction,
 )
 
@@ -208,7 +206,7 @@ def test_06_envelope_monotonicity_suite():
             cap = budget[head] * float(rng.uniform(0.1, 0.6))
             budget[head] -= cap
             aw[(tail, head)] = _bounded_weight(rng, cap)
-        net = stochastic_network(Digraph(n, frozenset(aw)), aw)
+        net = TimeVaryingNetwork(n, aw, Mode.DISCRETE)
         traj = simulate(net, BeliefVector(rng.uniform(0.0, 1.0, n), 0), 150)
         assert np.all(np.diff(traj.maxima()) <= 1e-14)
         assert np.all(np.diff(traj.minima()) >= -1e-14)
@@ -219,7 +217,7 @@ def test_06_envelope_monotonicity_suite():
             pair: _bounded_weight(rng, float(rng.uniform(0.1, 1.5)))
             for pair in _random_arcs(rng, n, 0.5)
         }
-        net = TimeVaryingNetwork(Digraph(n, frozenset(aw)), aw, None, Mode.CONTINUOUS)
+        net = TimeVaryingNetwork(n, aw, Mode.CONTINUOUS)
         traj = integrate(net, rng.uniform(0.0, 1.0, n), 0.0, 6.0, h_max=0.1)
         assert np.all(np.diff(traj.maxima()) <= 1e-9)
         assert np.all(np.diff(traj.minima()) >= -1e-9)
@@ -298,7 +296,7 @@ def test_08_classification_matches_divergence_oracle():
 
 def test_09_solver_order():
     aw = {(0, 1): Constant(1.0), (1, 0): Constant(1.0)}
-    pair = TimeVaryingNetwork(Digraph(2, frozenset(aw)), aw, None, Mode.CONTINUOUS)
+    pair = TimeVaryingNetwork(2, aw, Mode.CONTINUOUS)
     exact = math.exp(-2.0)
     exp_err = {}
     for h in (2e-3, 1e-3):
@@ -311,7 +309,7 @@ def test_09_solver_order():
     # halving comparison is meaningful only on the exponential solution;
     # here the error stays at rounding level instead of merely under 1e-4.
     aw = {(0, 1): PowerDecay(1.0, 1.0)}
-    chain = TimeVaryingNetwork(Digraph(2, frozenset(aw)), aw, None, Mode.CONTINUOUS)
+    chain = TimeVaryingNetwork(2, aw, Mode.CONTINUOUS)
     pow_err = {}
     for h in (2e-3, 1e-3):
         traj = integrate(chain, np.array([0.0, 1.0]), 0.0, 9.0, h_max=h)
@@ -336,7 +334,7 @@ def test_10_cut_balance_relation():
         arcs.update(_random_arcs(rng, n, 0.3))
         A = float(rng.uniform(1.5, 4.0))
         aw = {a: Constant(float(rng.uniform(1.0, A))) for a in arcs}
-        net = TimeVaryingNetwork(Digraph(n, frozenset(arcs)), aw, None, Mode.CONTINUOUS)
+        net = TimeVaryingNetwork(n, aw, Mode.CONTINUOUS)
         assert all(len(reachable_set(net.graph, i)) == n for i in range(n))  # strongly connected
         assert check_arc_balance(net, A).passed
         result = check_cut_balance(net, A * n * n)

@@ -18,7 +18,6 @@ from persistnet import (
     CertificateDomainError,
     Constant,
     ContractionReport,
-    Digraph,
     ExponentialDecay,
     FloorUnavailableError,
     Mode,
@@ -44,7 +43,6 @@ from persistnet import (
     integrate,
     run_scenario,
     simulate,
-    stochastic_network,
     verify_contraction,
     window_violation_threshold,
 )
@@ -53,6 +51,7 @@ from persistnet.analysis import AGREEMENT_EPOCH_LIMIT
 from verifiers import (
     BoundReport,
     detect_epsilon_agreement,
+    in_arcs,
     verify_convexity_bound,
     verify_influence_bound,
 )
@@ -63,7 +62,7 @@ LN2 = math.log(2.0)
 def star5():
     """Hub 0 feeding four spokes with constant weight 0.2."""
     arcs = {(0, k): Constant(0.2) for k in range(1, 5)}
-    return stochastic_network(Digraph(5, frozenset(arcs)), arcs)
+    return TimeVaryingNetwork(5, arcs, Mode.DISCRETE)
 
 
 def star5_trajectory(horizon=60):
@@ -143,10 +142,7 @@ class TestVerifyContraction:
         assert report.worst_margin <= 0.0
 
     def test_identity_dynamics_fail(self):
-        g = Digraph(2)
-        net = TimeVaryingNetwork(
-            g, {}, {0: Constant(1.0), 1: Constant(1.0)}, Mode.DISCRETE
-        )
+        net = TimeVaryingNetwork(2, {}, Mode.DISCRETE, {0: Constant(1.0), 1: Constant(1.0)})
         traj = simulate(net, BeliefVector(np.array([0.0, 1.0]), 0), 10)
         report = verify_contraction(traj, discrete_rate_bound(0.5, 1.0, 1, 1))
         assert not report.passed
@@ -177,7 +173,7 @@ class TestVerifyContraction:
 
     def test_continuous_trajectory_rejects_discrete_certificate(self):
         aw = {(0, 1): Constant(1.0), (1, 0): Constant(1.0)}
-        net = TimeVaryingNetwork(Digraph(2, frozenset(aw)), aw, None, Mode.CONTINUOUS)
+        net = TimeVaryingNetwork(2, aw, Mode.CONTINUOUS)
         traj = integrate(net, np.array([0.0, 1.0]), 0.0, 5.0, h_max=0.5)
         with pytest.raises(ValueError, match="continuous trajectory"):
             verify_contraction(traj, discrete_rate_bound(0.5, 1.0, 1, 1))
@@ -192,7 +188,7 @@ class TestVerifyContraction:
 
     def test_continuous_pair_certificate(self):
         aw = {(0, 1): Constant(1.0), (1, 0): Constant(1.0)}
-        net = TimeVaryingNetwork(Digraph(2, frozenset(aw)), aw, None, Mode.CONTINUOUS)
+        net = TimeVaryingNetwork(2, aw, Mode.CONTINUOUS)
         traj = integrate(net, np.array([0.0, 1.0]), 0.0, 10.0, h_max=0.05)
         cert = continuous_rate_bound(1.0, 2, 0.0, LN2, LN2, 1)
         report = verify_contraction(traj, cert)
@@ -222,17 +218,14 @@ class TestDetectEpsilonAgreement:
 
     def test_uniform_pair_reaches_exact_agreement(self):
         aw = {(0, 1): Constant(0.5), (1, 0): Constant(0.5)}
-        net = stochastic_network(Digraph(2, frozenset(aw)), aw)
+        net = TimeVaryingNetwork(2, aw, Mode.DISCRETE)
         traj = simulate(net, BeliefVector(np.array([0.0, 1.0]), 0), 5)
         est = detect_epsilon_agreement(traj, 1)
         assert est.epsilon == 0.0
         assert not est.trivial and not est.no_contraction
 
     def test_identity_has_no_contraction(self):
-        g = Digraph(2)
-        net = TimeVaryingNetwork(
-            g, {}, {0: Constant(1.0), 1: Constant(1.0)}, Mode.DISCRETE
-        )
+        net = TimeVaryingNetwork(2, {}, Mode.DISCRETE, {0: Constant(1.0), 1: Constant(1.0)})
         traj = simulate(net, BeliefVector(np.array([0.0, 1.0]), 0), 5)
         est = detect_epsilon_agreement(traj, 1)
         assert est.no_contraction
@@ -376,7 +369,7 @@ class TestConvexityBound:
 class TestExponentialBound:
     def net(self):
         aw = {(0, 1): Constant(1.0), (0, 2): Constant(1.0)}
-        return TimeVaryingNetwork(Digraph(3, frozenset(aw)), aw, None, Mode.CONTINUOUS)
+        return TimeVaryingNetwork(3, aw, Mode.CONTINUOUS)
 
     def test_holds_along_trajectory(self):
         net = self.net()
@@ -404,11 +397,7 @@ class TestExponentialBound:
 
 
 def constant_pair(mode):
-    aw = {(0, 1): Constant(0.5), (1, 0): Constant(0.25)}
-    g = Digraph(2, frozenset(aw))
-    if mode is Mode.DISCRETE:
-        return stochastic_network(g, aw)
-    return TimeVaryingNetwork(g, aw, None, Mode.CONTINUOUS)
+    return TimeVaryingNetwork(2, {(0, 1): Constant(0.5), (1, 0): Constant(0.25)}, mode)
 
 
 class TestBoundModes:
@@ -470,7 +459,7 @@ def reference_convexity_bound(traj, net, m, k, T, tol=1e-12):
     mu_low, mu_high = (hi - row[m]) / (hi - lo), (row[m] - lo) / (hi - lo)
     P = 1.0
     for s in range(int(traj.times[k]), int(traj.times[k]) + T):
-        P *= 1.0 - float(sum(w.eval(float(s)) for _, w in net.in_arcs(m)))
+        P *= 1.0 - float(sum(w.eval(float(s)) for _, w in in_arcs(net, m)))
     return _reference_report(value, *_reference_mix(mu_low, mu_high, P, lo, hi), tol)
 
 
@@ -483,7 +472,7 @@ def reference_exponential_bound(traj, net, m, k_from, k_to, tol=1e-6):
         return BoundReport(True, True, value, hi, lo, 0.0, 0.0)
     mu_low, mu_high = (hi - row[m]) / (hi - lo), (row[m] - lo) / (hi - lo)
     s, t = float(traj.times[k_from]), float(traj.times[k_to])
-    decay = math.exp(-sum(w.mass(s, t, Mode.CONTINUOUS) for _, w in net.in_arcs(m)))
+    decay = math.exp(-sum(w.mass(s, t, Mode.CONTINUOUS) for _, w in in_arcs(net, m)))
     return _reference_report(value, *_reference_mix(mu_low, mu_high, decay, lo, hi), tol)
 
 
@@ -543,7 +532,7 @@ class TestMergedVerifierMatchesReference:
 class TestInfluenceBound:
     def test_single_arc_bound_is_tight(self):
         aw = {(0, 1): Constant(1.0)}
-        net = TimeVaryingNetwork(Digraph(2, frozenset(aw)), aw, None, Mode.CONTINUOUS)
+        net = TimeVaryingNetwork(2, aw, Mode.CONTINUOUS)
         traj = integrate(net, np.array([0.0, 1.0]), 0.0, 2.0, h_max=1e-3)
         report = verify_influence_bound(traj, net, 0, 1, 0, len(traj) - 1)
         assert report.passed
@@ -553,7 +542,7 @@ class TestInfluenceBound:
 
     def test_missing_arc_rejected(self):
         aw = {(0, 1): Constant(1.0)}
-        net = TimeVaryingNetwork(Digraph(2, frozenset(aw)), aw, None, Mode.CONTINUOUS)
+        net = TimeVaryingNetwork(2, aw, Mode.CONTINUOUS)
         traj = integrate(net, np.array([0.0, 1.0]), 0.0, 1.0, h_max=0.1)
         with pytest.raises(ValueError):
             verify_influence_bound(traj, net, 1, 0, 0, 2)
@@ -728,7 +717,7 @@ class TestWindowViolation:
     def test_growing_gaps_eventually_expose_a_quiet_window(self):
         w = PeriodicPulse(0.5, 1.0, 2.0, 1.5)
         aw = {(0, 1): w, (1, 0): w}
-        net = stochastic_network(Digraph(2, frozenset(aw)), aw)
+        net = TimeVaryingNetwork(2, aw, Mode.DISCRETE)
         hit = find_window_violation(net, 0.5, 100, 2.0, 600)
         assert hit is not None
         t_star, threshold = hit
@@ -739,17 +728,15 @@ class TestWindowViolation:
 
     def test_steady_weights_never_violate(self):
         aw = {(0, 1): Constant(0.3), (1, 0): Constant(0.3)}
-        net = stochastic_network(Digraph(2, frozenset(aw)), aw)
+        net = TimeVaryingNetwork(2, aw, Mode.DISCRETE)
         assert find_window_violation(net, 0.5, 10, 1.0, 200) is None
 
     def test_validation(self):
         aw = {(0, 1): Constant(0.3), (1, 0): Constant(0.3)}
-        net = stochastic_network(Digraph(2, frozenset(aw)), aw)
+        net = TimeVaryingNetwork(2, aw, Mode.DISCRETE)
         with pytest.raises(ValueError):
             find_window_violation(net, 0.5, 0, 1.0, 10)
-        cont = TimeVaryingNetwork(
-            Digraph(2, frozenset(aw)), aw, None, Mode.CONTINUOUS
-        )
+        cont = TimeVaryingNetwork(2, aw, Mode.CONTINUOUS)
         with pytest.raises(ValueError):
             find_window_violation(cont, 0.5, 10, 1.0, 10)
 
@@ -757,7 +744,7 @@ class TestWindowViolation:
 class TestAgreementTimeBound:
     def powerlaw_net(self):
         aw = {(0, 1): PowerDecay(1.0, 1.0), (0, 2): PowerDecay(1.0, 1.0)}
-        return TimeVaryingNetwork(Digraph(3, frozenset(aw)), aw, None, Mode.CONTINUOUS)
+        return TimeVaryingNetwork(3, aw, Mode.CONTINUOUS)
 
     def test_powerlaw_horizon_closed_form(self):
         horizon = agreement_time_bound(self.powerlaw_net(), A=1.0, target_ratio=0.01)
@@ -781,21 +768,21 @@ class TestAgreementTimeBound:
         with pytest.raises(CertificateDomainError):
             agreement_time_bound(net, 0.5, 0.1)
         aw = {(0, 1): Constant(0.3), (1, 0): Constant(0.3)}
-        disc = stochastic_network(Digraph(2, frozenset(aw)), aw)
+        disc = TimeVaryingNetwork(2, aw, Mode.DISCRETE)
         with pytest.raises(ValueError):
             agreement_time_bound(disc, 1.0, 0.1)
 
     def test_large_vanishing_mass_refused(self):
         # vanishing mass 50 makes m0 about e^-100, so 1 - m0 / 2 rounds to 1
         aw = {(0, 1): Constant(0.5), (1, 0): ExponentialDecay(5.0, 0.1)}
-        net = TimeVaryingNetwork(Digraph(2, frozenset(aw)), aw, None, Mode.CONTINUOUS)
+        net = TimeVaryingNetwork(2, aw, Mode.CONTINUOUS)
         with pytest.raises(CertificateDomainError, match="vanishing mass 50.0 is too large"):
             agreement_time_bound(net, 1.0, 0.5)
 
     def test_too_many_epochs_refused(self):
         # vanishing mass 17: the per-epoch factor is 1 - 2.3e-16, about 3e15 epochs
         aw = {(0, 1): Constant(0.5), (1, 0): ExponentialDecay(1.7, 0.1)}
-        net = TimeVaryingNetwork(Digraph(2, frozenset(aw)), aw, None, Mode.CONTINUOUS)
+        net = TimeVaryingNetwork(2, aw, Mode.CONTINUOUS)
         with pytest.raises(CertificateDomainError, match=f"more than the {AGREEMENT_EPOCH_LIMIT}"):
             agreement_time_bound(net, 1.0, 0.5)
         assert agreement_time_bound(self.powerlaw_net(), 1.0, 0.01).epochs < AGREEMENT_EPOCH_LIMIT
@@ -803,7 +790,7 @@ class TestAgreementTimeBound:
     def test_disconnected_persistent_graph_refused(self):
         # the only arcs vanish, leaving nothing persistent to certify with
         aw = {(0, 1): ExponentialDecay(0.5, 1.0)}
-        net = TimeVaryingNetwork(Digraph(2, frozenset(aw)), aw, None, Mode.CONTINUOUS)
+        net = TimeVaryingNetwork(2, aw, Mode.CONTINUOUS)
         with pytest.raises(CertificateDomainError):
             agreement_time_bound(net, 1.0, 0.1)
 

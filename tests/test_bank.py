@@ -13,20 +13,18 @@ from hypothesis import strategies as st
 
 from persistnet import (
     Constant,
-    Digraph,
     ExponentialDecay,
     Mode,
     PeriodicPulse,
     PowerDecay,
-    StochasticComplement,
     Tabulated,
     TimeVaryingNetwork,
     WeightBank,
     WeightSum,
     Zero,
-    stochastic_network,
 )
 from persistnet.scenarios import parse_weight
+from verifiers import in_arcs, self_weight
 
 _scale = st.floats(0.0, 2.0)
 _breakpoints = st.lists(st.floats(0.01, 40.0), max_size=5, unique=True).map(
@@ -172,7 +170,7 @@ class TestWeightBank:
 
     def test_other_weights_use_their_own_eval(self):
         parts = (Constant(0.25), PeriodicPulse(0.5, 1.0, 2.0, gap_growth=1.5))
-        weights = [WeightSum(parts), StochasticComplement(parts), Constant(0.1)]
+        weights = [WeightSum(parts), Constant(0.1)]
         assert_bank_matches(weights, [0.0, 1.0, 2.5, 3.0, 7.0, 17.25], own_eval)
 
     @settings(max_examples=150, deadline=None)
@@ -209,29 +207,27 @@ class TestNetworkSums:
            st.lists(WEIGHT_SPECS, min_size=3, max_size=3))
     def test_explicit_self_weights_and_inflows(self, arc_specs, self_specs):
         arcs = [(0, 1), (2, 1), (1, 2), (0, 2)]
-        g = Digraph(3, frozenset(arcs))
         aw = {a: parse_weight(s, "arc") for a, s in zip(arcs, arc_specs)}
         sw = {i: parse_weight(s, "self") for i, s in enumerate(self_specs)}
-        net = TimeVaryingNetwork(g, aw, sw, Mode.DISCRETE)
+        net = TimeVaryingNetwork(3, aw, Mode.DISCRETE, sw)
         times = [0.0, 1.0, 2.5, 7.0] + edge_times(list(aw.values()) + list(sw.values()))
         ts = np.asarray(times)
         sums = net.head_sums(net.bank.values(ts))
         selves = net.self_values(ts, sums)
         for k, t in enumerate(times):
             assert np.array_equal(
-                sums[k], [float(sum(w.eval(t) for _, w in net.in_arcs(i))) for i in range(3)])
+                sums[k], [float(sum(w.eval(t) for _, w in in_arcs(net, i))) for i in range(3)])
             assert np.array_equal(selves[k], [sw[i].eval(t) for i in range(3)])
 
-    def test_complement_rows_equal_the_complement_weights(self):
+    def test_complement_rows_are_one_minus_inflow(self):
         rng = np.random.default_rng(0)
         n = 12
         arcs = {(int(a), int(b)) for a, b in rng.integers(n, size=(40, 2)) if a != b}
-        g = Digraph(n, frozenset(arcs))
         aw = {a: Tabulated((0.0, float(rng.integers(1, 9))), tuple(rng.uniform(0, 0.15, 2)), False)
               for a in arcs}
-        net = stochastic_network(g, aw)
+        net = TimeVaryingNetwork(n, aw, Mode.DISCRETE)
         ts = np.arange(12.0)
         selves = net.self_values(ts, net.head_sums(net.bank.values(ts)))
         for i in range(n):  # a node without in-arcs has the scalar complement 1.0
-            want = np.broadcast_to(net.self_weights[i].eval(ts), ts.shape)
+            want = np.broadcast_to(self_weight(net, i, ts), ts.shape)
             assert np.array_equal(selves[:, i], want)

@@ -8,7 +8,6 @@ from hypothesis import strategies as st
 
 from persistnet import (
     Constant,
-    Digraph,
     ExponentialDecay,
     Mode,
     PeriodicPulse,
@@ -21,7 +20,6 @@ from persistnet import (
     check_self_confidence,
     check_stochasticity,
     check_window_bound,
-    stochastic_network,
 )
 from persistnet.checks import WINDOW_STARTS
 from persistnet.scenarios import parse_weight
@@ -29,14 +27,12 @@ from test_bank import WEIGHT_SPECS
 
 
 def star_net(weight=None):
-    g = Digraph(3, frozenset({(0, 1), (0, 2)}))
     w = weight or Constant(0.4)
-    return stochastic_network(g, {(0, 1): w, (0, 2): w})
+    return TimeVaryingNetwork(3, {(0, 1): w, (0, 2): w}, Mode.DISCRETE)
 
 
 def continuous_pair(w01, w10):
-    g = Digraph(2, frozenset({(0, 1), (1, 0)}))
-    return TimeVaryingNetwork(g, {(0, 1): w01, (1, 0): w10}, None, Mode.CONTINUOUS)
+    return TimeVaryingNetwork(2, {(0, 1): w01, (1, 0): w10}, Mode.CONTINUOUS)
 
 
 class TestStochasticity:
@@ -47,12 +43,11 @@ class TestStochasticity:
         assert result.worst_value <= 1e-12
 
     def test_manual_rows_that_leak_fail_with_witness(self):
-        g = Digraph(2, frozenset({(0, 1)}))
         net = TimeVaryingNetwork(
-            g,
+            2,
             {(0, 1): Constant(0.3)},
-            {0: Constant(1.0), 1: Constant(0.6)},  # row 1 sums to 0.9
             Mode.DISCRETE,
+            {0: Constant(1.0), 1: Constant(0.6)},  # row 1 sums to 0.9
         )
         result = check_stochasticity(net)
         assert not result.passed
@@ -98,8 +93,7 @@ class TestArcBalance:
         assert result.witness != ()
 
     def test_unequal_constant_weights(self):
-        g = Digraph(3, frozenset({(0, 1), (0, 2)}))
-        net = stochastic_network(g, {(0, 1): Constant(0.6), (0, 2): Constant(0.2)})
+        net = TimeVaryingNetwork(3, {(0, 1): Constant(0.6), (0, 2): Constant(0.2)}, Mode.DISCRETE)
         assert check_arc_balance(net, A=3.0).passed
         result = check_arc_balance(net, A=2.9)
         assert not result.passed
@@ -107,9 +101,8 @@ class TestArcBalance:
 
     def test_vanishing_arcs_excluded(self):
         # the decaying arc would blow past any A if it were compared
-        g = Digraph(3, frozenset({(0, 1), (0, 2)}))
-        net = stochastic_network(
-            g, {(0, 1): Constant(0.4), (0, 2): ExponentialDecay(0.4, 2.0)}
+        net = TimeVaryingNetwork(
+            3, {(0, 1): Constant(0.4), (0, 2): ExponentialDecay(0.4, 2.0)}, Mode.DISCRETE
         )
         assert check_arc_balance(net, A=1.0).passed
 
@@ -249,9 +242,8 @@ class TestCutBalance:
         assert result.passed
 
     def test_out_star_fails_any_K(self):
-        g = Digraph(4, frozenset((0, k) for k in range(1, 4)))
         aw = {(0, k): Constant(0.2) for k in range(1, 4)}
-        net = TimeVaryingNetwork(g, aw, None, Mode.CONTINUOUS)
+        net = TimeVaryingNetwork(4, aw, Mode.CONTINUOUS)
         for K in (1.0, 1e3, 1e6):
             result = check_cut_balance(net, K=K)
             assert not result.passed
@@ -260,9 +252,8 @@ class TestCutBalance:
         assert flow_in == 0.0 or flow_out == 0.0
 
     def test_ring_balanced(self):
-        g = Digraph(5, frozenset((i, (i + 1) % 5) for i in range(5)))
-        aw = {a: Constant(0.3) for a in g.arcs}
-        net = TimeVaryingNetwork(g, aw, None, Mode.CONTINUOUS)
+        aw = {(i, (i + 1) % 5): Constant(0.3) for i in range(5)}
+        net = TimeVaryingNetwork(5, aw, Mode.CONTINUOUS)
         assert check_cut_balance(net, K=1.0).passed
 
     def test_unbalanced_ratio_measured(self):
@@ -274,11 +265,7 @@ class TestCutBalance:
 
     def test_large_graph_sampling_is_seeded(self):
         n = 16
-        arcs = frozenset((i, (i + 1) % n) for i in range(n))
-        g = Digraph(n, arcs)
-        net = TimeVaryingNetwork(
-            g, {a: Constant(0.1) for a in arcs}, None, Mode.CONTINUOUS
-        )
+        net = TimeVaryingNetwork(n, {(i, (i + 1) % n): Constant(0.1) for i in range(n)}, Mode.CONTINUOUS)
         r1 = check_cut_balance(net, K=1.0, seed=7)
         r2 = check_cut_balance(net, K=1.0, seed=7)
         assert r1 == r2

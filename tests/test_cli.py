@@ -274,6 +274,37 @@ class TestRun:
         assert main(["run", str(path), "--out-dir", str(tmp_path)]) == 2
         assert capsys.readouterr().err.startswith(f"error: simulation failed: {why}")
 
+    def test_explicit_self_weights_run_as_their_complement_twin(self, tmp_path, capsys):
+        # in-arc weights 0.125, 0.25 and 0.5 + 0.25 leave self-weights 0.875, 0.75 and 0.25 exactly
+        arcs = [(2, 0, 0.125), (0, 1, 0.25), (1, 2, 0.5), (0, 2, 0.25)]
+        doc = scenario_doc(
+            nodes=3,
+            arcs=[{"tail": t, "head": h, "weight": {"family": "constant", "c": c}} for t, h, c in arcs],
+            x0=[0.0, 0.5, 1.0],
+            horizon=40,
+            required_checks=[{"check": "stochasticity"}, {"check": "self-confidence", "eta": 0.25},
+                             {"check": "qsc-persistent"}],
+            certificates=[{"certificate": "discrete-rate", "eta": 0.25, "a_star": 0.125, "T_star": 1}],
+        )
+        explicit = [{"family": "constant", "c": c} for c in (0.875, 0.75, 0.25)]
+        outputs = []
+        for name, self_weights in (("complement", "stochastic-complement"), ("explicit", explicit)):
+            path = tmp_path / f"{name}.json"
+            path.write_text(json.dumps(dict(doc, name=name, self_weights=self_weights)))
+            assert main(["run", str(path), "--out-dir", str(tmp_path)]) == 0
+            report = json.loads((tmp_path / f"{name}.report.json").read_text())
+            del report["wall_time_s"]
+            text = (tmp_path / f"{name}.report.txt").read_text()
+            outputs.append((
+                (tmp_path / f"{name}.csv").read_bytes(),
+                json.dumps(report, sort_keys=True).replace(name, "NAME"),
+                [ln for ln in text.replace(name, "NAME").splitlines() if not ln.startswith("wall_time_s")],
+                [ln for ln in capsys.readouterr().out.replace(str(tmp_path), "OUT").replace(name, "NAME")
+                 .splitlines() if not ln.startswith("wall_time_s")],
+            ))
+        assert outputs[0] == outputs[1]
+        assert "result: PASS" in outputs[0][3]
+
     def test_catalog_run_by_name(self, tmp_path):
         code = main(
             ["run", "--catalog", "continuous-out-star-cut-imbalance",

@@ -13,7 +13,6 @@ from hypothesis import strategies as st
 import persistnet.scenarios as scenarios
 from persistnet import (
     Constant,
-    Digraph,
     ExponentialDecay,
     Mode,
     PeriodicPulse,
@@ -33,8 +32,7 @@ from verifiers import derivative
 
 
 def continuous_net(n, arc_weights):
-    g = Digraph(n, frozenset(arc_weights))
-    return TimeVaryingNetwork(g, arc_weights, None, Mode.CONTINUOUS)
+    return TimeVaryingNetwork(n, arc_weights, Mode.CONTINUOUS)
 
 
 def symmetric_pair(w=1.0):
@@ -59,12 +57,8 @@ class TestDerivative:
         assert dx[2] == 0.0
 
     def test_rejects_discrete_network(self):
-        g = Digraph(2, frozenset({(0, 1)}))
         net = TimeVaryingNetwork(
-            g,
-            {(0, 1): Constant(0.5)},
-            {0: Constant(1.0), 1: Constant(0.5)},
-            Mode.DISCRETE,
+            2, {(0, 1): Constant(0.5)}, Mode.DISCRETE, {0: Constant(1.0), 1: Constant(0.5)}
         )
         with pytest.raises(ValueError):
             derivative(net, np.array([0.0, 1.0]), 0.0)
@@ -160,12 +154,8 @@ class TestIntegrate:
             integrate(net, np.array([0.0, 1.0]), 3.0, 2.0)
         with pytest.raises(ValueError):
             integrate(net, np.array([0.0, 1.0]), 0.0, 1.0, h_max=0.0)
-        g = Digraph(2, frozenset({(0, 1)}))
         disc = TimeVaryingNetwork(
-            g,
-            {(0, 1): Constant(0.5)},
-            {0: Constant(1.0), 1: Constant(0.5)},
-            Mode.DISCRETE,
+            2, {(0, 1): Constant(0.5)}, Mode.DISCRETE, {0: Constant(1.0), 1: Constant(0.5)}
         )
         with pytest.raises(ValueError):
             integrate(disc, np.array([0.0, 1.0]), 0.0, 1.0)

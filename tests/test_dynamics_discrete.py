@@ -1,6 +1,7 @@
 """Discrete averaging dynamics against direct matrix-product oracles."""
 
 import tracemalloc
+from dataclasses import dataclass
 
 import numpy as np
 import pytest
@@ -14,7 +15,6 @@ from persistnet import discrete
 from persistnet import (
     BeliefVector,
     Constant,
-    Digraph,
     ExponentialDecay,
     Mode,
     PeriodicPulse,
@@ -23,16 +23,30 @@ from persistnet import (
     Tabulated,
     TimeVaryingNetwork,
     Trajectory,
-    WeightSum,
+    Weight,
     simulate,
-    stochastic_network,
 )
+from verifiers import in_arcs, self_weight
 
 
 def pair_net(w01, w10):
     """Two nodes influencing each other, rows kept stochastic."""
-    g = Digraph(2, frozenset({(0, 1), (1, 0)}))
-    return stochastic_network(g, {(0, 1): w01, (1, 0): w10})
+    return TimeVaryingNetwork(2, {(0, 1): w01, (1, 0): w10}, Mode.DISCRETE)
+
+
+@dataclass(frozen=True)
+class OneMinus(Weight):
+    """``1 - sum(parts)``, clamped at 0: the stochastic complement of a
+    node's in-arcs, given to a network as an explicit self-weight."""
+
+    parts: tuple
+
+    def _values(self, ts, left):
+        total = sum((w.eval_left(ts) if left else w.eval(ts) for w in self.parts), np.zeros(len(ts)))
+        return np.maximum(1.0 - total, 0.0)
+
+    def _mass(self, a, b, mode):
+        raise NotImplementedError
 
 
 def update_matrix(net, t):
@@ -40,7 +54,7 @@ def update_matrix(net, t):
     n = net.n
     M = np.zeros((n, n))
     for i in range(n):
-        M[i, i] = float(net.self_weights[i].eval(float(t)))
+        M[i, i] = float(self_weight(net, i, float(t)))
     for tail, head in sorted(net.arcs()):
         M[head, tail] = float(net.weight((tail, head)).eval(float(t)))
     return M
@@ -55,10 +69,7 @@ class TestStep:
         assert out.values == pytest.approx([0.5, 0.75], abs=0)
 
     def test_identity_rows_leave_state_alone(self):
-        g = Digraph(3)
-        net = TimeVaryingNetwork(
-            g, {}, {i: Constant(1.0) for i in range(3)}, Mode.DISCRETE
-        )
+        net = TimeVaryingNetwork(3, {}, Mode.DISCRETE, {i: Constant(1.0) for i in range(3)})
         x = BeliefVector(np.array([0.3, -1.0, 2.5]), 5)
         out = simulate(net, x, 1).state_at(1)
         assert np.array_equal(out.values, x.values)
@@ -85,8 +96,7 @@ class TestSimulate:
 
     def test_degroot_chain_reaches_near_agreement(self):
         # nodes 1 and 2 put weight 0.5 on their upstream neighbor
-        g = Digraph(3, frozenset({(0, 1), (1, 2)}))
-        net = stochastic_network(g, {(0, 1): Constant(0.5), (1, 2): Constant(0.5)})
+        net = TimeVaryingNetwork(3, {(0, 1): Constant(0.5), (1, 2): Constant(0.5)}, Mode.DISCRETE)
         traj = simulate(net, BeliefVector(np.array([0.0, 0.0, 1.0]), 0), 50)
         assert traj.spreads()[-1] < 1e-6
         # closed form: the static matrix power applied to x0
@@ -95,9 +105,8 @@ class TestSimulate:
         assert traj.states[-1] == pytest.approx(expect, abs=1e-12)
 
     def test_matches_matrix_product_oracle_time_varying(self):
-        g = Digraph(4, frozenset({(0, 1), (1, 2), (2, 3), (3, 0), (0, 2)}))
-        net = stochastic_network(
-            g,
+        net = TimeVaryingNetwork(
+            4,
             {
                 (0, 1): PowerDecay(0.5, 1.0),
                 (1, 2): Constant(0.25),
@@ -105,6 +114,7 @@ class TestSimulate:
                 (3, 0): PeriodicPulse(0.4, 1.0, 2.0),
                 (0, 2): Tabulated((0.0, 5.0), (0.2, 0.05), persistent=True),
             },
+            Mode.DISCRETE,
         )
         x0 = np.array([0.1, 0.9, 0.4, 0.7])
         traj = simulate(net, BeliefVector(x0, 0), 40)
@@ -122,15 +132,9 @@ class TestSimulate:
         assert np.all(np.diff(traj.minima()) >= -1e-12)
 
     def test_row_sum_violation_reports_node_and_time(self):
-        g = Digraph(2, frozenset({(0, 1)}))
         # row of node 1 jumps to 1.1 at t = 7
         self_w = Tabulated((0.0, 7.0), (0.6, 0.7), persistent=True)
-        net = TimeVaryingNetwork(
-            g,
-            {(0, 1): Constant(0.4)},
-            {0: Constant(1.0), 1: self_w},
-            Mode.DISCRETE,
-        )
+        net = TimeVaryingNetwork(2, {(0, 1): Constant(0.4)}, Mode.DISCRETE, {0: Constant(1.0), 1: self_w})
         with pytest.raises(RowSumViolation) as err:
             simulate(net, BeliefVector(np.array([0.0, 1.0]), 0), 20)
         assert err.value.node == 1
@@ -138,29 +142,23 @@ class TestSimulate:
         assert err.value.row_sum == pytest.approx(1.1)
 
     def test_complement_overweight_between_build_samples_raises(self):
-        # stochastic_network samples t = 0..127, 128, 256, ...; the inflow of
+        # construction samples t = 0..127, 128, 256, ...; the inflow of
         # node 1 exceeds 1 only on [130, 140), so the stepper must catch it
-        g = Digraph(2, frozenset({(0, 1), (1, 0)}))
         bump = Tabulated((0.0, 130.0, 140.0), (0.1, 1.2, 0.1), persistent=False)
-        net = stochastic_network(g, {(0, 1): bump, (1, 0): Constant(0.2)})
+        net = TimeVaryingNetwork(2, {(0, 1): bump, (1, 0): Constant(0.2)}, Mode.DISCRETE)
         with pytest.raises(ValueError, match="incoming weight exceeds 1"):
             simulate(net, BeliefVector(np.array([0.0, 1.0]), 0), 200)
 
     def test_nonstochastic_from_start_aborts_before_stepping(self):
-        g = Digraph(2, frozenset({(0, 1)}))
         net = TimeVaryingNetwork(
-            g,
-            {(0, 1): Constant(0.3)},
-            {0: Constant(1.0), 1: Constant(0.6)},
-            Mode.DISCRETE,
+            2, {(0, 1): Constant(0.3)}, Mode.DISCRETE, {0: Constant(1.0), 1: Constant(0.6)}
         )
         with pytest.raises(RowSumViolation) as err:
             simulate(net, BeliefVector(np.array([0.0, 1.0]), 0), 5)
         assert err.value.time == 0
 
     def test_rejects_continuous_network(self):
-        g = Digraph(2, frozenset({(0, 1)}))
-        net = TimeVaryingNetwork(g, {(0, 1): Constant(0.5)}, None, Mode.CONTINUOUS)
+        net = TimeVaryingNetwork(2, {(0, 1): Constant(0.5)}, Mode.CONTINUOUS)
         with pytest.raises(ValueError):
             simulate(net, BeliefVector(np.array([0.0, 1.0]), 0), 1)
 
@@ -193,7 +191,7 @@ class TestSimulate:
             c = rng.uniform(0.0, budget[head])
             budget[head] -= c
             aw[(tail, head)] = Constant(c)
-        net = stochastic_network(Digraph(n, frozenset(aw)), aw)
+        net = TimeVaryingNetwork(n, aw, Mode.DISCRETE)
         x0 = rng.uniform(-5.0, 5.0, size=n)
         traj = simulate(net, BeliefVector(x0, 0), 60)
         scale = max(1.0, float(np.max(np.abs(x0))))
@@ -250,7 +248,7 @@ class TestCsrStep:
     def test_loop_matches_add_at_bitwise(self, seed):
         n, arcs, arc_block, self_block, x0 = stepping_case(seed)
         aw = {a: Constant(1.0) for a in arcs}  # the kernel only reads the arc order
-        net = TimeVaryingNetwork(Digraph(n, frozenset(arcs)), aw, None, Mode.CONTINUOUS)
+        net = TimeVaryingNetwork(n, aw, Mode.CONTINUOUS)
         steps = len(arc_block)
         layout = discrete._layout(net, 1 + seed % steps)  # and fewer steps per call
         rows = np.empty((steps + 1, n))
@@ -273,31 +271,31 @@ class TestCsrStep:
         families = (lambda c: Constant(c), lambda c: ExponentialDecay(c, 0.1),
                     lambda c: PowerDecay(c, 1.5), lambda c: PeriodicPulse(c, 1.0, 2.0))
         aw = {a: families[int(rng.integers(4))](float(rng.uniform(0.0, 0.9 / n))) for a in arcs}
-        net = stochastic_network(Digraph(n, frozenset(arcs)), aw)
-        if seed % 2:  # the same self-weights, but evaluated through their own bank
-            sw = {i: WeightSum((w,)) for i, w in net.self_weights.items()}
-            net = TimeVaryingNetwork(net.graph, aw, sw, Mode.DISCRETE)
-            assert not net._complement_rows
+        net = TimeVaryingNetwork(n, aw, Mode.DISCRETE)
+        if seed % 2:  # the same self-weights, but given per node and evaluated through their bank
+            sw = {i: OneMinus(tuple(w for _, w in in_arcs(net, i))) for i in range(n)}
+            net = TimeVaryingNetwork(n, aw, Mode.DISCRETE, sw)
         x0 = rng.uniform(-5.0, 5.0, size=n) * (rng.random(n) < 0.8)  # some zeros
         x0[rng.random(n) < 0.2] = -0.0
         block = discrete.block_steps(net)
         horizons = (0, 1, 127, 128, 129, block - 1, block, block + 1)
+        trajs = [simulate(net, BeliefVector(x0, 0), horizon) for horizon in horizons]
+        assert ("_self_bank" in vars(net)) == bool(seed % 2)  # the self-weight path simulate took
         ts = np.arange(float(max(horizons)))
         arc_block = net.bank.values(ts)
         expected = add_at_rows(net, x0, arc_block, net.self_values(ts, net.head_sums(arc_block)))
-        for horizon in horizons:
-            traj = simulate(net, BeliefVector(x0, 0), horizon)
+        for horizon, traj in zip(horizons, trajs):
             assert traj.states.tobytes() == expected[: horizon + 1].tobytes(), horizon
 
     def test_arcless_network_steps(self):
-        net = TimeVaryingNetwork(Digraph(3), {}, {i: Constant(0.5) for i in range(3)}, Mode.DISCRETE)
+        net = TimeVaryingNetwork(3, {}, Mode.DISCRETE, {i: Constant(0.5) for i in range(3)})
         assert np.array_equal(net.indptr, [0, 0, 0, 0])
         rows = np.empty((4, 3))
         rows[0] = [2.0, -0.0, -4.0]
         discrete._steps(discrete._layout(net, 3), np.full((3, 3), 0.5), rows[:-1], rows[1:], csr_matvec)
         assert rows.tobytes() == np.array([[2.0, -0.0, -4.0], [1.0, -0.0, -2.0],
                                            [0.5, -0.0, -1.0], [0.25, -0.0, -0.5]]).tobytes()
-        identity = TimeVaryingNetwork(Digraph(3), {}, {i: Constant(1.0) for i in range(3)}, Mode.DISCRETE)
+        identity = TimeVaryingNetwork(3, {}, Mode.DISCRETE, {i: Constant(1.0) for i in range(3)})
         traj = simulate(identity, BeliefVector(rows[0], 0), 5000)  # past one block
         assert traj.states.tobytes() == np.tile(rows[0], (5001, 1)).tobytes()
 

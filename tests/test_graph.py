@@ -14,7 +14,6 @@ from persistnet import (
     diameter,
     graph,
     is_quasi_strongly_connected,
-    subgraph_with_arcs,
 )
 from verifiers import adjacency, reachable_set, shortest_path_lengths
 
@@ -198,19 +197,6 @@ class TestDistances:
         assert diameter(g) == (max(finite) if finite else 0)
 
 
-class TestSubgraph:
-    def test_keeps_subset(self):
-        g = Digraph(3, frozenset({(0, 1), (1, 2), (2, 0)}))
-        sub = subgraph_with_arcs(g, [(0, 1)])
-        assert sub.n == 3
-        assert sub.arcs == {(0, 1)}
-
-    def test_rejects_foreign_arc(self):
-        g = Digraph(3, frozenset({(0, 1)}))
-        with pytest.raises(ValueError):
-            subgraph_with_arcs(g, [(1, 2)])
-
-
 def csgraph_qsc(g):
     """The condensation has exactly one source component (Tarjan 1972)."""
     count, label = connected_components(adjacency(g), directed=True, connection="strong")
@@ -266,6 +252,26 @@ class TestSweep:
         g = random_digraph(n, n, shape, per_node)
         assert n > graph._BFS_SOURCES
         assert (is_quasi_strongly_connected(g), diameter(g)) == (csgraph_qsc(g), csgraph_diameter(g))
+
+    @pytest.mark.parametrize("gather", [1, 2, 5])
+    @pytest.mark.parametrize("n, shape, per_node", [(12, "random", 2.0), (65, "ring", 2.0),
+                                                    (100, "dag", 3.0), (150, "random", 1.5)])
+    def test_chunked_gather_matches_csgraph(self, monkeypatch, gather, n, shape, per_node):
+        chunks = []
+
+        class CountingNumpy:  # numpy, noting how many chunks each level's gather joins
+            def __getattr__(self, name):
+                return getattr(np, name)
+
+            def split(self, a, cuts):
+                chunks.append(len(cuts) + 1)
+                return np.split(a, cuts)
+
+        g = random_digraph(n, n + gather, shape, per_node)
+        monkeypatch.setattr(graph, "_GATHER_ARCS", gather)
+        monkeypatch.setattr(graph, "np", CountingNumpy())
+        assert graph._bfs_sweep(g) == (csgraph_qsc(g), csgraph_diameter(g))
+        assert max(chunks) > 1  # some level gathered its rows in more than one chunk
 
     def test_one_sweep_answers_both(self, monkeypatch):
         calls = []

@@ -17,7 +17,6 @@ from persistnet import (
     RunReport,
     ScenarioParseError,
     ScenarioValidationError,
-    StochasticComplement,
     Tabulated,
     Weight,
     WeightSum,
@@ -41,6 +40,7 @@ from persistnet import (
 from persistnet.cli import main
 from persistnet.scenarios import WEIGHT_FAMILIES
 from persistnet import BeliefVector
+from verifiers import in_arcs
 
 
 def base_doc(**over):
@@ -95,10 +95,10 @@ class TestWeightSpecs:
         assert parse_weight(spec, "w") == w
 
     def test_every_family_has_a_table_entry(self):
-        # every concrete family a file can name; sums and complements are built, not read
+        # every concrete family a file can name; sums are built, not read
         families = {getattr(weights, name) for name in weights.__all__}
         families = {cls for cls in families if isinstance(cls, type) and issubclass(cls, Weight)
-                    and not inspect.isabstract(cls)} - {WeightSum, StochasticComplement}
+                    and not inspect.isabstract(cls)} - {WeightSum}
         assert families == set(WEIGHT_FAMILIES.values())
 
     def test_unknown_family(self):
@@ -258,8 +258,8 @@ class TestBuildAndResolve:
         s = parse_scenario_dict(base_doc())
         net = build_network(s)
         for i, t in ((0, 0.0), (1, 3.0)):
-            row = float(net.self_weights[i].eval(t))
-            row += sum(float(w.eval(t)) for _, w in net.in_arcs(i))
+            row = float(net.self_values(t, net.head_sums(net.bank.values(t)))[i])
+            row += sum(float(w.eval(t)) for _, w in in_arcs(net, i))
             assert row == pytest.approx(1.0, abs=1e-15)
 
     def test_zero_one_split_resolution(self):
@@ -275,7 +275,8 @@ class TestBuildAndResolve:
             arcs=[{"tail": 0, "head": 1, "weight": {"family": "constant", "c": 1.5}}]
         )
         s = parse_scenario_dict(doc)
-        with pytest.raises(ScenarioValidationError, match="exceeds 1"):
+        with pytest.raises(ScenarioValidationError, match=r"^cannot build network: incoming weight "
+                           r"of node 1 exceeds 1 at t=0\.0; scale the arc weights down"):
             build_network(s)
 
 

@@ -18,7 +18,6 @@ from persistnet import (
     BeliefVector,
     BlockGap,
     Constant,
-    Digraph,
     ExponentialDecay,
     Mode,
     PeriodicPulse,
@@ -30,7 +29,6 @@ from persistnet import (
     parse_scenario_dict,
     run_scenario,
     simulate,
-    stochastic_network,
     write_trajectory_csv,
 )
 from test_dynamics_continuous import small_flows
@@ -55,7 +53,7 @@ def small_stochastic(draw):
     ]
     weights = {arc: draw(st.one_of(families)) for arc in arcs}
     x0 = draw(st.lists(st.floats(-5.0, 5.0), min_size=n, max_size=n))
-    return stochastic_network(Digraph(n, frozenset(weights)), weights), np.asarray(x0)
+    return TimeVaryingNetwork(n, weights, Mode.DISCRETE), np.asarray(x0)
 
 
 def csv_lines(traj):
@@ -133,7 +131,7 @@ class TestStridedRunsThinTheFullRun:
 def star_net():
     arcs = {(0, k): Constant(0.2) for k in range(1, 5)}
     arcs[(2, 1)] = PowerDecay(0.3, 1.5)
-    return stochastic_network(Digraph(5, frozenset(arcs)), arcs), np.array([0.5, 0.0, 1.0, 0.25, 0.75])
+    return TimeVaryingNetwork(5, arcs, Mode.DISCRETE), np.array([0.5, 0.0, 1.0, 0.25, 0.75])
 
 
 def long_doc():
@@ -230,7 +228,7 @@ class TestStridedReaders:
 
     def test_influence_bound_refuses(self):
         aw = {(0, 1): Constant(1.0), (1, 0): Constant(0.5)}
-        net = TimeVaryingNetwork(Digraph(2, frozenset(aw)), aw, None, Mode.CONTINUOUS)
+        net = TimeVaryingNetwork(2, aw, Mode.CONTINUOUS)
         full = integrate(net, np.array([0.0, 1.0]), 0.0, 1.0, h_max=0.1)
         strided = integrate(net, np.array([0.0, 1.0]), 0.0, 1.0, h_max=0.1, stride=2)
         assert verify_influence_bound(full, net, 0, 1, 0, 4).passed

@@ -3,6 +3,7 @@ against a numeric divergence oracle, and network construction rules."""
 
 import math
 import pickle
+import re
 import zlib
 
 import numpy as np
@@ -13,12 +14,10 @@ from scipy import integrate
 
 from persistnet import (
     Constant,
-    Digraph,
     ExponentialDecay,
     Mode,
     PeriodicPulse,
     PowerDecay,
-    StochasticComplement,
     Tabulated,
     TimeVaryingNetwork,
     UndeclaredPersistenceError,
@@ -26,7 +25,6 @@ from persistnet import (
     Zero,
     aggregate_vanishing_weight,
     persistence_report,
-    stochastic_network,
 )
 from persistnet.scenarios import parse_weight
 
@@ -74,8 +72,6 @@ SHAPE_FAMILIES = [
 ] + [
     WeightSum((Constant(0.1), PowerDecay(0.2, 1.0))),
     WeightSum(()),
-    StochasticComplement((Constant(0.1), PeriodicPulse(0.3, 1.0, 1.0))),
-    StochasticComplement(()),
 ]
 
 
@@ -253,6 +249,21 @@ class TestWindows:
         assert big > small
         assert math.isfinite(big)
 
+    def test_exponential_integral_matches_quadrature_at_small_rates(self):
+        # x = rate * (b - a) down to 1e-15, where exp(-rate * a) - exp(-rate * b) cancels
+        for rate in (1e-15, 1e-13, 1e-11, 1e-9, 1e-6, 1e-3, 0.5, 20.0):
+            for a, b in [(0.0, 1.0), (2.5, 7.0), (100.0, 100.5)]:
+                w = ExponentialDecay(0.7, rate)
+                want, _ = integrate.quad(lambda t: 0.7 * math.exp(-rate * t), a, b, epsabs=0.0, epsrel=1e-13)
+                assert w.mass(a, b, Mode.CONTINUOUS) == pytest.approx(want, rel=1e-12), (rate, a, b)
+
+    def test_exponential_integral_at_extreme_parameters(self):
+        for rate in (1e-300, 1e-17):  # c / rate is finite, and the window's mass is 1
+            assert ExponentialDecay(1.0, rate).mass(0.0, 1.0, Mode.CONTINUOUS) == 1.0
+        # c * (b - a) alone would overflow; the mass is c / rate
+        assert ExponentialDecay(1e300, 1.0).mass(0.0, 1e10, Mode.CONTINUOUS) == pytest.approx(1e300)
+        assert ExponentialDecay(0.5, 0.0).mass(2.0, 6.0, Mode.CONTINUOUS) == 2.0
+
     def test_subnormal_rate_integral_is_finite(self):
         # c / rate overflows to inf, and exp(-rate * a) - exp(-rate * b) is 0
         w = ExponentialDecay(1.0, 5e-324)
@@ -265,6 +276,9 @@ class TestWindows:
             w.mass(0, -1, Mode.DISCRETE)
         with pytest.raises(ValueError):
             w.mass(3.0, 2.0, Mode.CONTINUOUS)
+        for mode in Mode:  # tail() is the mass of an unbounded window
+            with pytest.raises(ValueError, match="< inf"):
+                ExponentialDecay(1.0, 1.0).mass(0, math.inf, mode)
 
     @given(
         st.sampled_from(SAMPLE_FAMILIES),
@@ -433,70 +447,64 @@ class TestClassification:
 
 
 class TestStochasticComplement:
+    """A discrete network given no self-weights keeps ``1 - inflow`` at each node."""
+
     def test_complement_values(self):
-        sc = StochasticComplement((Constant(0.3), ExponentialDecay(0.5, 1.0)))
-        assert sc.eval(0.0) == pytest.approx(0.2)
-        assert sc.eval(100.0) == pytest.approx(0.7, rel=1e-12)
+        aw = {(0, 2): Constant(0.3), (1, 2): ExponentialDecay(0.5, 1.0)}
+        net = TimeVaryingNetwork(3, aw, Mode.DISCRETE)
+        ts = np.array([0.0, 100.0])
+        selves = net.self_values(ts, net.head_sums(net.bank.values(ts)))
+        assert np.array_equal(selves[:, :2], np.ones((2, 2)))  # no in-arcs
+        assert selves[0, 2] == pytest.approx(0.2)
+        assert selves[1, 2] == pytest.approx(0.7, rel=1e-12)
 
-    def test_overweight_row_raises(self):
-        sc = StochasticComplement((Constant(0.8), Constant(0.4)))
-        with pytest.raises(ValueError, match="exceeds 1"):
-            sc.eval(0.0)
+    def test_rounding_residue_clamps_and_excess_raises(self):
+        net = TimeVaryingNetwork(2, {(0, 1): Constant(0.5)}, Mode.DISCRETE)
+        assert np.array_equal(net.self_values(0.0, np.array([0.5, 1.0 + 1e-10])), [0.5, 0.0])
+        with pytest.raises(ValueError, match="incoming weight exceeds 1"):
+            net.self_values(0.0, np.array([0.5, 1.0 + 1e-8]))
 
-    def test_window_sum_complements_exactly(self):
-        sc = StochasticComplement((PowerDecay(0.5, 1.0),))
-        total = sc.mass(3, 13, Mode.DISCRETE) + PowerDecay(0.5, 1.0).mass(3, 13, Mode.DISCRETE)
-        assert total == pytest.approx(10.0, rel=1e-14)
-
-    def test_not_classifiable(self):
-        with pytest.raises(TypeError):
-            StochasticComplement(()).is_persistent(Mode.DISCRETE)
+    def test_construction_refuses_inflow_above_one_naming_node_and_time(self):
+        with pytest.raises(ValueError, match=re.escape(
+                "incoming weight of node 1 exceeds 1 at t=0.0; "
+                "scale the arc weights down before building a stochastic network")):
+            TimeVaryingNetwork(3, {(0, 1): Constant(0.8), (2, 1): Constant(0.4)}, Mode.DISCRETE)
+        late = Tabulated((0.0, 256.0, 257.0), (0.1, 1.5, 0.1), persistent=False)  # only at t = 256
+        with pytest.raises(ValueError, match=re.escape("incoming weight of node 2 exceeds 1 at t=256.0")):
+            TimeVaryingNetwork(3, {(0, 1): Constant(0.5), (0, 2): late}, Mode.DISCRETE)
+        explicit = {i: Constant(1.0) for i in range(2)}  # the check belongs to the complement alone
+        TimeVaryingNetwork(2, {(0, 1): Constant(1.2)}, Mode.DISCRETE, explicit)
 
 
 class TestNetworks:
     def make_star(self):
-        g = Digraph(3, frozenset({(0, 1), (0, 2)}))
         aw = {(0, 1): Constant(0.4), (0, 2): ExponentialDecay(0.3, 1.0)}
-        return stochastic_network(g, aw)
+        return TimeVaryingNetwork(3, aw, Mode.DISCRETE)
 
-    def test_arc_coverage_enforced(self):
-        g = Digraph(2, frozenset({(0, 1)}))
-        with pytest.raises(ValueError):
-            TimeVaryingNetwork(g, {}, None, Mode.CONTINUOUS)
-        with pytest.raises(ValueError):
-            TimeVaryingNetwork(
-                g,
-                {(0, 1): Constant(0.1), (1, 0): Constant(0.1)},
-                None,
-                Mode.CONTINUOUS,
-            )
+    def test_graph_comes_from_the_arcs(self):
+        net = TimeVaryingNetwork(4, {(0, 1): Constant(0.1), (2, 1): Constant(0.1)}, Mode.CONTINUOUS)
+        assert (net.graph.n, net.graph.arcs) == (4, {(0, 1), (2, 1)})
+        with pytest.raises(ValueError, match="outside 0..1"):
+            TimeVaryingNetwork(2, {(0, 2): Constant(0.1)}, Mode.CONTINUOUS)
+        with pytest.raises(ValueError, match="self-loop"):
+            TimeVaryingNetwork(2, {(1, 1): Constant(0.1)}, Mode.CONTINUOUS)
 
-    def test_discrete_needs_self_weights(self):
-        g = Digraph(2, frozenset({(0, 1)}))
-        with pytest.raises(ValueError):
-            TimeVaryingNetwork(g, {(0, 1): Constant(0.1)}, None, Mode.DISCRETE)
+    def test_discrete_self_weights_cover_every_node(self):
+        with pytest.raises(ValueError, match="cover every node"):
+            TimeVaryingNetwork(2, {(0, 1): Constant(0.1)}, Mode.DISCRETE, {0: Constant(1.0)})
 
     def test_continuous_must_not_have_self_weights(self):
-        g = Digraph(2, frozenset({(0, 1)}))
-        with pytest.raises(ValueError):
+        with pytest.raises(ValueError, match="continuous networks take no self-weights"):
             TimeVaryingNetwork(
-                g,
-                {(0, 1): Constant(0.1)},
-                {0: Constant(1.0), 1: Constant(0.9)},
-                Mode.CONTINUOUS,
+                2, {(0, 1): Constant(0.1)}, Mode.CONTINUOUS, {0: Constant(1.0), 1: Constant(0.9)}
             )
 
     def test_stochastic_network_rows_sum_to_one(self):
         net = self.make_star()
         for t in (0.0, 1.0, 7.0, 31.0):
+            inflow = net.head_sums(net.bank.values(t))
             for i in range(3):
-                total = float(net.self_weights[i].eval(t)) + net.head_sums(net.bank.values(t))[i]
-                assert total == pytest.approx(1.0, abs=1e-15)
-
-    def test_stochastic_network_rejects_overweight_inflow(self):
-        g = Digraph(2, frozenset({(0, 1)}))
-        with pytest.raises(ValueError, match="exceeds 1"):
-            stochastic_network(g, {(0, 1): Constant(1.2)})
+                assert float(net.self_values(t, inflow)[i]) + inflow[i] == pytest.approx(1.0, abs=1e-15)
 
     def test_persistence_report_partitions_arcs(self):
         net = self.make_star()
@@ -520,12 +528,12 @@ class TestNetworks:
     def test_arcs_are_head_major_rows(self):
         arcs = {(2, 0), (0, 1), (3, 1), (1, 3), (0, 3), (2, 3), (3, 2)}
         aw = {a: Constant(0.01 * (1 + a[0] + 4 * a[1])) for a in arcs}
-        net = stochastic_network(Digraph(4, frozenset(arcs)), aw)
+        net = TimeVaryingNetwork(4, aw, Mode.DISCRETE)
         assert net.arcs() == tuple(sorted(arcs, key=lambda a: (a[1], a[0])))
         assert list(zip(net.tails, net.heads)) == list(net.arcs())
         for i in range(net.n):
             row = slice(net.indptr[i], net.indptr[i + 1])
-            assert list(net.tails[row]) == [tail for tail, _ in net.in_arcs(i)]
+            assert list(net.tails[row]) == [tail for tail, head in sorted(arcs) if head == i]
             assert set(net.heads[row]) <= {i}
         assert net.indptr[-1] == len(arcs)
         # bank columns follow arcs(), as head_sums and the steppers rely on
@@ -540,6 +548,5 @@ class TestNetworks:
         assert theta.tail(0.0, Mode.CONTINUOUS) == pytest.approx(0.3, rel=1e-12)
 
     def test_aggregate_vanishing_weight_empty(self):
-        g = Digraph(2, frozenset({(0, 1)}))
-        net = TimeVaryingNetwork(g, {(0, 1): Constant(1.0)}, None, Mode.CONTINUOUS)
+        net = TimeVaryingNetwork(2, {(0, 1): Constant(1.0)}, Mode.CONTINUOUS)
         assert isinstance(aggregate_vanishing_weight(net), Zero)

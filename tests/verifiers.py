@@ -5,7 +5,8 @@ convexity and influence bounds the rate proofs rest on, and an estimate of
 the contraction factor a run shows.  They read a ``persistnet.Trajectory``
 and a network through the library's public API only.  Beside them sit the
 oracles the unit tests compare the library with: hop counts and reached
-sets from ``scipy.sparse.csgraph``, and the right-hand side of the flow.
+sets from ``scipy.sparse.csgraph``, the right-hand side of the flow, and each
+node's in-arcs and self-weight.
 """
 
 from __future__ import annotations
@@ -18,7 +19,7 @@ from scipy.integrate import quad
 from scipy.sparse import csr_matrix
 from scipy.sparse.csgraph import shortest_path
 
-from persistnet import Digraph, Mode, TimeVaryingNetwork, Trajectory
+from persistnet import Digraph, Mode, TimeVaryingNetwork, Trajectory, Weight
 from persistnet.continuous import _flow
 
 
@@ -37,6 +38,22 @@ def shortest_path_lengths(g: Digraph, i: int) -> dict[int, int]:
 def reachable_set(g: Digraph, i: int) -> frozenset[int]:
     """All nodes reachable from ``i`` along arc direction, including ``i``."""
     return frozenset(shortest_path_lengths(g, i))
+
+
+def in_arcs(net: TimeVaryingNetwork, node: int) -> tuple[tuple[int, Weight], ...]:
+    """``(tail, weight)`` of each arc into ``node``, in ascending tail order:
+    its row of the head-major ``net.arcs()``."""
+    row = net.arcs()[net.indptr[node] : net.indptr[node + 1]]
+    return tuple((tail, net.weight((tail, head))) for tail, head in row)
+
+
+def self_weight(net: TimeVaryingNetwork, node: int, t):
+    """Self-weight of ``node`` at ``t`` in a discrete network: its own weight
+    if the network was given them, else one minus its inflow (summed in tail
+    order, as ``head_sums`` does), rounding residue below 0 clamped to 0."""
+    if net.self_weights is not None:
+        return net.self_weights[node].eval(t)
+    return np.maximum(1.0 - sum(w.eval(t) for _, w in in_arcs(net, node)), 0.0)
 
 
 def derivative(net: TimeVaryingNetwork, x: np.ndarray, t: float) -> np.ndarray:
@@ -148,7 +165,7 @@ def _bound_report(traj: Trajectory, m: int, k_from: int, k_to: int, held, share,
 
 
 def _inflow_integral(net: TimeVaryingNetwork, m: int, a: float, b: float) -> float:
-    return sum(w.mass(a, b, Mode.CONTINUOUS) for _, w in net.in_arcs(m))
+    return sum(w.mass(a, b, Mode.CONTINUOUS) for _, w in in_arcs(net, m))
 
 
 def verify_convexity_bound(
@@ -215,7 +232,7 @@ def verify_influence_bound(
     w_arc = net.weight((source, m))
     pieces = {s, t}
     pieces.update(float(b) for b in w_arc.breakpoints_between(s, t))
-    for _, w in net.in_arcs(m):
+    for _, w in in_arcs(net, m):
         pieces.update(float(b) for b in w.breakpoints_between(s, t))
     cuts = sorted(p for p in pieces if s <= p <= t)
 
