@@ -46,7 +46,7 @@ from .continuous import (
     StepSizeUnderflow,
     integrate,
 )
-from .discrete import BeliefVector, RowSumViolation, Trajectory, simulate
+from .discrete import RowSumViolation, Trajectory, simulate
 from .graph import (
     Arc,
     Digraph,
@@ -54,13 +54,12 @@ from .graph import (
     is_quasi_strongly_connected,
 )
 from .scenarios import (
-    CertSpec,
-    CheckSpec,
     RunReport,
     Scenario,
     ScenarioError,
     ScenarioParseError,
     ScenarioValidationError,
+    Spec,
     ZeroOneSplit,
     build_network,
     catalog,
@@ -99,12 +98,9 @@ __version__ = "0.1.0"
 __all__ = [
     "AgreementHorizon",
     "Arc",
-    "BeliefVector",
     "BlockGap",
-    "CertSpec",
     "CertificateDomainError",
     "CheckResult",
-    "CheckSpec",
     "Constant",
     "ContractionReport",
     "Digraph",
@@ -125,6 +121,7 @@ __all__ = [
     "ScenarioError",
     "ScenarioParseError",
     "ScenarioValidationError",
+    "Spec",
     "StepSizeUnderflow",
     "Tabulated",
     "TimeVaryingNetwork",

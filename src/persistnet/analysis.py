@@ -159,7 +159,7 @@ class ContractionReport:
     witness_time: float | None
 
 
-VERIFY_TOLERANCE = {Mode.DISCRETE: 1e-12, Mode.CONTINUOUS: 1e-8}  # default slack on a margin
+VERIFY_TOLERANCE = {Mode.DISCRETE: 1e-12, Mode.CONTINUOUS: 1e-8}  # slack on a margin
 
 
 _WINDOW_CHUNK = 1 << 14  # window starts scanned at a time, so scans keep no per-sample temporaries
@@ -201,25 +201,18 @@ def _first_worst(traj: Trajectory, windows, score) -> tuple[int, float, float | 
     return count, worst, where
 
 
-def verify_contraction(
-    traj: Trajectory,
-    cert: RateCertificate,
-    tol: float | None = None,
-) -> ContractionReport:
+def verify_contraction(traj: Trajectory, cert: RateCertificate) -> ContractionReport:
     """Check ``spread(t + T0) <= epsilon * spread(t) + tol`` along ``traj``.
 
     Every sample time starts a window, compared against the last sample at
     or before ``t + T0``: in discrete mode that is exactly ``t + T0``, and in
     continuous mode the spread is non-increasing, which makes the earlier
-    sample the conservative side.  ``tol`` defaults to the mode's
-    ``VERIFY_TOLERANCE``.
+    sample the conservative side.  ``tol`` is the mode's ``VERIFY_TOLERANCE``.
     """
     if traj.mode is not cert.mode:
         raise ValueError(
             f"{traj.mode.value} trajectory needs a {traj.mode.value}-mode certificate"
         )
-    if tol is None:
-        tol = VERIFY_TOLERANCE[traj.mode]
     if cert.trivial:
         return ContractionReport(True, True, cert.epsilon, cert.T0, 0, -math.inf, None)
     lo, hi = traj.minima(), traj.maxima()
@@ -229,7 +222,7 @@ def verify_contraction(
     if windows == 0:
         return ContractionReport(True, True, cert.epsilon, cert.T0, 0, -math.inf, None)
     return ContractionReport(
-        passed=worst <= tol,
+        passed=worst <= VERIFY_TOLERANCE[traj.mode],
         vacuous=False,
         epsilon=cert.epsilon,
         T0=cert.T0,

@@ -188,6 +188,9 @@ def check_window_bound(
         span = int(window)
         if span != window or span < 1:
             raise ValueError("discrete mode needs an integer window of at least 1 step")
+        for s in starts:
+            if not float(s).is_integer():
+                raise ValueError(f"discrete mode needs whole-number starts, got {s!r}")
         starts = [int(s) for s in starts]
     slack = 1e-9 * max(1.0, a_star)
     worst, where, sampled_only, ok = math.inf, (), [], True

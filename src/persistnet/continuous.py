@@ -26,8 +26,9 @@ limits at all ends.  Each row's step size is still worked out from that
 row's inflow, and the block ends at the first row whose step differs from
 ``h``, so a weight that rose between breakpoints shortens a block instead of
 breaking the guarantee.  Only the Heun updates run one step at a time; the
-trajectory equals that of the step-by-step loop bit for bit.  Each finished
-block goes through the ``Fold`` both steppers use, and is then dropped.
+trajectory equals that of the step-by-step loop bit for bit.  The start is
+checked by ``discrete.initial_state``, as the discrete stepper's is, and each
+finished block goes through the ``Fold`` both steppers use, and is then dropped.
 
 Raises ``StepSizeUnderflow`` if the cap drives a step below 1e-12 while real
 time still remains.
@@ -40,7 +41,7 @@ from typing import Callable
 
 import numpy as np
 
-from .discrete import Fold, Trajectory, block_steps
+from .discrete import Fold, Trajectory, block_steps, initial_state
 from .weights import Mode, TimeVaryingNetwork
 
 MIN_STEP = 1e-12
@@ -75,15 +76,7 @@ def integrate(
     remaining span.  Each block goes through a ``Fold`` with ``stride`` and
     ``on_block`` (the initial state first on its own).
     """
-    if net.mode is not Mode.CONTINUOUS:
-        raise ValueError("integrate() needs a continuous-mode network")
-    x = np.asarray(x0, dtype=float).copy()
-    if x.ndim != 1 or x.size != net.n:
-        raise ValueError(f"state must have {net.n} entries")
-    if not np.all(np.isfinite(x)):
-        raise ValueError("initial state must be finite")
-    if not (t_end >= t0 >= 0.0):
-        raise ValueError("need 0 <= t0 <= t_end")
+    x = initial_state(net, Mode.CONTINUOUS, x0, t0, t_end)
     if h_max is not None and h_max <= 0:
         raise ValueError("h_max must be positive when given")
     fold = Fold(net.n, stride, on_block)

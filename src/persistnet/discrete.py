@@ -9,7 +9,11 @@ Rows must sum to one within 1e-12 at every visited time; a violation aborts
 the run with ``RowSumViolation`` identifying the node and step.  Because each
 step is then a convex combination, trajectories stay inside the initial value
 hull, the running minimum never decreases, and the running maximum never
-increases (up to rounding).  Both steppers keep their run through ``Fold``.
+increases (up to rounding).
+
+Both steppers take the same start, ``(net, x0, t0, t_end)``, checked by
+``initial_state``, and keep their run through ``Fold``: each block's rows of
+states and their times are folded in as the block is done.
 
 A block of steps is one sparse matrix over its rows of states; ``csr_matvec``
 reads each row as it reaches it, so a step reads the row written one step
@@ -19,6 +23,7 @@ before.  Each row's sum starts at -0.0, so states keep a tail-major scatter-add'
 from __future__ import annotations
 
 import functools
+import math
 from dataclasses import dataclass, field
 from typing import Callable
 
@@ -28,7 +33,7 @@ from .checks import ROW_SUM_TOLERANCE
 from .weights import Mode, TimeVaryingNetwork
 
 _BLOCK = 4096  # steps of weight values precomputed at a time, at most
-_BLOCK_VALUES = 1 << 17  # and at most this many values (steps times arcs or nodes), 1 MB
+_BLOCK_VALUES = 1 << 16  # and at most this many values (steps times arcs or nodes), 512 KB
 _SUB_STEPS = 128  # steps per csr_matvec call, and so per copy of the matrix indices
 
 
@@ -48,24 +53,22 @@ class RowSumViolation(RuntimeError):
         self.row_sum = row_sum
 
 
-@dataclass(frozen=True)
-class BeliefVector:
-    """Belief values of all nodes at one integer time."""
-
-    values: np.ndarray
-    time: int
-
-    def __post_init__(self):
-        vals = np.asarray(self.values, dtype=float)
-        if vals.ndim != 1 or vals.size == 0:
-            raise ValueError("belief vector must be one-dimensional and nonempty")
-        if not np.all(np.isfinite(vals)):
-            raise ValueError("belief values must be finite")
-        object.__setattr__(self, "values", vals.copy())
-
-    @property
-    def n(self) -> int:
-        return self.values.size
+def initial_state(net: TimeVaryingNetwork, mode: Mode, x0, t0, t_end) -> np.ndarray:
+    """The copy of ``x0`` a stepper steps from, once the start is checked: a
+    ``mode`` network, a finite 1-d state of one value per node, and
+    0 <= ``t0`` <= ``t_end`` < inf, whole numbers in discrete mode."""
+    if net.mode is not mode:
+        raise ValueError(f"a {mode.value} stepper needs a {mode.value}-mode network")
+    x = np.array(x0, dtype=float)
+    if x.ndim != 1 or x.size != net.n:
+        raise ValueError(f"state must have {net.n} entries")
+    if not np.all(np.isfinite(x)):
+        raise ValueError("initial state must be finite")
+    if not (math.inf > t_end >= t0 >= 0.0):
+        raise ValueError("need 0 <= t0 <= t_end < inf")
+    if mode is Mode.DISCRETE and not (float(t0).is_integer() and float(t_end).is_integer()):
+        raise ValueError("discrete times must be whole numbers")
+    return x
 
 
 _ENVELOPE_SLACK = {Mode.DISCRETE: 1e-12, Mode.CONTINUOUS: 1e-9}  # relative to max |state|
@@ -165,11 +168,6 @@ class Trajectory:
             raise ValueError(f"needs every sample's states; this run kept every {self.stride}th")
         return self.states
 
-    def state_at(self, k: int) -> BeliefVector:
-        row = self.row(k)
-        t = self.times[k]
-        return BeliefVector(row, int(t) if self.mode is Mode.DISCRETE else float(t))
-
     def minima(self) -> np.ndarray:
         return self.extremes[0]
 
@@ -237,10 +235,9 @@ class Fold:
         self.times, self.minima, self.maxima = (_Chunks(samples or _CHUNK_VALUES) for _ in range(3))
         self.kept = _Chunks(-(-samples // stride) if samples else max(1, _CHUNK_VALUES // n), n)
 
-    def add(self, rows: np.ndarray, times: np.ndarray | None = None) -> None:
-        """Fold in the next samples' rows, and their times unless given at the end."""
-        if times is not None:
-            self.times.put(times)
+    def add(self, rows: np.ndarray, times: np.ndarray) -> None:
+        """Fold in the next samples' rows and times."""
+        self.times.put(times)
         self.minima.put(rows.min(axis=1))
         self.maxima.put(rows.max(axis=1))
         self.kept.put(rows[-self.samples % self.stride :: self.stride])
@@ -248,50 +245,47 @@ class Fold:
         if self.on_block is not None:
             self.on_block(rows)
 
-    def trajectory(self, mode: Mode, times: np.ndarray | None = None) -> Trajectory:
-        """The run folded so far, at ``times`` or else at the times folded in."""
-        return Trajectory(self.times.array() if times is None else times, self.kept.array(),
-                          mode, self.stride, (self.minima.array(), self.maxima.array()))
+    def trajectory(self, mode: Mode) -> Trajectory:
+        """The run folded so far."""
+        return Trajectory(self.times.array(), self.kept.array(), mode, self.stride,
+                          (self.minima.array(), self.maxima.array()))
 
 
 def simulate(
     net: TimeVaryingNetwork,
-    x0: BeliefVector,
-    horizon: int,
+    x0: np.ndarray,
+    t0: int,
+    t_end: int,
     *,
     stride: int = 1,
     on_block: Callable[[np.ndarray], None] | None = None,
 ) -> Trajectory:
-    """Run ``horizon`` steps from ``x0``; returns all ``horizon + 1`` samples.
+    """Step from ``x0`` at ``t0`` to ``t_end``; samples every integer time between.
 
     Weight values are evaluated in blocks of steps through the network's
     weight bank, and every row sum in a block is validated before any step
     of that block is applied.  Each finished block goes through a ``Fold``
     with ``stride`` and ``on_block`` (the initial state first on its own).
     """
-    if net.mode is not Mode.DISCRETE:
-        raise ValueError("simulate() needs a discrete-mode network")
-    if x0.n != net.n:
-        raise ValueError(f"state has {x0.n} entries, network has {net.n} nodes")
-    if horizon < 0:
-        raise ValueError("horizon must be >= 0")
+    x = initial_state(net, Mode.DISCRETE, x0, t0, t_end)
+    t0, horizon = int(t0), int(t_end) - int(t0)
     fold = Fold(net.n, stride, on_block, horizon + 1)
     block, csr_matvec = block_steps(net), _csr_matvec()
     layout = _layout(net, min(_SUB_STEPS, block, horizon))
-    t0 = int(x0.time)
     # A block's rows: the state it starts from, then one per step.
     buffer = np.empty((min(block, horizon) + 1, net.n))
-    buffer[0] = x0.values
-    fold.add(buffer[:1])
+    buffer[0] = x
+    fold.add(buffer[:1], np.array([t0], dtype=float))
     done = 0
     while done < horizon:
         count = min(block, horizon - done)
-        _step_block(net, layout, buffer[: count + 1], t0 + done, csr_matvec)
-        fold.add(buffer[1 : count + 1])
+        t = t0 + done
+        _step_block(net, layout, buffer[: count + 1], t, csr_matvec)
+        fold.add(buffer[1 : count + 1], np.arange(t + 1, t + count + 1, dtype=float))
         buffer[0] = buffer[count]
         done += count
     del buffer, layout
-    return fold.trajectory(Mode.DISCRETE, np.arange(t0, t0 + horizon + 1, dtype=float))
+    return fold.trajectory(Mode.DISCRETE)
 
 
 def _step_block(net: TimeVaryingNetwork, layout, rows: np.ndarray, t: int, csr_matvec) -> None:

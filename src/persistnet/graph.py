@@ -94,8 +94,8 @@ def _bfs_sweep(g: Digraph) -> tuple[bool, int]:
             if len(starts) == len(src):  # no head has two frontier in-neighbors
                 got = rows[src]
             else:  # OR the rows of whole heads, about _GATHER_ARCS arcs at a time
-                first = starts.searchsorted(np.arange(0, len(src), _GATHER_ARCS), "right") - 1
-                cuts = np.unique(first)[1:]  # the heads that start a chunk, after head 0
+                chunk_heads = starts.searchsorted(np.arange(0, len(src), _GATHER_ARCS), "right") - 1
+                cuts = np.unique(chunk_heads)[1:]  # the heads that start a chunk, after head 0
                 got = np.concatenate([np.bitwise_or.reduceat(rows[s], t - t[0], axis=0) for s, t in
                                       zip(np.split(src, starts[cuts]), np.split(starts, cuts))])
             got &= ~reach[head[starts]]

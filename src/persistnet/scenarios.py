@@ -41,7 +41,7 @@ import numpy as np
 from . import analysis, checks
 from .checks import CheckResult
 from .continuous import integrate
-from .discrete import BeliefVector, Trajectory, check_stride, simulate
+from .discrete import Trajectory, check_stride, simulate
 from .weights import (
     Constant,
     ExponentialDecay,
@@ -84,13 +84,9 @@ class ZeroOneSplit:
 
 
 @dataclass(frozen=True)
-class CheckSpec:
-    kind: str
-    params: dict
+class Spec:
+    """One required check or certificate: its kind and its parameters."""
 
-
-@dataclass(frozen=True)
-class CertSpec:
     kind: str
     params: dict
 
@@ -108,8 +104,8 @@ class Scenario:
     h_max: float | None
     stride: int
     seed: int
-    required_checks: tuple[CheckSpec, ...]
-    certificates: tuple[CertSpec, ...]
+    required_checks: tuple[Spec, ...]
+    certificates: tuple[Spec, ...]
     description: str = ""
 
 
@@ -261,7 +257,7 @@ def weight_to_spec(w: Weight) -> dict:
     return spec
 
 
-def _parse_specs(doc: dict, field: str, key: str, table: dict, spec_type, mode: Mode) -> tuple:
+def _parse_specs(doc: dict, field: str, key: str, table: dict, mode: Mode) -> tuple:
     """Parse the entries under ``field``, each checked against its kind in ``table``.
 
     In order: kind known, mode allowed, no unknown fields, required fields
@@ -287,7 +283,7 @@ def _parse_specs(doc: dict, field: str, key: str, table: dict, spec_type, mode: 
         params = {name: v for name, v in entry.items() if name != key}
         for name, v in params.items():
             _PARAMS[name](v, f"{path}.{name}")
-        specs.append(spec_type(kind, {name: _freeze(v) for name, v in params.items()}))
+        specs.append(Spec(kind, {name: _freeze(v) for name, v in params.items()}))
     return tuple(specs)
 
 
@@ -395,7 +391,7 @@ def parse_scenario_dict(doc: dict) -> Scenario:
     else:
         raise ScenarioParseError("x0 must be a list of values or a pattern object")
 
-    cert_specs = _parse_specs(doc, "certificates", "certificate", CERTIFICATES, CertSpec, mode)
+    cert_specs = _parse_specs(doc, "certificates", "certificate", CERTIFICATES, mode)
     driving = [c.kind for c in cert_specs if CERTIFICATES[c.kind].drives]
     if len(driving) > 1:
         raise ScenarioParseError(
@@ -404,7 +400,7 @@ def parse_scenario_dict(doc: dict) -> Scenario:
     for idx, c in enumerate(cert_specs):
         if "low_nodes" in c.params:
             _check_blocks(c.params, nodes, f"certificates[{idx}]")
-    check_specs = _parse_specs(doc, "required_checks", "check", CHECKS, CheckSpec, mode)
+    check_specs = _parse_specs(doc, "required_checks", "check", CHECKS, mode)
 
     t0_raw = doc.get("t0", 0)
     if t0_raw == "auto":
@@ -738,11 +734,10 @@ def _run(ctx: RunContext, t0, t_end) -> Trajectory:
     stepper's refusal is a ``ScenarioValidationError`` (``simulation failed``)."""
     s = ctx.scenario
     try:
+        start = (ctx.net, resolve_x0(s), t0, t_end)
         if s.mode is Mode.DISCRETE:
-            return simulate(ctx.net, BeliefVector(resolve_x0(s), int(t0)), int(t_end) - int(t0),
-                            stride=ctx.stride, on_block=ctx.fold)
-        return integrate(ctx.net, resolve_x0(s), float(t0), t_end, h_max=s.h_max,
-                         stride=ctx.stride, on_block=ctx.fold)
+            return simulate(*start, stride=ctx.stride, on_block=ctx.fold)
+        return integrate(*start, h_max=s.h_max, stride=ctx.stride, on_block=ctx.fold)
     except (ValueError, RuntimeError) as e:
         raise ScenarioValidationError(f"simulation failed: {e}") from e
 
@@ -887,7 +882,7 @@ def _guarded(word: str, table: dict, spec, *args):
         raise ScenarioValidationError(f"{word} {spec.kind!r} misconfigured: {e}") from e
 
 
-def run_check(spec: CheckSpec, ctx: RunContext) -> CheckResult:
+def run_check(spec: Spec, ctx: RunContext) -> CheckResult:
     return _guarded("check", CHECKS, spec, spec.params, ctx)
 
 

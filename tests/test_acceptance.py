@@ -19,7 +19,6 @@ from test_weights import (
 from verifiers import reachable_set, verify_convexity_bound, verify_influence_bound
 
 from persistnet import (
-    BeliefVector,
     Constant,
     ExponentialDecay,
     Mode,
@@ -75,8 +74,8 @@ def test_01_discrete_contraction_rate():
     cert = discrete_rate_bound(0.2, 0.2, 1, 1)
     assert cert.epsilon == 0.98 and cert.T0 == 1.0
     started = time.perf_counter()
-    traj = simulate(net, BeliefVector(resolve_x0(s), 0), 10_000)
-    report = verify_contraction(traj, cert, tol=1e-12)
+    traj = simulate(net, resolve_x0(s), 0, 10_000)
+    report = verify_contraction(traj, cert)
     elapsed = time.perf_counter() - started
     ok = report.passed and report.windows == 10_000 and elapsed < 1.0
     emit(1, ok, f"factor 0.98 per step over 10^4 steps, "
@@ -94,7 +93,7 @@ def test_02_disagreement_floors():
     disc = discrete_disagreement_floor(aggregate_vanishing_weight(net), 0)
     assert disc.floor == pytest.approx(0.47506818537110285, rel=1e-12)
     assert disc.required_t0 == 0.0
-    traj = simulate(net, BeliefVector(resolve_x0(s), 0), 10_000)
+    traj = simulate(net, resolve_x0(s), 0, 10_000)
     disc_min = float(traj.spreads().min())
 
     sc = by_name("continuous-split-blocks-floor")
@@ -124,7 +123,7 @@ def test_03_quiet_window_defeats_contraction():
     hit = find_window_violation(net, epsilon=0.5, T=100, A=2.0, scan_limit=600)
     assert hit is not None
     t_star, threshold = hit
-    traj = simulate(net, BeliefVector(resolve_x0(s), t_star), 100)
+    traj = simulate(net, resolve_x0(s), t_star, t_star + 100)
     spreads = traj.spreads()
     elapsed = time.perf_counter() - started
     ok = spreads[-1] > 0.5 * spreads[0] and elapsed < 5.0
@@ -144,7 +143,7 @@ def test_04_continuous_contraction_rate():
     assert cert.T0 == pytest.approx(LN2, abs=0)
     started = time.perf_counter()
     traj = integrate(net, resolve_x0(s), 0.0, 50.0, h_max=s.h_max)
-    report = verify_contraction(traj, cert, tol=1e-8)
+    report = verify_contraction(traj, cert)
     elapsed = time.perf_counter() - started
     ok = report.passed and elapsed < 10.0
     emit(4, ok, f"factor 15/16 per span ln2 over [0,50], "
@@ -207,7 +206,7 @@ def test_06_envelope_monotonicity_suite():
             budget[head] -= cap
             aw[(tail, head)] = _bounded_weight(rng, cap)
         net = TimeVaryingNetwork(n, aw, Mode.DISCRETE)
-        traj = simulate(net, BeliefVector(rng.uniform(0.0, 1.0, n), 0), 150)
+        traj = simulate(net, rng.uniform(0.0, 1.0, n), 0, 150)
         assert np.all(np.diff(traj.maxima()) <= 1e-14)
         assert np.all(np.diff(traj.minima()) >= -1e-14)
         checked += 1

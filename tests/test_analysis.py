@@ -13,7 +13,6 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from persistnet import (
-    BeliefVector,
     BlockGap,
     CertificateDomainError,
     Constant,
@@ -67,7 +66,7 @@ def star5():
 
 def star5_trajectory(horizon=60):
     x0 = np.array([0.5, 0.0, 1.0, 0.25, 0.75])
-    return simulate(star5(), BeliefVector(x0, 0), horizon)
+    return simulate(star5(), x0, 0, horizon)
 
 
 class TestDiscreteRateBound:
@@ -143,7 +142,7 @@ class TestVerifyContraction:
 
     def test_identity_dynamics_fail(self):
         net = TimeVaryingNetwork(2, {}, Mode.DISCRETE, {0: Constant(1.0), 1: Constant(1.0)})
-        traj = simulate(net, BeliefVector(np.array([0.0, 1.0]), 0), 10)
+        traj = simulate(net, np.array([0.0, 1.0]), 0, 10)
         report = verify_contraction(traj, discrete_rate_bound(0.5, 1.0, 1, 1))
         assert not report.passed
         assert report.worst_margin == pytest.approx(0.25)
@@ -151,7 +150,7 @@ class TestVerifyContraction:
 
     def test_consensus_start_passes(self):
         net = star5()
-        traj = simulate(net, BeliefVector(np.full(5, 0.3), 0), 10)
+        traj = simulate(net, np.full(5, 0.3), 0, 10)
         report = verify_contraction(traj, discrete_rate_bound(0.2, 0.2, 1, 1))
         assert report.passed and not report.vacuous
 
@@ -219,14 +218,14 @@ class TestDetectEpsilonAgreement:
     def test_uniform_pair_reaches_exact_agreement(self):
         aw = {(0, 1): Constant(0.5), (1, 0): Constant(0.5)}
         net = TimeVaryingNetwork(2, aw, Mode.DISCRETE)
-        traj = simulate(net, BeliefVector(np.array([0.0, 1.0]), 0), 5)
+        traj = simulate(net, np.array([0.0, 1.0]), 0, 5)
         est = detect_epsilon_agreement(traj, 1)
         assert est.epsilon == 0.0
         assert not est.trivial and not est.no_contraction
 
     def test_identity_has_no_contraction(self):
         net = TimeVaryingNetwork(2, {}, Mode.DISCRETE, {0: Constant(1.0), 1: Constant(1.0)})
-        traj = simulate(net, BeliefVector(np.array([0.0, 1.0]), 0), 5)
+        traj = simulate(net, np.array([0.0, 1.0]), 0, 5)
         est = detect_epsilon_agreement(traj, 1)
         assert est.no_contraction
         assert est.epsilon is None
@@ -234,14 +233,14 @@ class TestDetectEpsilonAgreement:
 
     def test_consensus_trajectory_is_trivial(self):
         # start at all-ones, which the 0.8/0.2 rows reproduce bit-for-bit
-        traj = simulate(star5(), BeliefVector(np.ones(5), 0), 5)
+        traj = simulate(star5(), np.ones(5), 0, 5)
         est = detect_epsilon_agreement(traj, 1)
         assert est.trivial and est.epsilon == 0.0
 
     def test_scale_invariance(self):
         base = star5_trajectory(horizon=30)
         x0 = 3.0 * np.array([0.5, 0.0, 1.0, 0.25, 0.75])
-        scaled = simulate(star5(), BeliefVector(x0, 0), 30)
+        scaled = simulate(star5(), x0, 0, 30)
         a = detect_epsilon_agreement(base, 1).epsilon
         b = detect_epsilon_agreement(scaled, 1).epsilon
         assert b == pytest.approx(a, rel=1e-12)
@@ -251,11 +250,10 @@ class TestDetectEpsilonAgreement:
             detect_epsilon_agreement(star5_trajectory(horizon=3), 0)
 
 
-def reference_verify_contraction(traj, cert, tol=None):
+def reference_verify_contraction(traj, cert):
     """Per-sample loop the vectorized ``verify_contraction`` must equal."""
     discrete = traj.mode is Mode.DISCRETE
-    if tol is None:
-        tol = 1e-12 if discrete else 1e-8
+    tol = 1e-12 if discrete else 1e-8
     spreads = traj.spreads()
     if cert.trivial:
         return ContractionReport(True, True, cert.epsilon, cert.T0, 0, -math.inf, None)
@@ -349,7 +347,7 @@ class TestConvexityBound:
                     assert verify_convexity_bound(traj, net, m, k_from=k, k_to=k + T).passed
 
     def test_consensus_anchor_is_vacuous(self):
-        traj = simulate(star5(), BeliefVector(np.full(5, 2.0), 0), 5)
+        traj = simulate(star5(), np.full(5, 2.0), 0, 5)
         report = verify_convexity_bound(traj, star5(), m=1, k_from=0, k_to=3)
         assert report.passed and report.vacuous
 
@@ -406,7 +404,7 @@ class TestBoundModes:
     def runs(self):
         disc, cont = constant_pair(Mode.DISCRETE), constant_pair(Mode.CONTINUOUS)
         x0 = np.array([0.0, 1.0])
-        return (disc, simulate(disc, BeliefVector(x0, 0), 6),
+        return (disc, simulate(disc, x0, 0, 6),
                 cont, integrate(cont, x0, 0.0, 1.8, h_max=0.3))
 
     def test_continuous_run_into_discrete_network_raises(self):

@@ -111,6 +111,22 @@ class TestCheck:
         assert main(["check", str(path)]) == 0
         assert "no required checks" in capsys.readouterr().out
 
+    @pytest.mark.parametrize("mode, code", [("discrete", 2), ("continuous", 0)])
+    def test_window_bound_start_must_be_whole_in_discrete_mode(self, tmp_path, capsys, mode, code):
+        # cycle 1.5: no analytic infimum, so the check samples the given starts
+        pulse = {"family": "periodic-pulse", "height": 0.5, "width": 1.0, "period": 0.5}
+        doc = scenario_doc(mode, arcs=[{"tail": 0, "head": 1, "weight": pulse}], required_checks=[
+            {"check": "window-bound", "a_star": 0.1, "window": 2, "starts": [0, 1.5]}])
+        path = tmp_path / "starts.json"
+        path.write_text(json.dumps(doc))
+        assert main(["check", str(path)]) == code
+        captured = capsys.readouterr()
+        if code == 2:
+            assert captured.err.startswith("error: check 'window-bound' misconfigured: "
+                                           "discrete mode needs whole-number starts, got 1.5")
+        else:
+            assert "window-bound: PASS" in captured.out
+
 
 class TestRun:
     def test_writes_outputs_and_passes(self, pair_file, tmp_path, capsys):

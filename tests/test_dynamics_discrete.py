@@ -13,7 +13,6 @@ from scipy.sparse._sparsetools import csr_matvec
 
 from persistnet import discrete
 from persistnet import (
-    BeliefVector,
     Constant,
     ExponentialDecay,
     Mode,
@@ -24,6 +23,7 @@ from persistnet import (
     TimeVaryingNetwork,
     Trajectory,
     Weight,
+    integrate,
     simulate,
 )
 from verifiers import in_arcs, self_weight
@@ -64,40 +64,40 @@ class TestStep:
     def test_worked_two_node_example(self):
         # rows [[0.5, 0.5], [0.25, 0.75]] acting on (0, 1)
         net = pair_net(w01=Constant(0.25), w10=Constant(0.5))
-        out = simulate(net, BeliefVector(np.array([0.0, 1.0]), 0), 1).state_at(1)
-        assert out.time == 1
-        assert out.values == pytest.approx([0.5, 0.75], abs=0)
+        traj = simulate(net, np.array([0.0, 1.0]), 0, 1)
+        assert traj.times[1] == 1
+        assert traj.row(1) == pytest.approx([0.5, 0.75], abs=0)
 
     def test_identity_rows_leave_state_alone(self):
         net = TimeVaryingNetwork(3, {}, Mode.DISCRETE, {i: Constant(1.0) for i in range(3)})
-        x = BeliefVector(np.array([0.3, -1.0, 2.5]), 5)
-        out = simulate(net, x, 1).state_at(1)
-        assert np.array_equal(out.values, x.values)
-        assert out.time == 6
+        x = np.array([0.3, -1.0, 2.5])
+        traj = simulate(net, x, 5, 6)
+        assert np.array_equal(traj.row(1), x)
+        assert traj.times[1] == 6
 
     def test_uniform_averaging_agrees_in_one_step(self):
         net = pair_net(Constant(0.5), Constant(0.5))
-        out = simulate(net, BeliefVector(np.array([0.0, 1.0]), 0), 1).state_at(1)
-        assert out.values == pytest.approx([0.5, 0.5], abs=0)
+        traj = simulate(net, np.array([0.0, 1.0]), 0, 1)
+        assert traj.row(1) == pytest.approx([0.5, 0.5], abs=0)
 
 
 class TestSimulate:
     def test_horizon_zero_returns_initial_state(self):
         net = pair_net(Constant(0.25), Constant(0.5))
-        traj = simulate(net, BeliefVector(np.array([0.0, 1.0]), 3), 0)
+        traj = simulate(net, np.array([0.0, 1.0]), 3, 3)
         assert len(traj) == 1
         assert traj.t0 == 3
         assert np.array_equal(traj.states[0], [0.0, 1.0])
 
     def test_uniform_pair_spread_sequence(self):
         net = pair_net(Constant(0.5), Constant(0.5))
-        traj = simulate(net, BeliefVector(np.array([0.0, 1.0]), 0), 3)
+        traj = simulate(net, np.array([0.0, 1.0]), 0, 3)
         assert traj.spreads() == pytest.approx([1.0, 0.0, 0.0, 0.0], abs=0)
 
     def test_degroot_chain_reaches_near_agreement(self):
         # nodes 1 and 2 put weight 0.5 on their upstream neighbor
         net = TimeVaryingNetwork(3, {(0, 1): Constant(0.5), (1, 2): Constant(0.5)}, Mode.DISCRETE)
-        traj = simulate(net, BeliefVector(np.array([0.0, 0.0, 1.0]), 0), 50)
+        traj = simulate(net, np.array([0.0, 0.0, 1.0]), 0, 50)
         assert traj.spreads()[-1] < 1e-6
         # closed form: the static matrix power applied to x0
         M = update_matrix(net, 0)
@@ -117,7 +117,7 @@ class TestSimulate:
             Mode.DISCRETE,
         )
         x0 = np.array([0.1, 0.9, 0.4, 0.7])
-        traj = simulate(net, BeliefVector(x0, 0), 40)
+        traj = simulate(net, x0, 0, 40)
         x = x0.copy()
         for t in range(40):
             x = update_matrix(net, t) @ x
@@ -126,7 +126,7 @@ class TestSimulate:
     def test_block_boundaries_are_seamless(self):
         # horizon far beyond one evaluation block; envelopes stay monotone
         net = pair_net(PowerDecay(0.5, 1.0), Constant(0.25))
-        traj = simulate(net, BeliefVector(np.array([0.0, 1.0]), 0), 9000)
+        traj = simulate(net, np.array([0.0, 1.0]), 0, 9000)
         assert len(traj) == 9001
         assert np.all(np.diff(traj.maxima()) <= 1e-12)
         assert np.all(np.diff(traj.minima()) >= -1e-12)
@@ -136,7 +136,7 @@ class TestSimulate:
         self_w = Tabulated((0.0, 7.0), (0.6, 0.7), persistent=True)
         net = TimeVaryingNetwork(2, {(0, 1): Constant(0.4)}, Mode.DISCRETE, {0: Constant(1.0), 1: self_w})
         with pytest.raises(RowSumViolation) as err:
-            simulate(net, BeliefVector(np.array([0.0, 1.0]), 0), 20)
+            simulate(net, np.array([0.0, 1.0]), 0, 20)
         assert err.value.node == 1
         assert err.value.time == 7
         assert err.value.row_sum == pytest.approx(1.1)
@@ -147,34 +147,34 @@ class TestSimulate:
         bump = Tabulated((0.0, 130.0, 140.0), (0.1, 1.2, 0.1), persistent=False)
         net = TimeVaryingNetwork(2, {(0, 1): bump, (1, 0): Constant(0.2)}, Mode.DISCRETE)
         with pytest.raises(ValueError, match="incoming weight exceeds 1"):
-            simulate(net, BeliefVector(np.array([0.0, 1.0]), 0), 200)
+            simulate(net, np.array([0.0, 1.0]), 0, 200)
 
     def test_nonstochastic_from_start_aborts_before_stepping(self):
         net = TimeVaryingNetwork(
             2, {(0, 1): Constant(0.3)}, Mode.DISCRETE, {0: Constant(1.0), 1: Constant(0.6)}
         )
         with pytest.raises(RowSumViolation) as err:
-            simulate(net, BeliefVector(np.array([0.0, 1.0]), 0), 5)
+            simulate(net, np.array([0.0, 1.0]), 0, 5)
         assert err.value.time == 0
 
     def test_rejects_continuous_network(self):
         net = TimeVaryingNetwork(2, {(0, 1): Constant(0.5)}, Mode.CONTINUOUS)
         with pytest.raises(ValueError):
-            simulate(net, BeliefVector(np.array([0.0, 1.0]), 0), 1)
+            simulate(net, np.array([0.0, 1.0]), 0, 1)
 
     def test_scale_by_power_of_two_is_bitwise_exact(self):
         net = pair_net(PowerDecay(0.5, 1.0), Constant(0.25))
         x0 = np.array([0.37, 0.81])
-        base = simulate(net, BeliefVector(x0, 0), 64)
-        scaled = simulate(net, BeliefVector(4.0 * x0, 0), 64)
+        base = simulate(net, x0, 0, 64)
+        scaled = simulate(net, 4.0 * x0, 0, 64)
         assert np.array_equal(scaled.states, 4.0 * base.states)
 
     def test_affine_equivariance(self):
         net = pair_net(Constant(0.3), ExponentialDecay(0.2, 0.05))
         x0 = np.array([0.2, 0.9])
         a, b = 1.7, -0.3
-        base = simulate(net, BeliefVector(x0, 0), 100)
-        moved = simulate(net, BeliefVector(a * x0 + b, 0), 100)
+        base = simulate(net, x0, 0, 100)
+        moved = simulate(net, a * x0 + b, 0, 100)
         assert moved.states == pytest.approx(a * base.states + b, abs=1e-12)
 
     @given(st.integers(0, 2**32 - 1))
@@ -193,7 +193,7 @@ class TestSimulate:
             aw[(tail, head)] = Constant(c)
         net = TimeVaryingNetwork(n, aw, Mode.DISCRETE)
         x0 = rng.uniform(-5.0, 5.0, size=n)
-        traj = simulate(net, BeliefVector(x0, 0), 60)
+        traj = simulate(net, x0, 0, 60)
         scale = max(1.0, float(np.max(np.abs(x0))))
         assert np.all(np.diff(traj.maxima()) <= 1e-14 * scale)
         assert np.all(np.diff(traj.minima()) >= -1e-14 * scale)
@@ -279,7 +279,7 @@ class TestCsrStep:
         x0[rng.random(n) < 0.2] = -0.0
         block = discrete.block_steps(net)
         horizons = (0, 1, 127, 128, 129, block - 1, block, block + 1)
-        trajs = [simulate(net, BeliefVector(x0, 0), horizon) for horizon in horizons]
+        trajs = [simulate(net, x0, 0, horizon) for horizon in horizons]
         assert ("_self_bank" in vars(net)) == bool(seed % 2)  # the self-weight path simulate took
         ts = np.arange(float(max(horizons)))
         arc_block = net.bank.values(ts)
@@ -296,7 +296,7 @@ class TestCsrStep:
         assert rows.tobytes() == np.array([[2.0, -0.0, -4.0], [1.0, -0.0, -2.0],
                                            [0.5, -0.0, -1.0], [0.25, -0.0, -0.5]]).tobytes()
         identity = TimeVaryingNetwork(3, {}, Mode.DISCRETE, {i: Constant(1.0) for i in range(3)})
-        traj = simulate(identity, BeliefVector(rows[0], 0), 5000)  # past one block
+        traj = simulate(identity, rows[0], 0, 5000)  # past one block
         assert traj.states.tobytes() == np.tile(rows[0], (5001, 1)).tobytes()
 
     def test_in_place_probe(self, monkeypatch):
@@ -345,11 +345,10 @@ class TestTrajectoryType:
         with pytest.raises(ValueError, match="finite"):
             Trajectory(np.array([0, 1]), states, Mode.DISCRETE)
 
-    def test_state_at(self):
+    def test_row(self):
         traj = Trajectory(np.array([4, 5]), np.array([[0.0, 1.0], [0.25, 0.75]]), Mode.DISCRETE)
-        bv = traj.state_at(1)
-        assert bv.time == 5
-        assert np.array_equal(bv.values, [0.25, 0.75])
+        assert traj.times[1] == 5
+        assert np.array_equal(traj.row(1), [0.25, 0.75])
 
     def test_step_sizes_and_spreads(self):
         traj = Trajectory(
@@ -374,17 +373,46 @@ class TestTrajectoryType:
         assert peak < 0.25 * states.nbytes
 
 
-class TestBeliefVector:
-    def test_rejects_bad_shapes(self):
-        with pytest.raises(ValueError):
-            BeliefVector(np.zeros((2, 2)), 0)
-        with pytest.raises(ValueError):
-            BeliefVector(np.array([]), 0)
-        with pytest.raises(ValueError):
-            BeliefVector(np.array([1.0, np.nan]), 0)
+STEPPERS = {Mode.DISCRETE: simulate, Mode.CONTINUOUS: integrate}
 
-    def test_copies_input(self):
+
+def pair_net_of(mode):
+    return TimeVaryingNetwork(2, {(0, 1): Constant(0.25), (1, 0): Constant(0.5)}, mode)
+
+
+class TestStart:
+    """Both steppers check their start through ``initial_state``."""
+
+    @pytest.mark.parametrize("x0, t0, t_end, other_mode, match", [
+        pytest.param([0.0, 1.0, 2.0], 0, 1, False, "state must have 2 entries", id="wrong-length"),
+        pytest.param([], 0, 1, False, "state must have 2 entries", id="empty"),
+        pytest.param([[0.0, 1.0], [1.0, 0.0]], 0, 1, False, "state must have 2 entries", id="2-d"),
+        pytest.param([0.0, np.nan], 0, 1, False, "must be finite", id="nan"),
+        pytest.param([0.0, 1.0], -1, 1, False, "0 <= t0 <= t_end", id="t0-negative"),
+        pytest.param([0.0, 1.0], 3, 2, False, "0 <= t0 <= t_end", id="t0-after-t_end"),
+        pytest.param([0.0, 1.0], 0, np.inf, False, "t_end < inf", id="t_end-infinite"),
+        pytest.param([0.0, 1.0], 0, 1, True, "-mode network", id="wrong-mode"),
+    ])
+    def test_bad_start_refused_alike(self, x0, t0, t_end, other_mode, match):
+        said = []
+        for mode, stepper in STEPPERS.items():
+            net = pair_net_of(next(m for m in Mode if m is not mode) if other_mode else mode)
+            with pytest.raises(ValueError, match=match) as err:
+                stepper(net, np.array(x0), t0, t_end)
+            said.append(str(err.value).replace(mode.value, "<mode>"))
+        assert said[0] == said[1]
+
+    def test_discrete_times_must_be_whole(self):
+        x0 = np.array([0.0, 1.0])
+        for t0, t_end in ((2.5, 5), (2, 4.5)):
+            with pytest.raises(ValueError, match="whole numbers"):
+                simulate(pair_net_of(Mode.DISCRETE), x0, t0, t_end)
+        assert integrate(pair_net_of(Mode.CONTINUOUS), x0, 2.5, 4.5).times[0] == 2.5
+        assert simulate(pair_net_of(Mode.DISCRETE), x0, 2.0, 4.0).times.tolist() == [2.0, 3.0, 4.0]
+
+    @pytest.mark.parametrize("mode", list(Mode))
+    def test_copies_input(self, mode):
         raw = np.array([1.0, 2.0])
-        bv = BeliefVector(raw, 0)
+        x = discrete.initial_state(pair_net_of(mode), mode, raw, 0, 1)
         raw[0] = 99.0
-        assert bv.values[0] == 1.0
+        assert x[0] == 1.0

@@ -39,7 +39,6 @@ from persistnet import (
 )
 from persistnet.cli import main
 from persistnet.scenarios import WEIGHT_FAMILIES
-from persistnet import BeliefVector
 from verifiers import in_arcs
 
 
@@ -402,7 +401,7 @@ class TestTrajectoryFiles:
     def test_single_sample_gives_two_lines(self, tmp_path):
         s = parse_scenario_dict(base_doc(horizon=10))
         net = build_network(s)
-        traj = simulate(net, BeliefVector(np.array([0.0, 1.0]), 0), 0)
+        traj = simulate(net, np.array([0.0, 1.0]), 0, 0)
         path = tmp_path / "one.csv"
         assert write_trajectory_csv(traj, path) == 1
         assert len(path.read_text().strip().split("\n")) == 2
@@ -437,7 +436,7 @@ class TestTrajectoryFiles:
 
     def test_reader_shapes_of_a_one_row_file(self, tmp_path):
         s = parse_scenario_dict(base_doc())
-        traj = simulate(build_network(s), BeliefVector(np.array([0.0, 1.0]), 0), 0)
+        traj = simulate(build_network(s), np.array([0.0, 1.0]), 0, 0)
         write_trajectory_csv(traj, tmp_path / "one.csv")
         times, states, psi, Psi, H = read_trajectory_csv(tmp_path / "one.csv")
         assert times.shape == psi.shape == Psi.shape == H.shape == (1,)

@@ -15,7 +15,6 @@ from hypothesis import strategies as st
 
 import persistnet.discrete as discrete
 from persistnet import (
-    BeliefVector,
     BlockGap,
     Constant,
     ExponentialDecay,
@@ -88,10 +87,10 @@ class TestStridedRunsThinTheFullRun:
     def test_discrete(self, net_x0, horizon, block, data):
         net, x0 = net_x0
         stride = data.draw(st.integers(1, block + 3))
-        start = BeliefVector(x0, data.draw(st.integers(0, 20)))
-        full = run_with_blocks(block, simulate, net, start, horizon)
+        t0 = data.draw(st.integers(0, 20))
+        full = run_with_blocks(block, simulate, net, x0, t0, t0 + horizon)
         seen = []
-        strided = run_with_blocks(block, simulate, net, start, horizon,
+        strided = run_with_blocks(block, simulate, net, x0, t0, t0 + horizon,
                                   stride=stride, on_block=lambda rows: seen.append(rows.copy()))
         assert_thins(full, strided, stride, seen)
 
@@ -111,9 +110,9 @@ class TestStridedRunsThinTheFullRun:
         net, x0 = star_net()
         block = discrete.block_steps(net)
         horizon, stride = 2 * block + 5, block + 3
-        full = simulate(net, BeliefVector(x0, 0), horizon)
+        full = simulate(net, x0, 0, horizon)
         seen = []
-        strided = simulate(net, BeliefVector(x0, 0), horizon, stride=stride,
+        strided = simulate(net, x0, 0, horizon, stride=stride,
                            on_block=lambda rows: seen.append(rows.copy()))
         assert_thins(full, strided, stride, seen)
 
@@ -170,11 +169,11 @@ def test_strided_run_memory_does_not_grow_with_horizon_times_nodes():
 class TestFloorFold:
     def test_folded_gap_equals_block_extremes(self):
         net, x0 = star_net()
-        full = simulate(net, BeliefVector(x0, 3), 500)
+        full = simulate(net, x0, 3, 503)
         gap = full.states[:, [2, 4]].min(axis=1) - full.states[:, [1, 3]].max(axis=1)
         for stride in (1, 3, 100, 1000):
             folded = BlockGap([1, 3], [2, 4], net.n)
-            simulate(net, BeliefVector(x0, 3), 500, stride=stride, on_block=folded)
+            simulate(net, x0, 3, 503, stride=stride, on_block=folded)
             assert folded.worst == float(np.min(gap))
 
     def test_floor_certificates_agree_at_any_stride(self):
@@ -200,19 +199,19 @@ class TestStridedReaders:
 
     def runs(self, stride):
         net, x0 = star_net()
-        return net, simulate(net, BeliefVector(x0, 0), 30), simulate(net, BeliefVector(x0, 0), 30, stride=stride)
+        return net, simulate(net, x0, 0, 30), simulate(net, x0, 0, 30, stride=stride)
 
-    def test_state_at(self):
+    def test_row(self):
         _, full, strided = self.runs(4)
         for k in range(-len(full), len(full)):
             if k % len(full) % 4:
                 with pytest.raises(ValueError, match="not kept"):
-                    strided.state_at(k)
+                    strided.row(k)
             else:
-                got, want = strided.state_at(k), full.state_at(k)
-                assert got.time == want.time and got.values.tobytes() == want.values.tobytes()
+                assert strided.times[k] == full.times[k]
+                assert strided.row(k).tobytes() == full.row(k).tobytes()
         with pytest.raises(IndexError):
-            strided.state_at(len(full))
+            strided.row(len(full))
 
     def test_convexity_bound(self):
         net, full, strided = self.runs(3)
