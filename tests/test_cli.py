@@ -13,28 +13,7 @@ from persistnet import catalog, save_scenario, scenario_to_dict
 from persistnet.cli import main
 from persistnet.scenarios import CERTIFICATES, CHECKS, _catalog_dicts
 
-
-def scenario_doc(mode="discrete", **over):
-    doc = {
-        "schema_version": 1,
-        "name": "doc",
-        "mode": mode,
-        "nodes": 2,
-        "arcs": [
-            {"tail": 0, "head": 1, "weight": {"family": "constant", "c": 0.25}},
-            {"tail": 1, "head": 0, "weight": {"family": "constant", "c": 0.25}},
-        ],
-        "x0": [0.0, 1.0],
-        "horizon": 5,
-    }
-    if mode == "discrete":
-        doc["self_weights"] = "stochastic-complement"
-    doc.update(over)
-    return doc
-
-
-DECAY = {"family": "exponential-decay", "c": 0.5, "rate": 1.0}
-HUGE = {"family": "constant", "c": 1e12}
+from cli_docs import NEGATIVE_SEEDS, REFUSALS, SEED_CHECKS, refused_doc, scenario_doc
 
 
 @pytest.fixture
@@ -266,25 +245,10 @@ class TestRun:
         assert main(["run", str(pair_file), "--out-dir", str(tmp_path), "--stride", stride]) == 2
         assert "stride must be an integer >= 1" in capsys.readouterr().err
 
-    # Each run is refused by its stepper, whether the base run or a certificate
-    # drives it: the discrete rows sum to 0.9 + 0.5 e^-t, never 1; the
-    # continuous inflow of 1e12 caps every step below the smallest allowed.
-    @pytest.mark.parametrize("family, cert, why", [
-        (DECAY, {"certificate": "window-violation", "epsilon": 0.5, "T": 5, "A": 1.0,
-                 "scan_limit": 10}, "row of node 0 sums to 0.967"),
-        (DECAY, {"certificate": "discrete-rate", "eta": 0.5, "a_star": 0.5, "T_star": 1},
-         "row of node 0 sums to 1.4 at t=0"),
-        (HUGE, {"certificate": "agreement-ratio", "target": 0.01, "A": 1.0},
-         "step size underflow at t=0.0"),
-        (HUGE, {"certificate": "continuous-rate", "A": 1.0, "a_star": 0.5, "tau0": 1.0},
-         "step size underflow at t=0.0"),
-    ], ids=["window-violation", "discrete-rate", "agreement-ratio", "continuous-rate"])
-    def test_stepper_refusal_exits_2(self, tmp_path, capsys, family, cert, why):
-        mode = CERTIFICATES[cert["certificate"]].modes[0].value
-        arcs = [{"tail": 0, "head": 1, "weight": family}, {"tail": 1, "head": 0, "weight": family}]
-        doc = scenario_doc(mode, arcs=arcs, certificates=[cert])
-        if mode == "discrete":
-            doc["self_weights"] = [{"family": "constant", "c": 0.9}] * 2
+    @pytest.mark.parametrize("mode, family, cert, why", list(REFUSALS.values()), ids=list(REFUSALS))
+    def test_stepper_refusal_exits_2(self, tmp_path, capsys, mode, family, cert, why):
+        assert CERTIFICATES[cert["certificate"]].modes[0].value == mode
+        doc = refused_doc(mode, family, cert)
         path = tmp_path / "refused.json"
         path.write_text(json.dumps(doc))
         assert main(["run", str(path), "--out-dir", str(tmp_path)]) == 2
@@ -329,13 +293,10 @@ class TestRun:
         assert code == 0
         assert (tmp_path / "continuous-out-star-cut-imbalance.report.json").exists()
 
-    # a negative seed is refused by name, whether a sampled check would read it or not
-    @pytest.mark.parametrize("checks", [[], [{"check": "cut-balance", "K": 2.0}]],
-                             ids=["no-checks", "cut-balance"])
+    @pytest.mark.parametrize("checks", list(SEED_CHECKS.values()), ids=list(SEED_CHECKS))
     @pytest.mark.parametrize("command", ["run", "check"])
-    @pytest.mark.parametrize("field, option, shown", [
-        (-1, [], "-1"), (0, ["--seed", "-3"], "-3"),
-    ], ids=["field", "option"])
+    @pytest.mark.parametrize("field, option, shown", list(NEGATIVE_SEEDS.values()),
+                             ids=list(NEGATIVE_SEEDS))
     def test_negative_seed_exits_2_naming_seed(self, tmp_path, capsys, checks, command,
                                                field, option, shown):
         path = tmp_path / "seeded.json"

@@ -3,11 +3,10 @@
 Usage, from the root of a persistnet checkout::
 
     python3 tools/equal.py BASE_SRC HEAD_SRC [--work DIR]
-    python3 tools/equal.py --compare BASE_OUT HEAD_OUT
 
-The first form runs one fixed set of ``persistnet`` commands against each
-tree, in one process per tree (the tree first on ``sys.path``), and then
-compares what each wrote. The set:
+It runs one fixed set of ``persistnet`` commands against each tree, in one
+process per tree (the tree first on ``sys.path``), and then compares what
+each wrote. The set:
 
 - ``run``, ``classify`` and ``check`` of the 7 catalog scenarios, as they
   are and with both ``--mode-override`` values;
@@ -17,16 +16,18 @@ compares what each wrote. The set:
 - ``catalog`` (the listing) and ``catalog --run-all``;
 - ``run``, ``classify`` and ``check`` of a discrete network whose inflow
   exceeds 1, and a run with explicit ``self_weights``;
-- the stepper refusals and the negative seeds of ``tests/test_cli.py``.
+- the stepper refusals and the negative seeds of ``tests/test_cli.py``, from
+  the documents it shares with the tests (``tests/cli_docs.py``).
 
 Each command keeps its exit code, standard output and standard error, and
 the files it wrote, under ``<out>/<case>/``, with ``<out>`` written as
 ``OUT``. The comparison drops every line that holds ``wall_time_s``. It
 prints one line per file: ``same`` or ``DIFF`` (or the side the file is
 missing from), the start of each side's sha256, and the path; then, for
-each differing file, its first differing line. It exits 0 when every file is the
-same and 1 otherwise. The second form compares two output trees already
-written, as the first form leaves them under ``--work``.
+each differing file, its first differing line. As ``diff`` does, it exits 0
+when every file is the same, 1 when one differs, and 2 when it cannot compare
+(a side that fails to run, say). ``--work`` keeps the inputs and both output
+trees.
 """
 
 from __future__ import annotations
@@ -40,6 +41,7 @@ import shutil
 import subprocess
 import sys
 import tempfile
+import traceback
 from pathlib import Path
 
 ROOT = Path(__file__).resolve().parents[1]
@@ -51,67 +53,35 @@ TIMING = b"wall_time_s"
 # -- the fixed set -----------------------------------------------------------
 
 
-def _doc(mode="discrete", **over) -> dict:
-    """The two-node document of ``tests/test_cli.py``, with ``over`` applied."""
-    doc = {
-        "schema_version": 1, "name": "doc", "mode": mode, "nodes": 2,
-        "arcs": [{"tail": 0, "head": 1, "weight": {"family": "constant", "c": 0.25}},
-                 {"tail": 1, "head": 0, "weight": {"family": "constant", "c": 0.25}}],
-        "x0": [0.0, 1.0], "horizon": 5,
-    }
-    if mode == "discrete":
-        doc["self_weights"] = "stochastic-complement"
-    doc.update(over)
-    return doc
-
-
-def _refused(family: dict, cert: dict, mode: str) -> dict:
-    """A run its stepper refuses: discrete rows that never sum to 1, or a
-    continuous inflow that caps every step below the smallest allowed."""
-    arcs = [{"tail": 0, "head": 1, "weight": family}, {"tail": 1, "head": 0, "weight": family}]
-    doc = _doc(mode, arcs=arcs, certificates=[cert])
-    if mode == "discrete":
-        doc["self_weights"] = [{"family": "constant", "c": 0.9}] * 2
-    return doc
-
-
 def documents() -> dict[str, dict]:
     """The scenario documents of the set, by file stem."""
-    sys.path.insert(0, str(ROOT / "perfbench"))
+    sys.path[:0] = [str(ROOT / "perfbench"), str(ROOT / "tests")]
+    from cli_docs import NEGATIVE_SEEDS, REFUSALS, SEED_CHECKS, refused_doc, scenario_doc
     from workloads import synthetic_doc
 
     docs = {f"{w}-seed{seed}": synthetic_doc(w, seed) for w in WORKLOADS for seed in SEEDS}
     docs["flow-wide-4500"] = dict(synthetic_doc("flow-wide", 0), horizon=4500.0, stride=100)
-    docs["inflow-above-1"] = _doc(
+    docs["inflow-above-1"] = scenario_doc(
         arcs=[{"tail": 0, "head": 1, "weight": {"family": "constant", "c": 1.5}}])
-    docs["explicit-self"] = _doc(
+    docs["explicit-self"] = scenario_doc(
         name="explicit-self", horizon=20, required_checks=[{"check": "stochasticity"}],
         arcs=[{"tail": 0, "head": 1, "weight": {"family": "constant", "c": 0.25}},
               {"tail": 1, "head": 0, "weight": {"family": "constant", "c": 0.5}}],
         self_weights=[{"family": "constant", "c": 0.5}, {"family": "constant", "c": 0.75}])
-    decay = {"family": "exponential-decay", "c": 0.5, "rate": 1.0}
-    huge = {"family": "constant", "c": 1e12}
-    for name, family, mode, cert in (
-        ("window-violation", decay, "discrete", {"certificate": "window-violation", "epsilon": 0.5,
-                                                 "T": 5, "A": 1.0, "scan_limit": 10}),
-        ("discrete-rate", decay, "discrete", {"certificate": "discrete-rate", "eta": 0.5,
-                                              "a_star": 0.5, "T_star": 1}),
-        ("agreement-ratio", huge, "continuous", {"certificate": "agreement-ratio", "target": 0.01,
-                                                 "A": 1.0}),
-        ("continuous-rate", huge, "continuous", {"certificate": "continuous-rate", "A": 1.0,
-                                                 "a_star": 0.5, "tau0": 1.0}),
-    ):
-        docs[f"refused-{name}"] = _refused(family, cert, mode)
-    docs["seed-field"] = _doc(seed=-1)
-    docs["seed-field-cut-balance"] = _doc(seed=-1, required_checks=[{"check": "cut-balance", "K": 2.0}])
-    docs["seed-option"] = _doc()
-    docs["seed-option-cut-balance"] = _doc(required_checks=[{"check": "cut-balance", "K": 2.0}])
+    for name, (mode, family, cert, _) in REFUSALS.items():
+        docs[f"refused-{name}"] = refused_doc(mode, family, cert)
+    for where, (seed, _, _) in NEGATIVE_SEEDS.items():
+        for checks_id, checks in SEED_CHECKS.items():
+            docs[f"seed-{where}-{checks_id}"] = scenario_doc(seed=seed, required_checks=checks)
     return docs
 
 
 def commands(inputs: Path, catalog_names: list[str]) -> dict[str, list[str]]:
     """The ``persistnet`` argument lists of the set, by case name; ``run``
     cases get their ``--out-dir`` when they are run."""
+    sys.path.insert(0, str(ROOT / "tests"))
+    from cli_docs import NEGATIVE_SEEDS
+
     cases = {"catalog-list": ["catalog"], "catalog-run-all": ["catalog", "--run-all"]}
     for name in catalog_names:
         for override in (None, "discrete", "continuous"):
@@ -121,7 +91,7 @@ def commands(inputs: Path, catalog_names: list[str]) -> dict[str, list[str]]:
                     command, "--catalog", name, *extra]
     for path in sorted(inputs.glob("*.json")):
         stem = path.stem
-        option = ["--seed", "-3"] if stem.startswith("seed-option") else []
+        option = NEGATIVE_SEEDS[stem.split("-")[1]][1] if stem.startswith("seed-") else []
         for command in (("run", "check") if stem.startswith("seed-") else
                         ("run", "classify", "check") if stem == "inflow-above-1" else ("run",)):
             cases[f"{stem}-{command}"] = [command, str(path), *option]
@@ -194,9 +164,7 @@ def compare(base: Path, head: Path, print_=print) -> bool:
 
 def main(argv: list[str] | None = None) -> int:
     p = argparse.ArgumentParser(description=__doc__.splitlines()[0])
-    p.add_argument("trees", nargs="*", type=Path, metavar="TREE",
-                   help="two src trees, or with --compare two output trees")
-    p.add_argument("--compare", action="store_true", help="only compare two output trees")
+    p.add_argument("trees", nargs="*", type=Path, metavar="SRC", help="the base and the head src tree")
     p.add_argument("--work", type=Path, help="directory for the inputs and outputs (kept)")
     p.add_argument("--side", type=Path, nargs=3, metavar=("SRC", "INPUTS", "OUT"), help=argparse.SUPPRESS)
     args = p.parse_args(argv)
@@ -204,9 +172,7 @@ def main(argv: list[str] | None = None) -> int:
         run_side(*args.side)
         return 0
     if len(args.trees) != 2:
-        p.error("give two trees")
-    if args.compare:
-        return 0 if compare(*args.trees) else 1
+        p.error("give two src trees")
 
     work = args.work or Path(tempfile.mkdtemp(prefix="equal-"))
     inputs = work / "inputs"
@@ -227,4 +193,8 @@ def main(argv: list[str] | None = None) -> int:
 
 
 if __name__ == "__main__":
-    sys.exit(main())
+    try:
+        sys.exit(main())
+    except Exception:  # an uncaught exception would exit 1, which means "outputs differ"
+        traceback.print_exc()
+        sys.exit(2)
