@@ -24,7 +24,11 @@ from __future__ import annotations
 
 import functools
 import math
+import os
+import sys
 from dataclasses import dataclass, field
+from importlib.machinery import PathFinder
+from importlib.util import find_spec, module_from_spec
 from typing import Callable
 
 import numpy as np
@@ -107,13 +111,15 @@ class Trajectory:
             raise ValueError("trajectory cannot be empty")
         if not np.all(np.isfinite(times)):
             raise ValueError("times must be finite")
-        if np.any(np.diff(times) <= 0):
+        gaps = np.diff(times)  # reduced, not compared: no boolean array as long as the run
+        if gaps.min(initial=math.inf) <= 0:
             raise ValueError("times must be strictly increasing")
         if self.mode is Mode.DISCRETE:
-            if np.any(np.diff(times) != 1):
+            if gaps.min(initial=1.0) != 1 or gaps.max(initial=1.0) != 1:
                 raise ValueError("times must advance by exactly one step")
             if not float(times[0]).is_integer():  # then all are, one apart
                 raise ValueError("discrete times must be whole numbers")
+        del gaps
         # NaN and infinities reach the row extremes, so these decide finiteness
         # without a temporary the size of ``states``.
         if self.extremes is None:
@@ -130,9 +136,9 @@ class Trajectory:
             raise ValueError("extremes do not match the kept states")
         scale = max(1.0, float(np.max(np.abs(maxima))), float(np.max(np.abs(minima))))
         slack = _ENVELOPE_SLACK[self.mode] * scale
-        if np.any(np.diff(maxima) > slack):
+        if np.diff(maxima).max(initial=0.0) > slack:
             raise ValueError("running maximum increased beyond rounding slack")
-        if np.any(np.diff(minima) < -slack):
+        if np.diff(minima).min(initial=0.0) < -slack:
             raise ValueError("running minimum decreased beyond rounding slack")
         minima.flags.writeable = maxima.flags.writeable = False
         for name, value in (("times", times), ("states", states), ("stride", int(stride)),
@@ -301,7 +307,7 @@ def _step_block(net: TimeVaryingNetwork, layout, rows: np.ndarray, t: int, csr_m
     count = len(rows) - 1
     ts = np.arange(t, t + count, dtype=float)
     weights = net.bank._evaluate(ts, False, layout[0])  # (count, m + n), 0 at the self slots
-    sums = _steps(layout, weights, np.ones_like(rows[1:]), np.empty_like(rows[1:]), csr_matvec)
+    sums = _steps(layout, weights, np.ones_like(rows[1:]), np.full_like(rows[1:], -0.0), csr_matvec)
     self_block = weights[:, layout[1]] = net.self_values(ts, sums)  # (count, n)
     if np.any(weights < 0):
         raise ValueError("negative weight encountered")
@@ -313,40 +319,55 @@ def _step_block(net: TimeVaryingNetwork, layout, rows: np.ndarray, t: int, csr_m
         k, i = (int(v) for v in np.argwhere(bad)[0])
         raise RowSumViolation(i, t + k, float(sums[k, i]))
     del sums, off, bad
+    rows[1:] = -0.0
     _steps(layout, weights, rows[:-1], rows[1:], csr_matvec)
 
 
-def _steps(layout, weights: np.ndarray, x: np.ndarray, out: np.ndarray, csr_matvec) -> np.ndarray:
-    """``out[k]`` = step k's matrix times ``x[k]``, from -0.0, a call per ``layout``'s steps.
-    Over ones, with 0 in the self slots, it is ``net.head_sums`` of the arcs, bit for bit."""
-    indptr, columns, n = layout[2], layout[3], x.shape[1]  # columns: one row per step
-    out[...] = -0.0
-    for s in range(0, len(weights), len(columns)):
-        c = min(len(columns), len(weights) - s)
-        csr_matvec(c * n, c * n, indptr[: c * n + 1], columns[:c].ravel(),
-                   weights[s : s + c].ravel(), x[s : s + c].ravel(), out[s : s + c].ravel())
-    return out
+def _steps(layout, data: np.ndarray, x: np.ndarray, y: np.ndarray, csr_matvec) -> np.ndarray:
+    """``y[k]`` += step k's matrix times ``x[k]``, a call per ``layout``'s steps, where
+    ``layout`` ends with a ``_chain`` and ``y`` holds each row's starting sum.  Over
+    ones, from -0.0 with 0 in the self slots, it is ``net.head_sums`` of the arcs."""
+    indptr, columns, rows = layout[-2], layout[-1], x.shape[1]  # columns: one row per step
+    for s in range(0, len(data), len(columns)):
+        c = min(len(columns), len(data) - s)
+        csr_matvec(c * rows, c * rows, indptr[: c * rows + 1], columns[:c].ravel(),
+                   data[s : s + c].ravel(), x[s : s + c].ravel(), y[s : s + c].ravel())
+    return y
+
+
+def _chain(indptr: np.ndarray, columns: np.ndarray, steps: int) -> tuple[np.ndarray, np.ndarray]:
+    """One step's CSR row pointers and columns for ``steps`` steps, int32 if they fit:
+    step k's rows, and the columns they read, are k steps' rows further on."""
+    rows, entries, k = len(indptr) - 1, len(columns), np.arange(steps)[:, None]
+    index = np.int32 if (steps + 1) * entries < 2**31 else np.intp
+    return (np.append(indptr[:-1] + entries * k, steps * entries).astype(index),
+            (columns + rows * k).astype(index))
 
 
 def _layout(net: TimeVaryingNetwork, steps: int) -> tuple:
     """``_step_block``'s matrix for ``steps`` steps: each slot's bank column (m reads 0),
-    the self slots, and the row pointers and column indices, int32 if they fit."""
+    the self slots, and the ``_chain`` of its rows."""
     n, m = net.n, len(net.heads)
-    selves = net.indptr[:-1] + np.arange(n)
     slots = np.insert(np.arange(m), net.indptr[:-1], m)
     column = np.insert(net.tails, net.indptr[:-1], np.arange(n))  # a self slot reads its own node
-    k = np.arange(steps)[:, None]
-    index = np.int32 if (steps + 1) * (m + n) < 2**31 else np.intp
-    indptr = np.append(selves + (m + n) * k, steps * (m + n)).astype(index)
-    return slots, selves, indptr, (column + n * k).astype(index)
+    chain = _chain(net.indptr + np.arange(n + 1), column, steps)  # row i: self, then in-arcs
+    return slots, net.indptr[:-1] + np.arange(n), *chain
 
 
 @functools.cache
 def _csr_matvec():
-    """scipy's ``csr_matvec``, once three in-place halvings of 1 give 0.5, 0.25, 0.125."""
-    import scipy.sparse._sparsetools  # private: pyproject.toml pins scipy
+    """scipy's ``csr_matvec``, once three in-place halvings of 1 give 0.5, 0.25, 0.125;
+    its extension alone, as ``import scipy.sparse`` loads 75 modules and 20 MB."""
+    name = "scipy.sparse._sparsetools"  # private: pyproject.toml pins scipy
+    sparsetools = sys.modules.get(name)
+    if sparsetools is None:
+        where = [os.path.join(p, "sparse") for p in find_spec("scipy").submodule_search_locations]
+        spec = PathFinder.find_spec(name, where)
+        sparsetools = module_from_spec(spec)
+        spec.loader.exec_module(sparsetools)
     chain, ix = np.array([1.0, -0.0, -0.0, -0.0]), np.arange(4, dtype=np.int32)
-    scipy.sparse._sparsetools.csr_matvec(3, 3, ix, ix[:3], np.full(3, 0.5), chain[:3], chain[1:])
+    sparsetools.csr_matvec(3, 3, ix, ix[:3], np.full(3, 0.5), chain[:3], chain[1:])
     if chain.tolist() != [1.0, 0.5, 0.25, 0.125]:
+        import scipy
         raise RuntimeError(f"scipy {scipy.__version__}: csr_matvec does not step in place")
-    return scipy.sparse._sparsetools.csr_matvec
+    return sparsetools.csr_matvec

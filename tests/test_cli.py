@@ -348,12 +348,13 @@ class TestStartup:
     def test_import_loads_no_scipy(self):
         assert self.loaded_scipy("import sys, persistnet") == "[]"
 
-    def test_continuous_run_without_power_decay_loads_no_scipy(self, tmp_path):
+    @pytest.mark.parametrize("name", ["continuous-star-contraction", "discrete-star-contraction"])
+    def test_run_without_power_decay_loads_only_csr_matvec(self, tmp_path, name):
+        # both steppers call csr_matvec, and load its extension without scipy.sparse
         code = ("import sys; from persistnet.cli import main; "
-                "assert main(['run', '--catalog', 'continuous-star-contraction', "
-                f"'--out-dir', {str(tmp_path)!r}]) == 0")
-        assert self.loaded_scipy(code) == "[]"
-        assert (tmp_path / "continuous-star-contraction.report.json").exists()
+                f"assert main(['run', '--catalog', {name!r}, '--out-dir', {str(tmp_path)!r}]) == 0")
+        assert self.loaded_scipy(code) == "['scipy.sparse._sparsetools']"
+        assert (tmp_path / f"{name}.report.json").exists()
 
 
 class TestCatalog:

@@ -10,6 +10,8 @@ import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
+import persistnet.continuous as continuous
+import persistnet.discrete as discrete
 import persistnet.scenarios as scenarios
 from persistnet import (
     Constant,
@@ -28,7 +30,7 @@ from persistnet.continuous import MIN_STEP
 from persistnet.scenarios import parse_weight
 from persistnet.weights import Weight
 from test_bank import WEIGHT_SPECS
-from verifiers import derivative
+from verifiers import derivative, flow
 
 
 def continuous_net(n, arc_weights):
@@ -176,10 +178,6 @@ def reference_integrate(net, x0, t0, t_end, h_max=None):
     """The integrator written one step at a time: two weight-bank calls per
     step, the step size chosen from the inflow at its start."""
     x = np.asarray(x0, dtype=float).copy()
-
-    def flow(x, w):
-        return np.bincount(net.heads, w * (x[net.tails] - x[net.heads]), minlength=net.n)
-
     wfs = [net.weight(a) for a in net.arcs()]
     bps = (
         np.unique(np.concatenate([w.breakpoints_between(t0, t_end) for w in wfs]))
@@ -194,7 +192,7 @@ def reference_integrate(net, x0, t0, t_end, h_max=None):
     t = t0
     while t < t_end:
         w1 = net.bank.values(t)
-        dx1 = flow(x, w1)
+        dx1 = flow(net, x, w1)
         max_xi = float(net.head_sums(w1).max())
 
         h = math.inf if h_max is None else h_max
@@ -218,7 +216,7 @@ def reference_integrate(net, x0, t0, t_end, h_max=None):
 
         w2 = net.bank.values_left(t_next)
         x_star = x + h * dx1
-        dx2 = flow(x_star, w2)
+        dx2 = flow(net, x_star, w2)
         x = x + 0.5 * h * (dx1 + dx2)
 
         times.append(t_next)
@@ -292,6 +290,78 @@ class TestBlockSteppingMatchesReference:
     def test_catalog_runs(self, catalog_runs):
         assert len(catalog_runs) == 4
         assert sum(len(assert_matches_reference(*run)) - 1 for run in catalog_runs) == 12126
+
+
+def chain_calls(monkeypatch) -> list[int]:
+    """The steps of each ``csr_matvec`` call of the Heun chain, as runs make them."""
+    calls, run = [], continuous._Heun.run
+
+    def counting(self, w1, w2, h):
+        calls.append(len(h))
+        return run(self, w1, w2, h)
+
+    monkeypatch.setattr(continuous._Heun, "run", counting)
+    return calls
+
+
+def has_run(calls, want):
+    """Whether ``want`` occurs in ``calls`` as consecutive entries."""
+    return any(calls[i : i + len(want)] == want for i in range(len(calls)))
+
+
+def chain_net():
+    """Four nodes, one of them (3) with no in-arcs; h_max 0.125 binds throughout."""
+    return continuous_net(4, {(1, 0): Constant(0.3), (3, 0): ExponentialDecay(0.5, 0.2),
+                              (0, 1): PowerDecay(0.4, 1.0), (2, 1): Constant(0.1),
+                              (1, 2): ExponentialDecay(0.25, 1.0), (0, 2): Zero()})
+
+
+NORMAL_MIN = 2.2250738585072014e-308  # the smallest normal double; subnormals lie below it
+
+
+class TestHeunChain:
+    """The Heun chain against ``reference_integrate``, bit for bit, where its
+    ``csr_matvec`` calls start and end and where its floats are signed zeros
+    or subnormal."""
+
+    @pytest.mark.parametrize("extra", [-1, 0, 1])
+    def test_blocks_of_one_call_and_one_step_more(self, monkeypatch, extra):
+        net = chain_net()
+        K = continuous._Heun(net, np.zeros(4)).per_call
+        assert K == discrete._SUB_STEPS  # a small network: the step cap, not the budget
+        monkeypatch.setattr(discrete, "_BLOCK", K + extra)  # blocks grow to K + extra steps
+        calls = chain_calls(monkeypatch)
+        assert_matches_reference(net, np.array([1.0, -2.0, 0.5, 3.0]), 0.0, 3 * (K + 1) * 0.125, 0.125)
+        assert max(calls) == min(K, K + extra)
+        assert has_run(calls, {-1: [K - 1], 0: [K], 1: [K, 1]}[extra])
+
+    @pytest.mark.parametrize("K", [1, 2])
+    def test_budget_of_one_and_two_steps_a_call(self, monkeypatch, K):
+        net = chain_net()
+        monkeypatch.setattr(continuous, "_BLOCK_VALUES", K * 6 * (len(net.heads) + net.n))
+        assert continuous._Heun(net, np.zeros(4)).per_call == K
+        calls = chain_calls(monkeypatch)
+        assert_matches_reference(net, np.array([1.0, -2.0, 0.5, 3.0]), 0.0, 5.0, 0.125)
+        assert max(calls) == K and sum(calls) == 40  # blocks of up to 16 steps
+
+    def test_one_step_blocks(self, monkeypatch):
+        # decaying weights keep the inflow cap binding, and moving, at every step
+        net = continuous_net(2, {(0, 1): ExponentialDecay(20.0, 0.01),
+                                 (1, 0): ExponentialDecay(20.0, 0.01)})
+        calls = chain_calls(monkeypatch)
+        traj = assert_matches_reference(net, np.array([0.0, 1.0]), 0.0, 50.0, 0.05)
+        assert len(traj) == 1576 and calls == [1] * 1575
+
+    @pytest.mark.parametrize("net, x0", [
+        (chain_net(), [-0.0, 0.0, -0.0, -0.0]),
+        (chain_net(), [5e-324, -0.0, NORMAL_MIN / 3, -NORMAL_MIN]),
+        (chain_net(), [NORMAL_MIN, -5e-324, 0.0, 1e-300]),
+        (continuous_net(3, {(0, 1): Constant(1.0)}), [-0.0, 5e-324, -0.0]),  # two nodes without in-arcs
+        (continuous_net(2, {}), [-0.0, 5e-324]),  # no arcs at all
+    ])
+    def test_signed_zeros_subnormals_and_nodes_without_in_arcs(self, net, x0):
+        traj = assert_matches_reference(net, np.array(x0), 0.0, 4.0, 0.25)
+        assert len(traj) == 17
 
 
 @dataclass(frozen=True)

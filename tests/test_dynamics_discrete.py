@@ -2,6 +2,7 @@
 
 import tracemalloc
 from dataclasses import dataclass
+from fractions import Fraction
 
 import numpy as np
 import pytest
@@ -251,11 +252,11 @@ class TestCsrStep:
         net = TimeVaryingNetwork(n, aw, Mode.CONTINUOUS)
         steps = len(arc_block)
         layout = discrete._layout(net, 1 + seed % steps)  # and fewer steps per call
-        rows = np.empty((steps + 1, n))
+        rows = np.full((steps + 1, n), -0.0)  # each row's sum starts at -0.0
         rows[0] = x0
         discrete._steps(layout, laid_out(layout, arc_block, self_block), rows[:-1], rows[1:], csr_matvec)
         assert rows.tobytes() == add_at_rows(net, x0, arc_block, self_block).tobytes()
-        sums = np.empty((steps, n))
+        sums = np.full((steps, n), -0.0)
         discrete._steps(layout, laid_out(layout, arc_block, np.zeros((steps, n))),
                         np.ones((steps, n)), sums, csr_matvec)
         assert sums.tobytes() == net.head_sums(arc_block).tobytes()
@@ -290,7 +291,7 @@ class TestCsrStep:
     def test_arcless_network_steps(self):
         net = TimeVaryingNetwork(3, {}, Mode.DISCRETE, {i: Constant(0.5) for i in range(3)})
         assert np.array_equal(net.indptr, [0, 0, 0, 0])
-        rows = np.empty((4, 3))
+        rows = np.full((4, 3), -0.0)
         rows[0] = [2.0, -0.0, -4.0]
         discrete._steps(discrete._layout(net, 3), np.full((3, 3), 0.5), rows[:-1], rows[1:], csr_matvec)
         assert rows.tobytes() == np.array([[2.0, -0.0, -4.0], [1.0, -0.0, -2.0],
@@ -298,6 +299,18 @@ class TestCsrStep:
         identity = TimeVaryingNetwork(3, {}, Mode.DISCRETE, {i: Constant(1.0) for i in range(3)})
         traj = simulate(identity, rows[0], 0, 5000)  # past one block
         assert traj.states.tobytes() == np.tile(rows[0], (5001, 1)).tobytes()
+
+    def test_products_are_rounded_before_they_are_added(self):
+        # Both steppers keep numpy's bits only if csr_matvec rounds a * x before it
+        # adds it to the sum, as numpy's separate multiply and add do.  A fused
+        # multiply-add keeps the 2**-60 that rounding a * a drops here.
+        a, c = 1.0 + 2.0**-30, -(1.0 + 2.0**-29)
+        assert Fraction(a) * Fraction(a) + Fraction(c) == Fraction(1, 2**60)
+        assert np.float64(a) * a + c == 0.0
+        sum_ = np.array([c])
+        ix = np.array([0, 1], dtype=np.int32)
+        discrete._csr_matvec()(1, 1, ix, ix[:1], np.array([a]), np.array([a]), sum_)
+        assert sum_[0] == 0.0, "csr_matvec fuses multiply and add: the steppers' bits will differ"
 
     def test_in_place_probe(self, monkeypatch):
         assert discrete._csr_matvec() is csr_matvec

@@ -20,7 +20,6 @@ from scipy.sparse import csr_matrix
 from scipy.sparse.csgraph import shortest_path
 
 from persistnet import Digraph, Mode, TimeVaryingNetwork, Trajectory, Weight
-from persistnet.continuous import _flow
 
 
 def adjacency(g: Digraph) -> csr_matrix:
@@ -56,11 +55,18 @@ def self_weight(net: TimeVaryingNetwork, node: int, t):
     return np.maximum(1.0 - sum(w.eval(t) for _, w in in_arcs(net, node)), 0.0)
 
 
+def flow(net: TimeVaryingNetwork, x: np.ndarray, w: np.ndarray) -> np.ndarray:
+    """Right-hand side of the continuous flow from arc weight values ``w`` in
+    ``net.arcs()`` order: each node's inflow-weighted differences, summed by
+    ``np.bincount`` from +0.0 in arc order (the integrator's chain keeps its bits)."""
+    return np.bincount(net.heads, w * (x[net.tails] - x[net.heads]), minlength=net.n)
+
+
 def derivative(net: TimeVaryingNetwork, x: np.ndarray, t: float) -> np.ndarray:
     """Right-hand side of the continuous flow at time ``t``."""
     if net.mode is not Mode.CONTINUOUS:
         raise ValueError("derivative() needs a continuous-mode network")
-    return _flow(net, np.asarray(x, dtype=float), net.bank.values(t))
+    return flow(net, np.asarray(x, dtype=float), net.bank.values(t))
 
 
 @dataclass(frozen=True)
