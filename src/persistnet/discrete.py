@@ -149,10 +149,6 @@ class Trajectory:
         return len(self.times)
 
     @property
-    def t0(self) -> float:
-        return float(self.times[0])
-
-    @property
     def n(self) -> int:
         return self.states.shape[1]
 
@@ -167,12 +163,6 @@ class Trajectory:
         if k % self.stride:
             raise ValueError(f"sample {k} was not kept: states are kept every {self.stride} samples")
         return self.states[k // self.stride]
-
-    def every_state(self) -> np.ndarray:
-        """The states of every sample; refused unless the stride is 1."""
-        if self.stride != 1:
-            raise ValueError(f"needs every sample's states; this run kept every {self.stride}th")
-        return self.states
 
     def minima(self) -> np.ndarray:
         return self.extremes[0]

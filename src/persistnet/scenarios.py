@@ -962,18 +962,19 @@ def write_trajectory_csv(traj: Trajectory, path: str | Path) -> int:
     n = traj.n
     keep = np.arange(0, len(traj), traj.stride)
     row = ",".join(["%.17g"] * (n + 4)) + "\n"
+    rows = max(1, _CSV_VALUES // (n + 4))
     with Path(path).open("w") as f:
         f.write("t," + ",".join(f"x_{i}" for i in range(n)) + ",psi,Psi,H\n")
-        # A block of rows at a time, so memory stays bounded in the row count.
-        for s in range(0, len(keep), _CSV_BLOCK):
-            k = keep[s : s + _CSV_BLOCK]
+        # A block of values at a time, so memory stays bounded in rows and nodes.
+        for s in range(0, len(keep), rows):
+            k = keep[s : s + rows]
             lo, hi = traj.minima()[k], traj.maxima()[k]
             block = np.column_stack([traj.times[k], traj.states[k // traj.stride], lo, hi, hi - lo])
             f.write("".join([row % tuple(r) for r in block.tolist()]))
     return len(keep)
 
 
-_CSV_BLOCK = 4096  # trajectory rows formatted per write
+_CSV_VALUES = 1 << 15  # trajectory values formatted per write, whole rows of them
 
 
 def read_trajectory_csv(path: str | Path):

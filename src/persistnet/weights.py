@@ -99,21 +99,11 @@ class Weight(abc.ABC):
         """Left limit at ``t``; differs from ``eval`` only at jump points."""
         return self._at(t, True)
 
-    def __call__(self, t):
-        return self.eval(t)
-
     def _at(self, t, left: bool):
         ts = _as_times(t)
         col = ts.reshape(-1, 1)
-        out = np.broadcast_to(self._own_formula(col, left), col.shape).copy()
+        out = np.broadcast_to(self._formula((self,))(col, left), col.shape).copy()
         return float(out[0, 0]) if ts.ndim == 0 else out.reshape(ts.shape)
-
-    @functools.cached_property
-    def _own_formula(self):
-        return self._formula((self,))
-
-    def __getstate__(self):  # the cached formula is a closure: pickle without it
-        return {k: v for k, v in vars(self).items() if k != "_own_formula"}
 
     def _group(self) -> tuple:
         """Weights with equal groups share one ``_formula`` in a ``WeightBank``."""
@@ -288,6 +278,16 @@ class ExponentialDecay(Weight):
         return self.c * span
 
 
+def _kink_starts(edges, span: float, hi: float) -> list[float]:
+    """The window starts in [0, ``hi``] where a window of ``span`` starts or
+    ends on one of the ``edges``, and 0 and ``hi`` themselves, in order.
+
+    The continuous mass of a window over a piecewise-constant weight is
+    piecewise linear in its start, with kinks only there, so its least value
+    over starts in [0, ``hi``] is attained at one of these."""
+    return sorted({0.0, hi, *(c for e in edges for c in (e, e - span) if 0.0 <= c <= hi)})
+
+
 def _pulse_values(start, t, width, height, left: bool):
     """Pulse values at ``t`` from the ``start`` of the last pulse at or before
     ``t`` (before ``t``, for left limits).  The edges are the floats
@@ -434,17 +434,10 @@ class PeriodicPulse(Weight):
                 return None  # integer sampling never repeats exactly; rely on samples
             starts = range(int(cycle))
         else:
-            # The window integral is piecewise linear in the start time with
-            # kinks only where an endpoint crosses a pulse edge, and it is
-            # periodic with the cycle, so the exact minimum is attained at a kink.
-            kinks = {0.0, cycle}
+            # periodic with the cycle, so one cycle of starts is enough
             reps = int(math.ceil((span + cycle) / cycle)) + 1
-            for j in range(reps + 1):
-                for e in (j * cycle, j * cycle + self.width):
-                    for c in (e, e - span):
-                        if 0.0 <= c <= cycle:
-                            kinks.add(c)
-            starts = sorted(kinks)
+            edges = [e for j in range(reps + 1) for e in (j * cycle, j * cycle + self.width)]
+            starts = _kink_starts(edges, span, cycle)
         return min(self.mass(s, s + span, mode) for s in starts)
 
 
@@ -533,12 +526,7 @@ class Tabulated(Weight):
                 return None
             starts = range(int(math.ceil(last)) + 1)
         else:
-            kinks = {0.0, last}
-            for b in self.breakpoints:
-                for c in (b, b - span):
-                    if 0.0 <= c <= last:
-                        kinks.add(c)
-            starts = sorted(kinks)
+            starts = _kink_starts(self.breakpoints, span, last)
         local = min(self.mass(s, s + span, mode) for s in starts)
         return min(local, self.values[-1] * span)
 

@@ -87,7 +87,7 @@ class TestSimulate:
         net = pair_net(Constant(0.25), Constant(0.5))
         traj = simulate(net, np.array([0.0, 1.0]), 3, 3)
         assert len(traj) == 1
-        assert traj.t0 == 3
+        assert traj.times[0] == 3
         assert np.array_equal(traj.states[0], [0.0, 1.0])
 
     def test_uniform_pair_spread_sequence(self):

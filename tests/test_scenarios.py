@@ -3,11 +3,12 @@
 import inspect
 import json
 import sys
+import tracemalloc
 
 import numpy as np
 import pytest
 
-from persistnet import graph, weights
+from persistnet import graph, scenarios, weights
 from persistnet import (
     Constant,
     ExponentialDecay,
@@ -18,6 +19,7 @@ from persistnet import (
     ScenarioParseError,
     ScenarioValidationError,
     Tabulated,
+    Trajectory,
     Weight,
     WeightSum,
     Zero,
@@ -405,6 +407,35 @@ class TestTrajectoryFiles:
         path = tmp_path / "one.csv"
         assert write_trajectory_csv(traj, path) == 1
         assert len(path.read_text().strip().split("\n")) == 2
+
+    @pytest.mark.parametrize("stride", [1, 3])
+    def test_csv_bytes_do_not_depend_on_the_block_size(self, tmp_path, stride):
+        # 6,001 rows of 6 values cross the default block of 5,461 rows
+        net = build_network(parse_scenario_dict(base_doc()))
+        traj = simulate(net, np.array([0.0, 1.0]), 0, 6000, stride=stride)
+        written = {}
+        for values in (None, traj.n + 4, 2**30):  # the default, one row a block, one block
+            with pytest.MonkeyPatch.context() as mp:
+                if values is not None:
+                    mp.setattr(scenarios, "_CSV_VALUES", values)
+                write_trajectory_csv(traj, tmp_path / f"{values}.csv")
+            written[values] = (tmp_path / f"{values}.csv").read_bytes()
+        assert written[traj.n + 4] == written[None] == written[2**30]
+        assert written[None].count(b"\n") == len(range(0, 6001, stride)) + 1
+
+    def test_csv_memory_is_bounded_in_rows_times_nodes(self, tmp_path):
+        # 1,000 rows of 500 nodes: formatted in one block, a Python float and
+        # a string per value peak at some 30 MB
+        states = np.tile(np.linspace(0.0, 1.0, 500), (1000, 1))
+        traj = Trajectory(np.arange(1000.0), states, Mode.DISCRETE)
+        write_trajectory_csv(traj, tmp_path / "warm.csv")
+        tracemalloc.start()
+        try:
+            write_trajectory_csv(traj, tmp_path / "wide.csv")
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 4e6, f"peak {peak / 1e6:.2f} MB"
 
     def test_reader_rejects_foreign_files(self, tmp_path):
         path = tmp_path / "junk.csv"

@@ -251,6 +251,17 @@ class TestStridedTrajectoryType:
         with pytest.raises(ValueError, match="stride"):
             Trajectory(times, states, Mode.DISCRETE, 0, (lo, hi))
 
+    def test_extremes_checked_past_the_first_chunk(self):
+        # kept rows are compared with their extremes _CHECK_ROWS at a time;
+        # only the last kept row's minimum is wrong, past the first chunk
+        kept = discrete._CHECK_ROWS + 2
+        times, states = np.arange(2.0 * kept), np.tile([0.0, 1.0], (kept, 1))
+        lo, hi = np.zeros(len(times)), np.ones(len(times))
+        assert len(Trajectory(times, states, Mode.DISCRETE, 2, (lo, hi))) == 2 * kept
+        risen = np.where(times < times[-2], 0.0, 0.5)  # a running minimum may rise
+        with pytest.raises(ValueError, match="extremes do not match the kept states"):
+            Trajectory(times, states, Mode.DISCRETE, 2, (risen, hi))
+
     def test_envelope_checked_on_dropped_samples(self):
         # the kept rows are monotone; a dropped sample's maximum is not
         times, states = np.arange(3.0), np.array([[0.0, 1.0], [0.0, 1.0]])

@@ -139,7 +139,7 @@ class TestEval:
 
     @pytest.mark.parametrize("w", SHAPE_FAMILIES, ids=lambda w: type(w).__name__)
     def test_round_trips_through_pickle_after_eval(self, w):
-        w.eval(1.5)  # caches its formula on the instance
+        w.eval(1.5)  # an evaluated weight pickles as a fresh one: eval keeps no state
         copy = pickle.loads(pickle.dumps(w))
         assert copy == w
         assert copy.eval_left(2.0) == w.eval_left(2.0)
@@ -344,6 +344,13 @@ class TestInfima:
         assert w.mass_infimum(2.0, Mode.CONTINUOUS) == pytest.approx(1.0)
         assert w.mass_infimum(1.0, Mode.CONTINUOUS) == pytest.approx(0.0)
         assert w.mass_infimum(3.0, Mode.CONTINUOUS) == pytest.approx(1.0)
+
+    def test_tabulated_infimum_where_a_window_ends_on_a_breakpoint(self):
+        # 1 on [0, 1), 0 on [1, 1.5), 2 after: the least mass of a window of 1
+        # is [0.5, 1.5), which starts on no breakpoint but ends on one
+        w = Tabulated((0.0, 1.0, 1.5), (1.0, 0.0, 2.0), persistent=True)
+        assert w.mass_infimum(1.0, Mode.CONTINUOUS) == 0.5
+        assert min(w.mass(s, s + 1.0, Mode.CONTINUOUS) for s in (0.0, 1.0, 1.5)) == 1.0
 
     def test_growing_gaps_destroy_window_floor(self):
         w = PeriodicPulse(1.0, 1.0, 2.0, gap_growth=1.5)

@@ -231,6 +231,8 @@ def verify_influence_bound(
     """
     if traj.mode is not Mode.CONTINUOUS:
         raise ValueError("the influence bound applies to continuous trajectories")
+    if traj.stride != 1:  # it reads the source's states at every sample of the window
+        raise ValueError(f"needs every sample's states; this run kept every {traj.stride}th")
     if (source, m) not in net.arc_weights:
         raise ValueError(f"no arc {(source, m)} in the network")
     _check_window(traj, net, m, k_from, k_to)
@@ -250,5 +252,5 @@ def verify_influence_bound(
         if b > a:
             part, _ = quad(integrand, a, b, epsabs=1e-12, epsrel=1e-9, limit=200)
             q += part
-    held = traj.every_state()[k_from : k_to + 1, source]
+    held = traj.states[k_from : k_to + 1, source]
     return _bound_report(traj, m, k_from, k_to, held, q, tol)

@@ -16,6 +16,8 @@ each wrote. The set:
 - ``catalog`` (the listing) and ``catalog --run-all``;
 - ``run``, ``classify`` and ``check`` of a discrete network whose inflow
   exceeds 1, and a run with explicit ``self_weights``;
+- a continuous run whose ``window-bound`` reads the least window mass of a
+  tabulated arc and of a periodic pulse;
 - the stepper refusals and the negative seeds of ``tests/test_cli.py``, from
   the documents it shares with the tests (``tests/cli_docs.py``).
 
@@ -68,6 +70,14 @@ def documents() -> dict[str, dict]:
         arcs=[{"tail": 0, "head": 1, "weight": {"family": "constant", "c": 0.25}},
               {"tail": 1, "head": 0, "weight": {"family": "constant", "c": 0.5}}],
         self_weights=[{"family": "constant", "c": 0.5}, {"family": "constant", "c": 0.75}])
+    # the least window mass of its tabulated arc, 0.5, starts only where a window ends on an edge
+    docs["window-kinks"] = scenario_doc(
+        "continuous", name="window-kinks",
+        required_checks=[{"check": "window-bound", "a_star": 0.4, "window": 1.0}],
+        arcs=[{"tail": 0, "head": 1, "weight": {"family": "tabulated", "breakpoints": [0, 1, 1.5],
+                                                "values": [1, 0, 2], "persistent": True}},
+              {"tail": 1, "head": 0, "weight": {"family": "periodic-pulse", "height": 1,
+                                                "width": 1, "period": 0.5}}])
     for name, (mode, family, cert, _) in REFUSALS.items():
         docs[f"refused-{name}"] = refused_doc(mode, family, cert)
     for where, (seed, _, _) in NEGATIVE_SEEDS.items():
